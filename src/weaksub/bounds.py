@@ -289,9 +289,31 @@ class RatioTable:
         return out.getvalue()
 
 
+_DIGIT_CHUNK = 500  # below the smallest int-to-str limit Python accepts (640)
+
+
+def _decimal(n: int) -> str:
+    """Decimal digits of a nonnegative int of any size.
+
+    Python refuses int-to-str conversions past a digit limit (4300 by
+    default), which exact bounds pass from p = 58.  Converting in fixed-size
+    chunks renders them without lifting that limit for the whole process.
+    """
+    chunk = 10**_DIGIT_CHUNK
+    parts = []
+    while n >= chunk:
+        n, low = divmod(n, chunk)
+        parts.append(f"{low:0{_DIGIT_CHUNK}d}")
+    parts.append(str(n))
+    return "".join(reversed(parts))
+
+
 def _plain(v: Value):
+    """Exact rationals render as 'p/q' strings (integral ones as 'p')."""
     if isinstance(v, Fraction):
-        return str(v)
+        sign = "-" if v < 0 else ""
+        num = sign + _decimal(abs(v.numerator))
+        return num if v.denominator == 1 else f"{num}/{_decimal(v.denominator)}"
     return v
 
 

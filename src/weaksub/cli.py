@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--mode", choices=["exhaustive", "sampled"], default=None)
     p_check.add_argument("--samples", type=int, default=None)
     p_check.add_argument("--seed", type=int, default=None)
-    p_check.add_argument("--jobs", type=int, default=1)
+    p_check.add_argument("--jobs", type=int, default=1, help="accepted; has no effect on checkers")
     p_check.add_argument("--format", choices=["json"], default="json")
     p_check.set_defaults(func=_cmd_check)
 

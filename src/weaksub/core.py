@@ -8,12 +8,13 @@ values can be recomputed bit-exactly from the oracle.
 
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
+from operator import lt
 from random import Random
 from typing import Any, Callable, Hashable, Iterable
 
@@ -179,8 +180,8 @@ class SetFunction:
     """A deterministic value oracle over subsets of a ground set.
 
     The evaluator receives a bitmask and must be pure; results are memoized
-    and the cache is lock-protected, so concurrent read-only use is safe.
-    ``claims`` records which properties the builder asserts.
+    in an unsynchronized dict.  ``claims`` records which properties the
+    builder asserts.
     """
 
     def __init__(
@@ -198,18 +199,12 @@ class SetFunction:
             raise ValueError(f"unknown claims: {sorted(self.claims - ALL_CLAIMS)}")
         self._evaluator = evaluator
         self._cache: dict[int, Value] = {}
-        self._lock = threading.Lock()
 
     def value(self, mask: int) -> Value:
         """Value at a bitmask subset (fast path used by checkers and solvers)."""
-        cache = self._cache
-        v = cache.get(mask)
+        v = self._cache.get(mask)
         if v is None:
-            with self._lock:
-                v = cache.get(mask)
-                if v is None:
-                    v = self._evaluator(mask)
-                    cache[mask] = v
+            v = self._cache[mask] = self._evaluator(mask)
         return v
 
     def evaluate(self, subset: Subset) -> Value:
@@ -307,37 +302,31 @@ def _require_mode(mode: str, samples, seed) -> None:
         raise ValueError("sampled mode needs explicit samples and seed")
 
 
-def _chunk_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
-    jobs = max(1, min(jobs, total)) if total else 1
-    size, extra = divmod(total, jobs)
-    ranges, start = [], 0
-    for k in range(jobs):
-        end = start + size + (1 if k < extra else 0)
-        ranges.append((start, end))
-        start = end
-    return ranges
+def _exact_table(values: list[Value]) -> list[int] | None:
+    """``values`` scaled to ints by the lcm of their denominators.
 
-
-def _scan_parallel(scan_chunk, total: int, jobs: int):
-    """Run ``scan_chunk(start, end)`` over a partition of ``range(total)``.
-
-    Each chunk returns (pairs_checked, witness_or_None).  The merged result is
-    deterministic: the witness from the earliest chunk wins, and the pair
-    count reflects the scan-order prefix up to that witness.
+    An all-int table is returned as is; a table holding any inexact value
+    (a float) gives None.  The pairwise inequalities are homogeneous of
+    degree 1 in f, so scaling by a positive constant keeps every exact
+    comparison.
     """
-    ranges = _chunk_ranges(total, jobs)
-    if len(ranges) == 1:
-        return scan_chunk(*ranges[0])
-    from concurrent.futures import ThreadPoolExecutor
+    if all(type(v) is int for v in values):
+        return values
+    if not all(_is_exact(v) for v in values):
+        return None
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
 
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        results = list(pool.map(lambda r: scan_chunk(*r), ranges))
-    checked = 0
-    for count, witness in results:
-        checked += count
-        if witness is not None:
-            return checked, witness
-    return checked, None
+
+def _pair_position(S: int, T: int, total: int) -> int:
+    """1-based position of the pair (S, T), S <= T, in the row-major scan."""
+    return S * total - S * (S - 1) // 2 + T - S + 1
+
+
+def _adjacent_position(S: int, bit: int, n: int) -> int:
+    """1-based position of the adjacent pair (S, S + bit) in the mask-major scan."""
+    before = n * S - sum(m.bit_count() for m in range(S))
+    return before + (~S & (2 * bit - 1)).bit_count()
 
 
 def check_normalized_nonnegative(
@@ -349,7 +338,10 @@ def check_normalized_nonnegative(
     limits: CheckerLimits = DEFAULT_LIMITS,
     jobs: int = 1,
 ) -> CheckReport:
-    """Check f(empty) = 0 and f(S) >= 0 on every tested subset."""
+    """Check f(empty) = 0 and f(S) >= 0 on every tested subset.
+
+    ``jobs`` is accepted for compatibility and ignored.
+    """
     _require_mode(mode, samples, seed)
     n = f.ground.n
     kind = PropertyKind.NORMALIZED_NONNEGATIVE
@@ -370,17 +362,12 @@ def check_normalized_nonnegative(
     if mode == "exhaustive":
         if n > limits.sign:
             raise CapExceeded(f"exhaustive sign check capped at n <= {limits.sign}")
-        total = (1 << n)
-
-        def scan(start: int, end: int):
-            for mask in range(start, end):
-                w = witness_for(mask)
-                if w is not None:
-                    return mask - start + 1, w
-            return end - start, None
-
-        checked, witness = _scan_parallel(scan, total, jobs)
-        return CheckReport(kind, "exhaustive", checked, witness is None, witness)
+        # Each mask is read once, so a failing scan stops without filling 2^n values.
+        for mask in range(1 << n):
+            w = witness_for(mask)
+            if w is not None:
+                return CheckReport(kind, "exhaustive", mask + 1, False, w)
+        return CheckReport(kind, "exhaustive", 1 << n, True, None)
 
     rng = Random(seed)
     w = witness_for(0)  # normalization is always part of the sampled check
@@ -392,6 +379,16 @@ def check_normalized_nonnegative(
             if w is not None:
                 break
     return CheckReport(kind, "sampled", checked, w is None, w, samples=samples, seed=seed)
+
+
+def _first_monotone_violation(values: list[Value], n: int, less) -> tuple[int, int] | None:
+    """First (S, bit) in mask-major order with less(f(S + bit), f(S))."""
+    bits = [1 << e for e in range(n)]
+    for S, fS in enumerate(values):
+        for bit in bits:
+            if not S & bit and less(values[S | bit], fS):
+                return S, bit
+    return None
 
 
 def check_monotone(
@@ -406,44 +403,32 @@ def check_monotone(
     """Check f(S) <= f(S + {e}) on adjacent pairs.
 
     Adjacent pairs suffice for full monotonicity by transitivity, turning a
-    4^n scan into n * 2^(n-1) checks.
+    4^n scan into n * 2^(n-1) checks.  The exhaustive scan reads the full
+    value table; exact tables compare with ``<``, others with ``violates``.
+    ``jobs`` is accepted for compatibility and ignored.
     """
     _require_mode(mode, samples, seed)
     n = f.ground.n
     kind = PropertyKind.MONOTONE
 
-    def pair_witness(mask: int, e: int) -> ViolationWitness | None:
-        bigger = mask | (1 << e)
-        lo, hi = f.value(bigger), f.value(mask)
-        if violates(lo, hi):
-            return ViolationWitness(
-                kind, Subset(f.ground, mask), Subset(f.ground, bigger), lo, hi
-            )
-        return None
+    def witness(S: int, bigger: int, lo: Value, hi: Value) -> ViolationWitness:
+        return ViolationWitness(kind, Subset(f.ground, S), Subset(f.ground, bigger), lo, hi)
 
     if mode == "exhaustive":
         if n > limits.monotone:
             raise CapExceeded(f"exhaustive monotone check capped at n <= {limits.monotone}")
-        total = 1 << n
-
-        def scan(start: int, end: int):
-            checked = 0
-            for mask in range(start, end):
-                for e in range(n):
-                    if mask >> e & 1:
-                        continue
-                    checked += 1
-                    w = pair_witness(mask, e)
-                    if w is not None:
-                        return checked, w
-            return checked, None
-
-        checked, witness = _scan_parallel(scan, total, jobs)
-        return CheckReport(kind, "exhaustive", checked, witness is None, witness)
+        values = f.all_values()
+        less = lt if all(_is_exact(v) for v in values) else violates
+        hit = _first_monotone_violation(values, n, less)
+        if hit is None:
+            return CheckReport(kind, "exhaustive", n * len(values) // 2, True, None)
+        S, bit = hit
+        w = witness(S, S | bit, values[S | bit], values[S])
+        return CheckReport(kind, "exhaustive", _adjacent_position(S, bit, n), False, w)
 
     rng = Random(seed)
     full = f.ground.full_mask
-    witness = None
+    w = None
     checked = 0
     for _ in range(samples):
         mask = rng.getrandbits(n)
@@ -451,78 +436,90 @@ def check_monotone(
             mask = rng.getrandbits(n)
         e = rng.choice([i for i in range(n) if not mask >> i & 1])
         checked += 1
-        witness = pair_witness(mask, e)
-        if witness is not None:
+        bigger = mask | (1 << e)
+        lo, hi = f.value(bigger), f.value(mask)
+        if violates(lo, hi):
+            w = witness(mask, bigger, lo, hi)
             break
-    return CheckReport(kind, "sampled", checked, witness is None, witness, samples=samples, seed=seed)
+    return CheckReport(kind, "sampled", checked, w is None, w, samples=samples, seed=seed)
+
+
+def _first_pair_violation_scalar(values: list[Value], sides) -> tuple[int, int] | None:
+    """Reference scan: the first (S, T), T >= S, with ``violates(*sides(...))``.
+
+    Unordered pairs {S, T} in lexicographic bitmask order (T >= S); the
+    definitions are symmetric so half the square suffices.  Float tables use
+    this path; the exact kernels must agree with it pair for pair.
+    """
+    value = values.__getitem__
+    total = len(values)
+    for S in range(total):
+        for T in range(S, total):
+            if violates(*sides(value, S, T)):
+                return S, T
+    return None
 
 
 def _check_pairwise(
     f: SetFunction,
     kind: PropertyKind,
-    pair_violation,  # (values, S, T) -> (lhs, rhs) | None
+    sides,  # (value, S, T) -> (lhs, rhs)
+    kernel,  # int table -> first violating (S, T) | None
     mode: str,
     samples: int | None,
     seed: int | None,
     limits: CheckerLimits,
-    jobs: int,
 ) -> CheckReport:
     _require_mode(mode, samples, seed)
     n = f.ground.n
+
+    def witness(S: int, T: int, lhs: Value, rhs: Value) -> ViolationWitness:
+        return ViolationWitness(kind, Subset(f.ground, S), Subset(f.ground, T), lhs, rhs)
 
     if mode == "exhaustive":
         if n > limits.pairwise:
             raise CapExceeded(f"exhaustive pairwise check capped at n <= {limits.pairwise}")
         values = f.all_values()
-        total = 1 << n
-
-        # Unordered pairs {S, T} in lexicographic bitmask order (T >= S); the
-        # definitions are symmetric so half the square suffices.
-        def scan(start: int, end: int):
-            checked = 0
-            for S in range(start, end):
-                for T in range(S, total):
-                    checked += 1
-                    hit = pair_violation(values, S, T)
-                    if hit is not None:
-                        lhs, rhs = hit
-                        return checked, ViolationWitness(
-                            kind, Subset(f.ground, S), Subset(f.ground, T), lhs, rhs
-                        )
-            return checked, None
-
-        checked, witness = _scan_parallel(scan, total, jobs)
-        return CheckReport(kind, "exhaustive", checked, witness is None, witness)
+        total = len(values)
+        table = _exact_table(values)
+        if table is None:
+            hit = _first_pair_violation_scalar(values, sides)
+        else:
+            hit = kernel(table)
+        if hit is None:
+            return CheckReport(kind, "exhaustive", total * (total + 1) // 2, True, None)
+        S, T = hit
+        # Witness sides come from the original values, keeping their types.
+        w = witness(S, T, *sides(values.__getitem__, S, T))
+        return CheckReport(kind, "exhaustive", _pair_position(S, T, total), False, w)
 
     rng = Random(seed)
     value = f.value
-    values = _LazyValues(value)
-    witness = None
+    w = None
     checked = 0
     for _ in range(samples):
         S = rng.getrandbits(n)
         T = rng.getrandbits(n)
         checked += 1
-        hit = pair_violation(values, S, T)
-        if hit is not None:
-            lhs, rhs = hit
-            witness = ViolationWitness(
-                kind, Subset(f.ground, S), Subset(f.ground, T), lhs, rhs
-            )
+        lhs, rhs = sides(value, S, T)
+        if violates(lhs, rhs):
+            w = witness(S, T, lhs, rhs)
             break
-    return CheckReport(kind, "sampled", checked, witness is None, witness, samples=samples, seed=seed)
+    return CheckReport(kind, "sampled", checked, w is None, w, samples=samples, seed=seed)
 
 
-class _LazyValues:
-    """Mask-indexed view over SetFunction.value with list syntax."""
+def _submodular_sides(value, S: int, T: int) -> tuple[Value, Value]:
+    return value(S) + value(T), value(S | T) + value(S & T)
 
-    __slots__ = ("_value",)
 
-    def __init__(self, value):
-        self._value = value
-
-    def __getitem__(self, mask: int):
-        return self._value(mask)
+def _submodular_kernel(table: list[int]) -> tuple[int, int] | None:
+    total = len(table)
+    for S in range(total):
+        fS = table[S]
+        for T in range(S, total):
+            if fS + table[T] < table[S | T] + table[S & T]:
+                return S, T
+    return None
 
 
 def check_submodular(
@@ -534,16 +531,33 @@ def check_submodular(
     limits: CheckerLimits = DEFAULT_LIMITS,
     jobs: int = 1,
 ) -> CheckReport:
-    """Check f(S) + f(T) >= f(S | T) + f(S & T) on all tested pairs."""
+    """Check f(S) + f(T) >= f(S | T) + f(S & T) on all tested pairs.
 
-    def hit(values, S, T):
-        lhs = values[S] + values[T]
-        rhs = values[S | T] + values[S & T]
-        return (lhs, rhs) if violates(lhs, rhs) else None
-
+    ``jobs`` is accepted for compatibility and ignored.
+    """
     return _check_pairwise(
-        f, PropertyKind.SUBMODULAR, hit, mode, samples, seed, limits, jobs
+        f, PropertyKind.SUBMODULAR, _submodular_sides, _submodular_kernel,
+        mode, samples, seed, limits,
     )
+
+
+def _weak_sides(value, S: int, T: int) -> tuple[Value, Value]:
+    union, inter = S | T, S & T
+    lhs = T.bit_count() * value(S) + S.bit_count() * value(T)
+    rhs = inter.bit_count() * value(union) + union.bit_count() * value(inter)
+    return lhs, rhs
+
+
+def _weak_kernel(table: list[int]) -> tuple[int, int] | None:
+    total = len(table)
+    pc = [m.bit_count() for m in range(total)]
+    for S in range(total):
+        fS, cS = table[S], pc[S]
+        for T in range(S, total):
+            U, I = S | T, S & T
+            if pc[T] * fS + cS * table[T] < pc[I] * table[U] + pc[U] * table[I]:
+                return S, T
+    return None
 
 
 def check_weakly_submodular(
@@ -561,17 +575,12 @@ def check_weakly_submodular(
 
         |T| f(S) + |S| f(T) >= |S & T| f(S | T) + |S | T| f(S & T)
 
-    Equal and nested pairs are scanned too (they hold trivially).
+    Equal and nested pairs are scanned too (they hold trivially).  ``jobs``
+    is accepted for compatibility and ignored.
     """
-
-    def hit(values, S, T):
-        union, inter = S | T, S & T
-        lhs = T.bit_count() * values[S] + S.bit_count() * values[T]
-        rhs = inter.bit_count() * values[union] + union.bit_count() * values[inter]
-        return (lhs, rhs) if violates(lhs, rhs) else None
-
     return _check_pairwise(
-        f, PropertyKind.WEAKLY_SUBMODULAR, hit, mode, samples, seed, limits, jobs
+        f, PropertyKind.WEAKLY_SUBMODULAR, _weak_sides, _weak_kernel,
+        mode, samples, seed, limits,
     )
 
 

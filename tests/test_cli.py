@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import weaksub
 from weaksub.bounds import greedy_ratio, ls_bound
 from weaksub.cli import main
 
@@ -177,6 +181,41 @@ class TestBoundsCommand:
         code, _ = run_cli(capsys, "bounds", "greedy", "--range", "5..2")
         assert code == 2
 
+    @staticmethod
+    def _reference(p):
+        # str() of these bounds passes the int-to-str digit limit, so lift it
+        # here only; the command under test runs with the limit in force.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(greedy_ratio(p, exact=True))
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_exact_json_past_int_str_limit(self, capsys):
+        code, out = run_cli(capsys, "bounds", "greedy", "--range", "58..60", "--exact")
+        assert code == 0
+        rows = json.loads(out)["result"]["rows"]
+        assert [r["param"] for r in rows] == [58, 59, 60]
+        for r in rows:
+            assert r["mode"] == "rational"
+            assert r["bound"] == self._reference(r["param"])
+            assert len(r["bound"]) > 2 * 4300
+
+    def test_exact_csv_past_int_str_limit(self, capsys):
+        code, out = run_cli(
+            capsys, "bounds", "greedy", "--range", "58..60", "--exact", "--format", "csv"
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "param,bound,mode"
+        assert lines[1:] == [f"{p},{self._reference(p)},rational" for p in (58, 59, 60)]
+
+    def test_exact_integral_bound_stays_a_string(self, capsys):
+        code, report = run_json(capsys, "bounds", "greedy", "--range", "2..2", "--exact")
+        assert code == 0
+        assert report["result"]["rows"][0]["bound"] == "4"
+
 
 class TestCounterexamplesCommand:
     def test_all_reproduce_exactly(self, capsys):
@@ -276,3 +315,13 @@ class TestReportStability:
         _, b = run_json(capsys, "check", dispersion_instance)
         assert a["result"] == b["result"]
         assert a["command"] == b["command"]
+
+
+def test_cli_import_stays_light():
+    # Importing numpy or scipy would add ~0.15 s and ~11 MB to every command.
+    code = "import sys, weaksub.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    env = {"PYTHONPATH": str(Path(weaksub.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -1,0 +1,405 @@
+"""Differential tests: exact integer-table kernels vs the scalar reference scan
+vs the naive frozenset oracles in ``conftest``.
+
+For every function below, the three must agree on the verdict, the first
+witness in scan order (S, T, lhs, rhs, including the value types) and the
+number of pairs checked up to it.
+"""
+
+import json
+from fractions import Fraction
+from math import comb
+from random import Random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weaksub import core
+from weaksub.core import (
+    RELATIVE_TOL,
+    GroundSet,
+    SetFunction,
+    Subset,
+    check_monotone,
+    check_normalized_nonnegative,
+    check_submodular,
+    check_weakly_submodular,
+)
+from weaksub.instances import Instance, parse_json
+from weaksub.zoo import (
+    DistanceMatrix,
+    Graph,
+    WelfareInstance,
+    cardinality_polynomial,
+    cardinality_power,
+    complement,
+    coverage,
+    linear,
+    linear_combination,
+    max_cut,
+    metric_dispersion,
+    msd_objective,
+    random_coverage,
+    random_metric,
+    random_segmentation,
+    raw_cardinality_profile,
+    segmentation,
+    star_counterexample,
+    supermodular_pair,
+    threshold,
+    welfare_reduction,
+    zero_at_top,
+)
+
+from conftest import (
+    naive_monotone_violations,
+    naive_submodular_violations,
+    naive_weak_submodular_violations,
+    powerset,
+)
+
+
+# -- outcomes: (passed, pairs_checked, witness as masks, values and types) ----
+
+
+def _witness(S, T, lhs, rhs):
+    return (S, T, lhs, type(lhs), rhs, type(rhs))
+
+
+def report_outcome(report):
+    w = report.witness
+    if w is None:
+        return (True, report.pairs_checked, None)
+    T = None if w.T is None else w.T.mask
+    return (False, report.pairs_checked, _witness(w.S.mask, T, w.lhs, w.rhs))
+
+
+def pair_position(S, T, total):
+    """Position of (S, T) in the scan over S ascending, then T from S up."""
+    return sum(total - r for r in range(S)) + (T - S + 1)
+
+
+def mask_of(f, labels):
+    return Subset.from_labels(f.ground, labels).mask
+
+
+def scalar_pair_outcome(f, sides):
+    values = f.all_values()
+    total = len(values)
+    hit = core._first_pair_violation_scalar(values, sides)
+    if hit is None:
+        return (True, total * (total + 1) // 2, None)
+    S, T = hit
+    return (False, pair_position(S, T, total), _witness(S, T, *sides(values.__getitem__, S, T)))
+
+
+def naive_pair_outcome(f, violations):
+    """First violation in mask scan order among the naive oracle's findings."""
+    total = 1 << f.ground.n
+    found = []
+    for S, T, lhs, rhs in violations:
+        s, t = sorted((mask_of(f, S), mask_of(f, T)))
+        found.append((s, t, lhs, rhs))
+    if not found:
+        return (True, total * (total + 1) // 2, None)
+    s, t, lhs, rhs = min(found, key=lambda x: x[:2])
+    return (False, pair_position(s, t, total), _witness(s, t, lhs, rhs))
+
+
+def value_table(f):
+    """f by frozenset of labels, read once per subset through ``f(labels)``."""
+    return {frozenset(s): f(s) for s in powerset(f.ground.elements)}.__getitem__
+
+
+def naive_weak_outcome(f):
+    violations = naive_weak_submodular_violations(f.ground.elements, value_table(f))
+    return naive_pair_outcome(f, violations)
+
+
+def naive_submodular_outcome(f):
+    v = value_table(f)
+    pairs = naive_submodular_violations(f.ground.elements, v)
+    return naive_pair_outcome(f, [(S, T, v(S) + v(T), v(S | T) + v(S & T)) for S, T in pairs])
+
+
+def scalar_monotone_outcome(f):
+    n = f.ground.n
+    values = f.all_values()
+    hit = core._first_monotone_violation(values, n, core.violates)
+    if hit is None:
+        return (True, n * len(values) // 2, None)
+    S, bit = hit
+    return (False, monotone_position(S, bit, n), _witness(S, S | bit, values[S | bit], values[S]))
+
+
+def monotone_position(S, bit, n):
+    before = sum(n - m.bit_count() for m in range(S))
+    return before + sum(1 for e in range(n) if 1 << e <= bit and not S >> e & 1)
+
+
+def naive_monotone_outcome(f):
+    n = f.ground.n
+    index = f.ground.index
+    found = sorted(
+        (mask_of(f, S), 1 << index(e)) for S, e in naive_monotone_violations(f.ground.elements, f)
+    )
+    if not found:
+        return (True, n * (1 << n) // 2, None)
+    S, bit = found[0]
+    return (False, monotone_position(S, bit, n), _witness(S, S | bit, f.value(S | bit), f.value(S)))
+
+
+def naive_sign_outcome(f):
+    labels = [frozenset(s) for s in powerset(f.ground.elements)]
+    bad = [mask_of(f, S) for S in labels if f(S) < 0]
+    if f(frozenset()) != 0:
+        bad.append(0)
+    total = 1 << f.ground.n
+    return (True, total) if not bad else (False, min(bad) + 1)
+
+
+def assert_agree(f, pairwise=True):
+    """The exact kernel (through the checker), the scalar path and the naive oracle agree."""
+    if pairwise:
+        kernel = report_outcome(check_weakly_submodular(f))
+        assert kernel == scalar_pair_outcome(f, core._weak_sides) == naive_weak_outcome(f)
+        kernel = report_outcome(check_submodular(f))
+        scalar = scalar_pair_outcome(f, core._submodular_sides)
+        assert kernel == scalar == naive_submodular_outcome(f)
+    kernel = report_outcome(check_monotone(f))
+    assert kernel == scalar_monotone_outcome(f) == naive_monotone_outcome(f)
+    sign = check_normalized_nonnegative(f)
+    assert (sign.passed, sign.pairs_checked) == naive_sign_outcome(f)
+
+
+def table_function(values):
+    n = (len(values) - 1).bit_length()
+    assert len(values) == 1 << n
+    return SetFunction(GroundSet.of_size(n), list(values).__getitem__)
+
+
+# -- zoo builders ----------------------------------------------------------
+
+
+ZOO = {
+    "linear": lambda: linear((3, 0, 1, 4, 1, 5)),
+    "coverage": lambda: coverage([[0], [0, 1], [2], [1, 2], [3]]),
+    "random_coverage": lambda: random_coverage(6, 4),
+    "dispersion": lambda: metric_dispersion(random_metric(7, 11)),
+    "dispersion_n8": lambda: metric_dispersion(random_metric(8, 5)),
+    "segmentation": lambda: segmentation(random_segmentation(6, 5, 2)),
+    "cardinality_power": lambda: cardinality_power(3, 6),
+    "cardinality_polynomial": lambda: cardinality_polynomial([0, 2, 1, 1], 5),
+    "raw_profile_k4": lambda: raw_cardinality_profile(4, 7),
+    "threshold_k2": lambda: threshold(2, 3, 6),
+    "combination": lambda: linear_combination(
+        [metric_dispersion(random_metric(6, 1)), linear((1, 2, 3, 4, 5, 6))], [2, Fraction(1, 3)]
+    ),
+    "msd": lambda: msd_objective(random_coverage(6, 3), random_metric(6, 4)),
+    "complement": lambda: complement(coverage([[0], [0, 1], [2], [1, 2]])),
+    "zero_at_top_dispersion": lambda: zero_at_top(metric_dispersion(random_metric(6, 8))),
+    "max_cut_path": lambda: max_cut(Graph(5, ((0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 4, 1)))),
+    "welfare": lambda: welfare_reduction(
+        WelfareInstance((coverage([[0], [0, 1], [1]]), linear((1, 2, 3))))
+    )[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_zoo_builders(name):
+    f = ZOO[name]()
+    assert f.ground.n <= 8
+    assert_agree(f)
+
+
+# -- the counterexample fixtures -------------------------------------------
+
+
+COUNTEREXAMPLES = {
+    "max_cut_star": lambda: max_cut(star_counterexample(3)),
+    "threshold_k3": lambda: threshold(3, 1, 5),
+    "supermodular_pair": lambda: supermodular_pair(1),
+    "zero_at_top": lambda: zero_at_top(metric_dispersion(DistanceMatrix.unit(4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTEREXAMPLES))
+def test_counterexample_fixtures(name):
+    f = COUNTEREXAMPLES[name]()
+    assert_agree(f)
+    if name != "zero_at_top":
+        assert not check_weakly_submodular(f).passed
+    else:
+        assert not check_monotone(f).passed
+
+
+def test_fixture_witnesses_are_pinned():
+    # First witnesses and pair counts, pinned as regressions.
+    for f, expected in (
+        (threshold(3, 1, 5), (96, 0b00011, 0b00101, 0, 1)),
+        (max_cut(star_counterexample(3)), (306, 0b01011, 0b10011, 18, 20)),
+    ):
+        r = check_weakly_submodular(f)
+        w = r.witness
+        assert (r.pairs_checked, w.S.mask, w.T.mask, w.lhs, w.rhs) == expected
+
+
+# -- exact rationals read through instance files ---------------------------
+
+
+def _quarter_matrix(n, seed, integral_every=0):
+    rng = Random(seed)
+    d = [[0] * n for _ in range(n)]
+    k = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            k += 1
+            v = rng.randint(12, 24) / 4
+            if integral_every and k % integral_every == 0:
+                v = float(rng.randint(3, 6))
+            d[i][j] = d[j][i] = v
+    return d
+
+
+def _dispersion_from_json(matrix):
+    text = json.dumps({"function": {"type": "dispersion", "params": {"distances": matrix}}})
+    return Instance(parse_json(text)).function
+
+
+def test_fraction_dispersion_from_instance():
+    f = _dispersion_from_json(_quarter_matrix(6, 3))
+    values = f.all_values()
+    assert any(isinstance(v, Fraction) and v.denominator > 1 for v in values)
+    assert_agree(f)
+    assert check_weakly_submodular(f).passed
+
+
+def test_mixed_int_fraction_dispersion_from_instance():
+    f = _dispersion_from_json(_quarter_matrix(6, 9, integral_every=3))
+    types = {type(v) for v in f.all_values()}
+    assert types == {int, Fraction}
+    assert_agree(f)
+
+
+def test_mixed_fraction_table_keeps_witness_types():
+    # A failing mixed table: the witness sides come from the original values.
+    f = table_function([0, 0, 1, Fraction(1, 3), 1, Fraction(1, 3), 2, Fraction(9, 2)])
+    report = check_weakly_submodular(f)
+    assert not report.passed
+    assert report_outcome(report) == scalar_pair_outcome(f, core._weak_sides)
+    assert_agree(f)
+
+
+# -- ints above 2**63 ------------------------------------------------------
+
+
+def test_big_int_tables():
+    big = 2**64
+    for f in (
+        linear((big + 1, big * 3, 7, big**2)),
+        metric_dispersion(
+            DistanceMatrix(
+                tuple(tuple(0 if i == j else big + i + j for j in range(5)) for i in range(5))
+            )
+        ),
+        threshold(3, 2**70, 5),
+        table_function([0, big, big, 2 * big + 1, big, 2 * big, 2 * big, 3 * big - 1]),
+    ):
+        assert_agree(f)
+
+
+def test_exact_table_scaling():
+    ints = [0, 1, 2**70, -3]
+    assert core._exact_table(ints) is ints
+    assert core._exact_table([0, Fraction(1, 2), 3, Fraction(-2, 3)]) == [0, 3, 18, -4]
+    assert core._exact_table([0, 1, 2.5, 3]) is None
+
+
+# -- hypothesis-generated tables -------------------------------------------
+
+
+def tables(values):
+    return st.integers(0, 4).flatmap(lambda n: st.lists(values, min_size=1 << n, max_size=1 << n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables(st.integers(-4, 6) | st.integers(-(2**80), 2**80)))
+def test_generated_int_tables(values):
+    assert_agree(table_function(values))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables(st.fractions(min_value=-3, max_value=5, max_denominator=9) | st.integers(0, 5)))
+def test_generated_fraction_tables(values):
+    assert_agree(table_function(values))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.lists(st.integers(12, 24), min_size=comb(n, 2), max_size=comb(n, 2))
+    )
+)
+def test_generated_quarter_metrics_pass(quarters):
+    # Distances in [3, 6] satisfy the triangle inequality, so dispersion passes.
+    n = next(k for k in range(2, 8) if comb(k, 2) == len(quarters))
+    d = [[Fraction(0)] * n for _ in range(n)]
+    it = iter(quarters)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = Fraction(next(it), 4)
+    f = metric_dispersion(DistanceMatrix(tuple(map(tuple, d))))
+    assert_agree(f)
+    assert check_weakly_submodular(f).passed
+
+
+# -- floats stay on the tolerance path -------------------------------------
+
+
+def test_float_violation_below_tolerance_passes():
+    eps = RELATIVE_TOL / 100
+    # Unit-metric dispersion holds with equality on disjoint singletons, so
+    # lowering one singleton by eps breaks weak submodularity by eps...
+    f = table_function([comb(m.bit_count(), 2) - (eps if m == 0b010 else 0.0) for m in range(8)])
+    # ...and raising the top of a modular function breaks submodularity by eps.
+    g = table_function([m.bit_count() + (eps if m == 0b11 else 0.0) for m in range(4)])
+    assert naive_weak_submodular_violations(f.ground.elements, f)
+    assert naive_submodular_violations(g.ground.elements, g)
+    for h, check, sides in (
+        (f, check_weakly_submodular, core._weak_sides),
+        (g, check_submodular, core._submodular_sides),
+    ):
+        report = check(h)
+        assert report.passed
+        assert report_outcome(report) == scalar_pair_outcome(h, sides)
+    assert check_monotone(f).passed and check_normalized_nonnegative(f).passed
+
+
+def test_float_violation_above_tolerance_fails_on_scalar_path():
+    thr = table_function([float(v) for v in threshold(3, 1, 5).all_values()])
+    pairs = table_function([float(comb(m.bit_count(), 2)) for m in range(16)])
+    down = table_function([0.0, 1.0, 1.0, 0.5])
+    for h, check, sides in (
+        (thr, check_weakly_submodular, core._weak_sides),
+        (pairs, check_submodular, core._submodular_sides),
+    ):
+        report = check(h)
+        assert not report.passed
+        assert report_outcome(report) == scalar_pair_outcome(h, sides)
+        assert type(report.witness.lhs) is float
+    report = check_monotone(down)
+    assert not report.passed
+    assert report_outcome(report) == scalar_monotone_outcome(down) == naive_monotone_outcome(down)
+
+
+def test_mixed_float_table_uses_tolerance():
+    eps = RELATIVE_TOL / 100
+    # Float sides get the relative slack even when the other side is exact...
+    assert check_submodular(table_function([0, 1, 1, 2 + eps])).passed
+    assert check_monotone(table_function([0, 1, 1, 1 - eps])).passed
+    # ...while a pair of exact values in a mixed table keeps zero tolerance.
+    f = table_function([0, 1, 1, Fraction(1, 2), 1, 2, 2, 3.0])
+    outcome = report_outcome(check_monotone(f))
+    assert outcome == scalar_monotone_outcome(f) == naive_monotone_outcome(f)
+    assert not check_monotone(f).passed
