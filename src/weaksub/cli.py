@@ -292,23 +292,20 @@ def _bench_one(suite: str, algorithm: str, n: int, param: int, matroid_kind: str
 
 def _cmd_bench(args) -> int:
     started = time.perf_counter()
-    param = args.p if args.algorithm == "greedy" else args.rank
+    flag, param = ("--p", args.p) if args.algorithm == "greedy" else ("--rank", args.rank)
     if param is None:
         param = 3
+    if args.count < 1:
+        raise SchemaError(f"--count must be at least 1, got {args.count}")
+    if param < 2:
+        raise SchemaError(f"{flag} must be at least 2 for the ratio bound, got {param}")
     if param > args.n:
         raise SchemaError("constraint parameter exceeds instance size")
     seeds = [args.seed * 1_000_003 + i for i in range(args.count)]
-
-    def run(i: int):
-        return _bench_one(args.suite, args.algorithm, args.n, param, args.matroid, seeds[i])
-
-    if args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run, range(args.count)))
-    else:
-        rows = [run(i) for i in range(args.count)]
+    rows = [
+        _bench_one(args.suite, args.algorithm, args.n, param, args.matroid, seed)
+        for seed in seeds
+    ]
 
     ratios = [float(Fraction(r["ratio"])) if isinstance(r["ratio"], str) else r["ratio"] for r in rows]
     bound = (
@@ -383,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--rank", type=int, default=None, help="matroid rank for local")
     p_bench.add_argument("--matroid", choices=["uniform", "partition"], default="uniform")
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--jobs", type=int, default=1)
+    p_bench.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     p_bench.add_argument("--format", choices=["json", "csv"], default="json")
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -1,15 +1,18 @@
 """Greedy and local-search maximizers plus brute-force oracles.
 
-Both algorithms are fully deterministic: argmax ties break toward the
-smallest element index, and local search applies the first improving swap in
-a fixed scan order.  Brute-force enumeration provides exact optima for
-ground-truth comparison on small instances.
+One greedy loop, ``_greedy_basis``, serves both algorithms: over
+``Matroid.uniform(ground, p)`` it is the cardinality greedy, and over a
+general matroid it builds the starting basis of local search.  Both are fully
+deterministic: argmax ties break toward the smallest element index, and local
+search applies the first improving swap in a fixed scan order.  Brute-force
+enumeration provides exact optima for ground-truth comparison on small
+instances; both oracles keep the first maximizer in their enumeration order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional
 
 from .core import (
@@ -69,27 +72,12 @@ def greedy_cardinality(f: SetFunction, p: int) -> SolveResult:
         raise ValueError(f"p = {p} exceeds ground size {n}")
     _check_solver_claims(f, "greedy")
 
-    mask = 0
-    trace = []
-    for step in range(1, p + 1):
-        base = f.value(mask)
-        best_gain = None
-        best_e = None
-        for e in range(n):
-            if mask >> e & 1:
-                continue
-            gain = f.value(mask | (1 << e)) - base
-            if best_gain is None or gain > best_gain:
-                best_gain, best_e = gain, e
-        mask |= 1 << best_e
-        trace.append((step, f.ground.label(best_e), f.value(mask)))
-
-    selected = Subset(f.ground, mask)
+    mask, trace = _greedy_basis(f, Matroid.uniform(f.ground, p), 0)
     return SolveResult(
-        selected=selected,
+        selected=Subset(f.ground, mask),
         value=f.value(mask),
         iterations=p,
-        trace=tuple(trace),
+        trace=trace,
         certificate={
             "algorithm": "greedy_cardinality",
             "p": p,
@@ -99,10 +87,15 @@ def greedy_cardinality(f: SetFunction, p: int) -> SolveResult:
     )
 
 
-def _greedy_basis(f: SetFunction, matroid: Matroid, start_mask: int) -> int:
-    """Complete a mask to a basis by best-marginal-gain feasible additions."""
+def _greedy_basis(f: SetFunction, matroid: Matroid, start_mask: int) -> tuple[int, tuple]:
+    """Complete a mask to a basis by best-marginal-gain feasible additions.
+
+    Returns the basis mask and one ``(step, label, value)`` row per addition.
+    Ties break toward the smallest index.
+    """
     mask = start_mask
     n = f.ground.n
+    trace = []
     while mask.bit_count() < matroid.rank:
         base = f.value(mask)
         best_gain = None
@@ -116,7 +109,8 @@ def _greedy_basis(f: SetFunction, matroid: Matroid, start_mask: int) -> int:
         if best_e is None:
             raise RuntimeError("independence oracle inconsistent: basis unreachable")
         mask |= 1 << best_e
-    return mask
+        trace.append((len(trace) + 1, f.ground.label(best_e), f.value(mask)))
+    return mask, tuple(trace)
 
 
 def local_search_matroid(
@@ -141,12 +135,9 @@ def local_search_matroid(
         raise ValueError("epsilon must be nonnegative")
     _check_solver_claims(f, "local search")
 
-    if init is None:
-        mask = _greedy_basis(f, matroid, 0)
-    else:
-        if not matroid.is_independent(init):
-            raise ValueError("init must be independent")
-        mask = _greedy_basis(f, matroid, init.mask)
+    if init is not None and not matroid.is_independent(init):
+        raise ValueError("init must be independent")
+    mask, _ = _greedy_basis(f, matroid, 0 if init is None else init.mask)
 
     n = f.ground.n
     trace = [(0, None, f.value(mask))]
@@ -214,19 +205,11 @@ def brute_force_cardinality(
     if n > cap:
         raise CapExceeded(f"brute force capped at n <= {cap}")
     sizes = [p] if exact_size else range(p + 1)
-    best_mask = None
-    best = None
-    enumerated = 0
-    for size in sizes:
-        for idx in combinations(range(n), size):
-            mask = 0
-            for i in idx:
-                mask |= 1 << i
-            enumerated += 1
-            v = f.value(mask)
-            if best is None or v > best:
-                best, best_mask = v, mask
-    return OptResult(Subset(f.ground, best_mask), best, enumerated)
+    bits = [1 << i for i in range(n)]
+    # map(sum, ...) builds each mask in C: brute force is most of a bench
+    # run, and a per-mask Python loop there costs measurable time.
+    masks = chain.from_iterable(map(sum, combinations(bits, size)) for size in sizes)
+    return _first_maximizer(f, masks)
 
 
 def brute_force_matroid(
@@ -240,14 +223,22 @@ def brute_force_matroid(
         raise ValueError("function and matroid must share a ground set")
     if f.ground.n > cap and matroid.kind != "explicit":
         raise CapExceeded(f"brute force capped at n <= {cap}")
+    opt = _first_maximizer(f, matroid.bases())
+    if opt is None:
+        raise ValueError("matroid has no basis")
+    return opt
+
+
+def _first_maximizer(f: SetFunction, masks) -> Optional[OptResult]:
+    """The first mask of greatest value in iteration order; None when ``masks`` is empty."""
     best_mask = None
     best = None
     enumerated = 0
-    for mask in matroid.bases():
+    for mask in masks:
         enumerated += 1
         v = f.value(mask)
         if best is None or v > best:
             best, best_mask = v, mask
     if best_mask is None:
-        raise ValueError("matroid has no basis")
+        return None
     return OptResult(Subset(f.ground, best_mask), best, enumerated)

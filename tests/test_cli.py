@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import weaksub
+from weaksub import cli
 from weaksub.bounds import greedy_ratio, ls_bound
 from weaksub.cli import main
 
@@ -308,6 +309,26 @@ class TestBenchCommand:
         code, _ = run_cli(capsys, "bench", "dispersion", "--p", "9", "--n", "6")
         assert code == 2
 
+    @pytest.fixture
+    def no_instances(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("bench generated an instance before checking its arguments")
+
+        monkeypatch.setattr(cli, "_bench_one", fail)
+
+    def test_zero_count_exits_two_before_work(self, capsys, no_instances):
+        code = main(["bench", "dispersion", "--count", "0"])
+        assert code == 2
+        assert "--count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, algorithm", [("--p", "greedy"), ("--rank", "local")])
+    def test_bound_parameter_below_two_exits_two_before_work(
+        self, capsys, no_instances, flag, algorithm
+    ):
+        code = main(["bench", "dispersion", "--algorithm", algorithm, flag, "1", "--n", "6"])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestReportStability:
     def test_result_fields_reproduce_across_runs(self, capsys, dispersion_instance):
@@ -318,10 +339,18 @@ class TestReportStability:
 
 
 def test_cli_import_stays_light():
-    # Importing numpy or scipy would add ~0.15 s and ~11 MB to every command.
-    code = "import sys, weaksub.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    # Importing numpy or scipy would add ~0.15 s and ~11 MB to every command,
+    # and a thread pool behind `bench --jobs` gains nothing under the GIL.
+    code = (
+        "import contextlib, io, sys, weaksub.cli\n"
+        "heavy = sorted({'numpy', 'scipy'} & set(sys.modules))\n"
+        "argv = ['bench', 'dispersion', '--count', '3', '--n', '6', '--jobs', '2']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    exit_code = weaksub.cli.main(argv)\n"
+        "print(heavy, exit_code, 'concurrent.futures' in sys.modules)"
+    )
     env = {"PYTHONPATH": str(Path(weaksub.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "[]"
+    assert out.strip() == "[] 0 False"

@@ -1,3 +1,4 @@
+import heapq
 from fractions import Fraction
 from random import Random
 
@@ -6,6 +7,7 @@ import pytest
 from weaksub import (
     CapExceeded,
     GroundSet,
+    SetFunction,
     Subset,
     brute_force_cardinality,
     brute_force_matroid,
@@ -22,6 +24,7 @@ from weaksub.zoo import (
     linear_combination,
     max_cut,
     metric_dispersion,
+    msd_objective,
     random_coverage,
     random_metric,
     random_segmentation,
@@ -86,6 +89,79 @@ class TestGreedy:
         a = greedy_cardinality(f, 4)
         b = greedy_cardinality(metric_dispersion(random_metric(7, 33)), 4)
         assert a == b
+
+    # Traces and certificates recorded from the standalone cardinality loop
+    # that the shared greedy-basis loop replaced.
+    @pytest.mark.parametrize(
+        "build, trace, selected, value",
+        [
+            (
+                lambda: metric_dispersion(random_metric(8, 5)),
+                ((1, 0, 0), (2, 3, 6), (3, 5, 15), (4, 1, 29)),
+                (0, 1, 3, 5),
+                29,
+            ),
+            (
+                lambda: segmentation(random_segmentation(8, 6, 5)),
+                ((1, 1, 31), (2, 0, 44), (3, 3, 49), (4, 2, 50)),
+                (0, 1, 2, 3),
+                50,
+            ),
+            (
+                lambda: msd_objective(random_coverage(8, 5), random_metric(8, 6)),
+                ((1, 2, 18), (2, 5, 31), (3, 3, 40), (4, 7, 56)),
+                (2, 3, 5, 7),
+                56,
+            ),
+        ],
+    )
+    def test_pinned_trace_and_certificate(self, build, trace, selected, value):
+        res = greedy_cardinality(build(), 4)
+        assert res.trace == trace
+        assert res.selected.indices() == selected
+        assert res.value == value
+        assert res.iterations == 4
+        assert res.certificate == {
+            "algorithm": "greedy_cardinality",
+            "p": 4,
+            "tie_break": "smallest-index",
+            "deterministic": True,
+        }
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_greedy_start_of_local_search(self, seed):
+        for f in (
+            metric_dispersion(random_metric(8, seed)),
+            segmentation(random_segmentation(8, 5, seed)),
+        ):
+            res = greedy_cardinality(f, 3)
+            start = local_search_matroid(f, Matroid.uniform(f.ground, 3), max_iters=0)
+            assert start.selected == res.selected
+            assert start.trace == ((0, None, res.value),)
+
+    def test_lazy_greedy_is_unsound_for_dispersion(self):
+        # Points on a line at 0, 1, 3, 2: d(0, 1) = 1 < d(0, 2) = 3.
+        pos = (0, 1, 3, 2)
+        f = metric_dispersion(DistanceMatrix(tuple(tuple(abs(a - b) for b in pos) for a in pos)))
+
+        def lazy_greedy(p):
+            # Minoux: a stale gain is kept as an upper bound on the current one.
+            heap = [(-f.value(1 << e), e) for e in range(f.ground.n)]
+            heapq.heapify(heap)
+            mask = 0
+            while mask.bit_count() < p:
+                _, e = heapq.heappop(heap)
+                gain = f.value(mask | 1 << e) - f.value(mask)
+                if not heap or gain >= -heap[0][0]:
+                    mask |= 1 << e
+                else:
+                    heapq.heappush(heap, (-gain, e))
+            return mask
+
+        # Unsound here: dispersion's marginals grow with the set, so stale gains are no bounds.
+        res = greedy_cardinality(f, 2)
+        assert res.selected.indices() == (0, 2) and res.value == 3
+        assert lazy_greedy(2) == 0b0011 and f.value(0b0011) == 1 < res.value
 
 
 class TestLocalSearch:
@@ -175,6 +251,11 @@ class TestLocalSearch:
         assert a == b
 
 
+def _two_tied_pairs():
+    """Claim-free: 1 on {0, 3} and {1, 2}, 0 elsewhere."""
+    return SetFunction(GroundSet.of_size(4), lambda mask: int(mask in (0b1001, 0b0110)))
+
+
 class TestBruteForceCardinality:
     def test_full_size_returns_universe_value(self):
         f = segmentation(random_segmentation(6, 3, 71))
@@ -202,6 +283,10 @@ class TestBruteForceCardinality:
         f = linear((1, 2, 3, 4))
         assert brute_force_cardinality(f, 2).enumerated == 1 + 4 + 6
         assert brute_force_cardinality(f, 2, exact_size=True).enumerated == 6
+
+    def test_first_maximizer_in_size_then_lexicographic_order(self):
+        f = _two_tied_pairs()
+        assert brute_force_cardinality(f, 2).optimum.indices() == (0, 3)
 
 
 class TestBruteForceMatroid:
@@ -233,6 +318,17 @@ class TestBruteForceMatroid:
         m = Matroid.uniform(GroundSet.of_size(4), 2)
         with pytest.raises(ValueError):
             brute_force_matroid(f, m)
+
+    def test_first_maximizer_in_ascending_mask_order(self):
+        f = _two_tied_pairs()
+        assert brute_force_matroid(f, Matroid.uniform(f.ground, 2)).optimum.indices() == (1, 2)
+
+    def test_partition_enumeration_count(self):
+        g = GroundSet.of_size(6)
+        m = Matroid.partition(g, [[0, 1], [2, 3, 4], [5]], [1, 2, 1])
+        opt = brute_force_matroid(linear((1, 2, 3, 4, 5, 6)), m)
+        assert opt.enumerated == 2 * 3 * 1
+        assert opt.optimum.indices() == (1, 3, 4, 5)
 
 
 class TestCombinedObjectives:
