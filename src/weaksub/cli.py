@@ -131,11 +131,8 @@ def _cmd_maximize(args) -> int:
         res = greedy_cardinality(f, p)
         result = {"algorithm": "greedy", "solve": _solve_json(res)}
     elif args.algorithm == "local":
-        if instance.constraint_spec is None:
-            raise SchemaError("local search requires a constraint")
-        matroid = instance.matroid()
         epsilon = args.epsilon if args.epsilon is not None else instance.options.get("epsilon", 0)
-        res = local_search_matroid(f, matroid, epsilon=epsilon)
+        res = local_search_matroid(f, instance.matroid(), epsilon=epsilon)
         result = {"algorithm": "local", "solve": _solve_json(res)}
     else:
         opt = _exact_optimum(instance)

@@ -300,6 +300,8 @@ def _require_mode(mode: str, samples, seed) -> None:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and (samples is None or seed is None):
         raise ValueError("sampled mode needs explicit samples and seed")
+    if mode == "sampled" and samples < 1:
+        raise ValueError(f"sampled mode needs samples >= 1, got {samples}")
 
 
 def _exact_table(values: list[Value]) -> list[int] | None:

@@ -10,8 +10,8 @@ optional solver/checker options:
       "options": {"mode": "exhaustive", "seed": 1}
     }
 
-Decimal literals are parsed as exact rationals so integer-valued fixtures
-stay integer-valued end to end.
+Decimal literals are parsed as exact rationals, and integral ones as ints,
+so integer-valued fixtures stay integer-valued end to end.
 """
 
 from __future__ import annotations
@@ -24,40 +24,24 @@ from . import zoo
 from .core import GroundSet, SetFunction
 from .matroid import Matroid
 
-FUNCTION_TYPES = (
-    "linear",
-    "coverage",
-    "dispersion",
-    "segmentation",
-    "cardinality_poly",
-    "threshold",
-    "combination",
-    "complement",
-    "zero_at_top",
-    "max_cut",
-    "supermodular_pair",
-)
-
 
 class SchemaError(ValueError):
     """The instance document does not match the schema."""
 
 
-def _exact(v):
-    """Normalize parsed numbers: exact rationals that are integral become ints."""
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return int(v)
-    return v
+def _exact(v: Fraction) -> int | Fraction:
+    """Integral rationals become ints; others stay exact."""
+    return int(v) if v.denominator == 1 else v
 
 
 def parse_json(text: str) -> Any:
-    return json.loads(text, parse_float=Fraction)
+    return json.loads(text, parse_float=lambda s: _exact(Fraction(s)))
 
 
 def _params(spec: dict) -> dict:
     if not isinstance(spec, dict) or "type" not in spec:
         raise SchemaError("function spec must be an object with a 'type'")
-    if spec["type"] not in FUNCTION_TYPES:
+    if spec["type"] not in _BUILDERS:
         raise SchemaError(f"unknown function type {spec['type']!r}")
     params = spec.get("params", {})
     if not isinstance(params, dict):
@@ -68,10 +52,13 @@ def _params(spec: dict) -> dict:
 def ground_from_spec(ground_spec) -> GroundSet | None:
     if ground_spec is None:
         return None
-    if isinstance(ground_spec, int):
+    if type(ground_spec) is int and ground_spec >= 0:
         return GroundSet.of_size(ground_spec)
     if isinstance(ground_spec, list):
-        return GroundSet(tuple(ground_spec))
+        try:
+            return GroundSet(tuple(ground_spec))
+        except TypeError as exc:
+            raise SchemaError(f"'ground_set' labels must be hashable: {exc}") from exc
     raise SchemaError("'ground_set' must be a size or a list of labels")
 
 
@@ -119,36 +106,31 @@ def _need_n(params: dict, ground: GroundSet | None, kind: str) -> int:
 
 
 def _build_linear(params, ground):
-    return zoo.linear([_exact(w) for w in params["weights"]])
+    return zoo.linear(params["weights"])
 
 
 def _build_coverage(params, ground):
-    weights = params.get("weights")
-    if weights is not None:
-        weights = {k: _exact(v) for k, v in weights.items()}
-    return zoo.coverage(params["covers"], weights)
+    return zoo.coverage(params["covers"], params.get("weights"))
 
 
 def _build_dispersion(params, ground):
-    rows = [[_exact(v) for v in row] for row in params["distances"]]
-    return zoo.metric_dispersion(zoo.DistanceMatrix(tuple(map(tuple, rows))))
+    return zoo.metric_dispersion(zoo.DistanceMatrix(params["distances"]))
 
 
 def _build_segmentation(params, ground):
-    rows = [[_exact(v) for v in row] for row in params["matrix"]]
-    return zoo.segmentation(zoo.SegmentationMatrix(tuple(map(tuple, rows))))
+    return zoo.segmentation(zoo.SegmentationMatrix(params["matrix"]))
 
 
 def _build_cardinality_poly(params, ground):
     n = _need_n(params, ground, "cardinality_poly")
     if "coeffs" in params:
-        return zoo.cardinality_polynomial([_exact(c) for c in params["coeffs"]], n)
+        return zoo.cardinality_polynomial(params["coeffs"], n)
     return zoo.cardinality_power(params["k"], n)
 
 
 def _build_threshold(params, ground):
     n = _need_n(params, ground, "threshold")
-    return zoo.threshold(params["k"], _exact(params["B"]), n)
+    return zoo.threshold(params["k"], params["B"], n)
 
 
 def _build_combination(params, ground):
@@ -156,7 +138,7 @@ def _build_combination(params, ground):
     if not terms:
         raise SchemaError("combination needs at least one term")
     fs = [function_from_spec(t["function"], ground) for t in terms]
-    alphas = [_exact(t.get("alpha", 1)) for t in terms]
+    alphas = [t.get("alpha", 1) for t in terms]
     return zoo.linear_combination(fs, alphas)
 
 
@@ -174,12 +156,11 @@ def _build_max_cut(params, ground):
     n = params.get("vertices")
     if n is None:
         n = _need_n(params, ground, "max_cut")
-    edges = tuple((u, v, _exact(w)) for (u, v, w) in params["edges"])
-    return zoo.max_cut(zoo.Graph(n, edges))
+    return zoo.max_cut(zoo.Graph(n, params["edges"]))
 
 
 def _build_supermodular_pair(params, ground):
-    return zoo.supermodular_pair(_exact(params["B"]))
+    return zoo.supermodular_pair(params["B"])
 
 
 _BUILDERS = {
@@ -228,24 +209,29 @@ class Instance:
             raise SchemaError("instance needs a 'function' spec")
         self.ground = ground_from_spec(doc.get("ground_set"))
         self.function = function_from_spec(doc["function"], self.ground)
-        self.constraint_spec = doc.get("constraint")
+        constraint = doc.get("constraint")
+        self._matroid = (
+            None if constraint is None else matroid_from_spec(constraint, self.function.ground)
+        )
         self.options = doc.get("options", {})
         if not isinstance(self.options, dict):
             raise SchemaError("'options' must be an object")
+        for key in ("samples", "seed"):
+            if key in self.options and type(self.options[key]) is not int:
+                raise SchemaError(f"option {key!r} must be an integer")
+        if "epsilon" in self.options and type(self.options["epsilon"]) not in (int, Fraction, float):
+            raise SchemaError("option 'epsilon' must be a number")
 
     @property
     def cardinality_p(self) -> int | None:
-        c = self.constraint_spec
-        if isinstance(c, dict) and c.get("type") == "cardinality":
-            return c["p"]
-        if isinstance(c, dict) and c.get("type") == "uniform":
-            return c["rank"]
-        return None
+        """The bound of a cardinality or uniform constraint, else None."""
+        m = self._matroid
+        return m.rank if m is not None and m.kind == "uniform" else None
 
     def matroid(self) -> Matroid:
-        if self.constraint_spec is None:
+        if self._matroid is None:
             raise SchemaError("instance has no constraint")
-        return matroid_from_spec(self.constraint_spec, self.function.ground)
+        return self._matroid
 
 
 def load_instance(path: str) -> Instance:

@@ -38,6 +38,8 @@ class Matroid:
 
     @classmethod
     def uniform(cls, ground: GroundSet, s: int) -> "Matroid":
+        if type(s) is not int:
+            raise ValueError(f"uniform rank must be an integer, got {s!r}")
         if not 0 <= s <= ground.n:
             raise ValueError(f"uniform rank must be in 0..{ground.n}")
         return cls(ground, "uniform", s, s)
@@ -51,6 +53,8 @@ class Matroid:
     ) -> "Matroid":
         if len(blocks) != len(caps):
             raise ValueError("one cap per block required")
+        if any(type(c) is not int for c in caps):
+            raise ValueError(f"caps must be integers, got {list(caps)!r}")
         block_masks = []
         seen = 0
         for block in blocks:
@@ -250,9 +254,7 @@ def validate_exchange_axiom(matroid: Matroid, cap: int = AXIOM_VALIDATION_CAP) -
         raise CapExceeded(f"axiom validation capped at n <= {cap}")
     kind = PropertyKind.EXCHANGE_AXIOM
     ground = matroid.ground
-    family = sorted(
-        m for m in range(ground.full_mask + 1) if matroid.is_independent_mask(m)
-    )
+    family = sorted(matroid.independent_family())
     checked = 0
 
     def report(witness):

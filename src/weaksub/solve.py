@@ -24,7 +24,7 @@ from .core import (
     Subset,
     Value,
 )
-from .matroid import BRUTE_FORCE_MATROID_CAP, Matroid
+from .matroid import Matroid
 
 BRUTE_FORCE_CARDINALITY_CAP = 22
 
@@ -191,7 +191,6 @@ def brute_force_cardinality(
     p: int,
     *,
     exact_size: bool = False,
-    cap: int = BRUTE_FORCE_CARDINALITY_CAP,
 ) -> OptResult:
     """Exact maximum over all sets of size <= p (or exactly p).
 
@@ -202,8 +201,8 @@ def brute_force_cardinality(
     n = f.ground.n
     if not 0 <= p <= n:
         raise ValueError(f"p must be in 0..{n}")
-    if n > cap:
-        raise CapExceeded(f"brute force capped at n <= {cap}")
+    if n > BRUTE_FORCE_CARDINALITY_CAP:
+        raise CapExceeded(f"brute force capped at n <= {BRUTE_FORCE_CARDINALITY_CAP}")
     sizes = [p] if exact_size else range(p + 1)
     bits = [1 << i for i in range(n)]
     # map(sum, ...) builds each mask in C: brute force is most of a bench
@@ -212,17 +211,13 @@ def brute_force_cardinality(
     return _first_maximizer(f, masks)
 
 
-def brute_force_matroid(
-    f: SetFunction,
-    matroid: Matroid,
-    *,
-    cap: int = BRUTE_FORCE_MATROID_CAP,
-) -> OptResult:
-    """Exact maximum of f over the bases of a matroid (ascending mask order)."""
+def brute_force_matroid(f: SetFunction, matroid: Matroid) -> OptResult:
+    """Exact maximum of f over the bases of a matroid (ascending mask order).
+
+    ``Matroid.bases`` raises ``CapExceeded`` past its enumeration cap.
+    """
     if f.ground != matroid.ground:
         raise ValueError("function and matroid must share a ground set")
-    if f.ground.n > cap and matroid.kind != "explicit":
-        raise CapExceeded(f"brute force capped at n <= {cap}")
     opt = _first_maximizer(f, matroid.bases())
     if opt is None:
         raise ValueError("matroid has no basis")

@@ -8,6 +8,7 @@ import pytest
 
 import weaksub
 from weaksub import cli
+from weaksub import matroid as matroid_module
 from weaksub.bounds import greedy_ratio, ls_bound
 from weaksub.cli import main
 
@@ -102,6 +103,20 @@ class TestCheckCommand:
     def test_usage_error_exits_two(self, capsys, dispersion_instance):
         assert main(["check", dispersion_instance, "--property", "bogus"]) == 2
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_sampled_check_of_nothing_exits_two(self, capsys, tmp_path, samples):
+        # The exhaustive scan fails this instance, so a sampled pass over no
+        # pairs would report a verdict it never tested.
+        path = tmp_path / "threshold.json"
+        path.write_text(
+            json.dumps({"ground_set": 6, "function": {"type": "threshold", "params": {"k": 3, "B": 1}}})
+        )
+        assert run_cli(capsys, "check", str(path))[0] == 1
+        code = main(["check", str(path), "--mode", "sampled", "--samples", samples, "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "samples" in err
+
 
 class TestMaximizeCommand:
     def test_greedy_with_compare(self, capsys, dispersion_instance):
@@ -147,6 +162,77 @@ class TestMaximizeCommand:
         path.write_text(json.dumps(doc))
         code, _ = run_cli(capsys, "maximize", str(path), "--algorithm", "exact")
         assert code == 2
+
+    def test_explicit_constraint_validated_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        validate = matroid_module.validate_exchange_axiom
+
+        def counted(matroid, *args, **kwargs):
+            calls.append(matroid)
+            return validate(matroid, *args, **kwargs)
+
+        monkeypatch.setattr(matroid_module, "validate_exchange_axiom", counted)
+        doc = {
+            "function": {"type": "linear", "params": {"weights": [1, 2, 3, 4]}},
+            "constraint": {
+                "type": "explicit",
+                "independent_sets": [[], [0], [1], [2], [3], [0, 2], [0, 3], [1, 2], [1, 3]],
+            },
+        }
+        path = tmp_path / "explicit.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_json(
+            capsys, "maximize", str(path), "--algorithm", "local", "--compare", "exact"
+        )
+        assert code == 0
+        assert report["result"]["compare"]["optimum"]["optimum"] == [1, 3]
+        assert len(calls) == 1
+
+
+_LINEAR = {"type": "linear", "params": {"weights": [1, 2, 3, 4]}}
+_THRESHOLD = {"type": "threshold", "params": {"k": 1, "B": 1}}
+_GREEDY = ("maximize", "--algorithm", "greedy")
+_LOCAL = ("maximize", "--algorithm", "local")
+_EXACT = ("maximize", "--algorithm", "exact")
+_SAMPLED = {"mode": "sampled", "seed": 1}
+_MALFORMED = [
+    ("rank-fraction-greedy", {"constraint": {"type": "uniform", "rank": 2.5}}, _GREEDY),
+    ("rank-fraction-local", {"constraint": {"type": "uniform", "rank": 2.5}}, _LOCAL),
+    ("rank-fraction-exact", {"constraint": {"type": "uniform", "rank": 2.5}}, _EXACT),
+    ("rank-fraction-check", {"constraint": {"type": "uniform", "rank": 2.5}}, ("check",)),
+    ("rank-true-local", {"constraint": {"type": "uniform", "rank": True}}, _LOCAL),
+    (
+        "caps-fraction-local",
+        {"constraint": {"type": "partition", "blocks": [[0, 1], [2, 3]], "caps": [1, 1.5]}},
+        _LOCAL,
+    ),
+    ("p-string-greedy", {"constraint": {"type": "cardinality", "p": "2"}}, _GREEDY),
+    ("p-string-exact", {"constraint": {"type": "cardinality", "p": "2"}}, _EXACT),
+    ("p-missing-greedy", {"constraint": {"type": "cardinality"}}, _GREEDY),
+    ("p-missing-exact", {"constraint": {"type": "cardinality"}}, _EXACT),
+    ("ground-negative", {"ground_set": -1, "function": _THRESHOLD}, ("check",)),
+    ("ground-true", {"ground_set": True, "function": _THRESHOLD}, ("check",)),
+    ("ground-unhashable", {"ground_set": [[0], [1]], "function": _THRESHOLD}, ("check",)),
+    ("samples-string", {"options": {**_SAMPLED, "samples": "10"}}, ("check",)),
+    ("samples-fraction", {"options": {**_SAMPLED, "samples": 2.5}}, ("check",)),
+    (
+        "epsilon-string",
+        {"constraint": {"type": "uniform", "rank": 2}, "options": {"epsilon": "x"}},
+        _LOCAL,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, argv", [pytest.param(fields, argv, id=name) for name, fields, argv in _MALFORMED]
+)
+def test_malformed_field_exits_two(capsys, tmp_path, fields, argv):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"function": _LINEAR, **fields}))
+    code = main([argv[0], str(path), *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestBoundsCommand:

@@ -261,6 +261,17 @@ class TestSampledMode:
         with pytest.raises(ValueError):
             check_weakly_submodular(f, "nonsense")
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    @pytest.mark.parametrize(
+        "checker",
+        [check_normalized_nonnegative, check_monotone, check_submodular, check_weakly_submodular],
+    )
+    def test_rejects_fewer_than_one_sample(self, checker, samples):
+        # threshold k=3 fails exhaustively; a sampled scan of no pairs must not pass it
+        f = threshold(3, 1, 6)
+        with pytest.raises(ValueError, match="samples >= 1"):
+            checker(f, "sampled", samples=samples, seed=1)
+
     def test_same_seed_same_report(self):
         f = max_cut(star_counterexample(3))
         a = check_weakly_submodular(f, "sampled", samples=500, seed=11)

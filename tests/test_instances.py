@@ -170,6 +170,32 @@ class TestInstanceDocuments:
         )
         assert inst.cardinality_p == 2
 
+    def test_integral_decimals_are_ints_in_every_field(self):
+        inst = Instance(
+            parse_json(
+                """{"ground_set": 3.0,
+                    "function": {"type": "threshold", "params": {"k": 2.0, "B": 1.50}},
+                    "constraint": {"type": "partition", "blocks": [[0], [1, 2]], "caps": [1.0, 1]},
+                    "options": {"samples": 10.0, "seed": 1e1}}"""
+            )
+        )
+        assert type(inst.matroid().rank) is int and inst.matroid().rank == 2
+        assert inst.options == {"samples": 10, "seed": 10}
+        assert [type(v) for v in inst.options.values()] == [int, int]
+        assert inst.function({0, 1}) == Fraction(3, 2)
+        assert inst.cardinality_p is None
+
+    def test_constraint_built_once(self):
+        inst = build(
+            {
+                "function": {"type": "linear", "params": {"weights": [1, 2, 3]}},
+                "constraint": {"type": "cardinality", "p": 2},
+            }
+        )
+        assert inst.matroid() is inst.matroid()
+        with pytest.raises(SchemaError, match="no constraint"):
+            build({"function": {"type": "linear", "params": {"weights": [1]}}}).matroid()
+
     def test_missing_function_rejected(self):
         with pytest.raises(SchemaError):
             build({"ground_set": 3})

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 from random import Random
 
@@ -68,6 +69,14 @@ class TestIndependence:
             Matroid.partition(g, [[0, 1]], [1])  # does not cover
         with pytest.raises(ValueError):
             Matroid.partition(g, [[0, 1], [2, 3]], [1])  # cap count
+
+    @pytest.mark.parametrize("rank", [Fraction(5, 2), 2.0, True, "2"])
+    def test_rank_and_caps_must_be_ints(self, rank):
+        g = GroundSet.of_size(4)
+        with pytest.raises(ValueError, match="integer"):
+            Matroid.uniform(g, rank)
+        with pytest.raises(ValueError, match="integer"):
+            Matroid.partition(g, [[0, 1], [2, 3]], [1, rank])
 
 
 class TestExtendToBasis:
@@ -183,6 +192,22 @@ class TestExchangeAxiom:
         g = GroundSet.of_size(2)
         m = Matroid.explicit(g, [0b01], validate=False)
         assert not validate_exchange_axiom(m).passed
+
+    def test_oracle_and_stored_family_give_the_same_report(self):
+        rng = Random(5)
+        for n in (3, 5, 7):
+            for m in (Matroid.uniform(GroundSet.of_size(n), 2), random_partition_matroid(n, 2, rng)):
+                assert validate_exchange_axiom(m) == validate_exchange_axiom(m.to_explicit())
+
+    def test_explicit_validation_reads_the_stored_family(self, monkeypatch):
+        family = Matroid.uniform(GroundSet.of_size(6), 3).independent_family()
+        calls = []
+        oracle = Matroid.is_independent_mask
+        monkeypatch.setattr(
+            Matroid, "is_independent_mask", lambda self, mask: calls.append(mask) or oracle(self, mask)
+        )
+        assert Matroid.explicit(GroundSet.of_size(6), family).rank == 3
+        assert calls == []
 
     def test_cap(self):
         m = Matroid.uniform(GroundSet.of_size(15), 3)
