@@ -22,7 +22,6 @@ from .core import (
     Subset,
     ViolationWitness,
     cardinality_profile,
-    check_cardinality_family,
     weak_submodularity_sides,
 )
 from .instances import Instance, SchemaError, load_instance

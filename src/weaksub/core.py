@@ -182,6 +182,15 @@ class SetFunction:
     The evaluator receives a bitmask and must be pure; results are memoized
     in an unsynchronized dict.  ``claims`` records which properties the
     builder asserts.
+
+    ``extend``, when given, is a pair ``(start, step)`` for building a set
+    one element at a time without the evaluator or the memo: ``start`` is
+    the state of the empty set, ``step(state, e)`` returns the state of the
+    set plus element ``e`` (``e`` above every element already in it), and
+    ``state[0]`` is the set's value, equal to ``value(mask)`` in value and
+    type.  Builders offer it only when every input number is an int or a
+    ``Fraction``, so summing in another order stays exact; otherwise
+    ``extend`` is None.
     """
 
     def __init__(
@@ -191,6 +200,7 @@ class SetFunction:
         *,
         name: str = "f",
         claims: Iterable[str] = (),
+        extend: tuple[Any, Callable[[Any, int], Any]] | None = None,
     ):
         self.ground = ground
         self.name = name
@@ -198,6 +208,7 @@ class SetFunction:
         if not self.claims <= ALL_CLAIMS:
             raise ValueError(f"unknown claims: {sorted(self.claims - ALL_CLAIMS)}")
         self._evaluator = evaluator
+        self.extend = extend
         self._cache: dict[int, Value] = {}
 
     def value(self, mask: int) -> Value:

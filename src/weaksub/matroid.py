@@ -9,6 +9,7 @@ axioms at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from random import Random
 from typing import Hashable, Iterable, Sequence
 
@@ -117,14 +118,31 @@ class Matroid:
         return self.is_independent_mask(subset.mask)
 
     def independent_family(self) -> frozenset:
-        """All independent bitmasks (explicit storage or an oracle sweep)."""
+        """All independent bitmasks (explicit storage, or built from per-block choices)."""
         if self.kind == "explicit":
             return self._data
         if self.ground.n > EXPLICIT_STORAGE_CAP:
             raise CapExceeded("family enumeration capped by explicit storage limit")
-        return frozenset(
-            m for m in range(self.ground.full_mask + 1) if self.is_independent_mask(m)
-        )
+        return frozenset(self._block_unions(bases=False))
+
+    def _block_unions(self, *, bases: bool):
+        """Unions of one choice per block of a uniform or partition matroid.
+
+        A uniform matroid is one block with cap ``rank``.  Each block offers
+        its subsets of size ``min(cap, |block|)`` (for bases) or of every size
+        up to that, so no mask outside the family is ever formed.
+        """
+        if self.kind == "uniform":
+            blocks = [(self.ground.full_mask, self._data)]
+        else:
+            blocks = zip(*self._data)
+        choices = []
+        for block, cap in blocks:
+            bits = [1 << i for i in range(self.ground.n) if block >> i & 1]
+            top = min(cap, len(bits))
+            sizes = [top] if bases else range(top + 1)
+            choices.append([sum(c) for k in sizes for c in combinations(bits, k)])
+        return map(sum, product(*choices))
 
     def to_explicit(self) -> "Matroid":
         return Matroid.explicit(self.ground, self.independent_family(), validate=False)
@@ -139,9 +157,7 @@ class Matroid:
                 if m.bit_count() == self.rank:
                     yield m
             return
-        for m in range(self.ground.full_mask + 1):
-            if m.bit_count() == self.rank and self.is_independent_mask(m):
-                yield m
+        yield from sorted(self._block_unions(bases=True))
 
     def __repr__(self) -> str:
         return f"Matroid({self.kind}, n={self.ground.n}, rank={self.rank})"

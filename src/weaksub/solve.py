@@ -7,12 +7,16 @@ deterministic: argmax ties break toward the smallest element index, and local
 search applies the first improving swap in a fixed scan order.  Brute-force
 enumeration provides exact optima for ground-truth comparison on small
 instances; both oracles keep the first maximizer in their enumeration order.
+
+The cardinality oracle walks its sets depth-first, building each from its
+prefix with the function's ``extend`` step; when the function offers one,
+brute force neither reads nor writes the memo.  Greedy and local search
+evaluate through ``f.value``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
 from typing import Optional
 
 from .core import (
@@ -194,46 +198,70 @@ def brute_force_cardinality(
 ) -> OptResult:
     """Exact maximum over all sets of size <= p (or exactly p).
 
-    For monotone functions the two modes agree at the optimum.  Enumeration
-    order is by size then lexicographic index tuples; the first maximizer
-    encountered is kept.
+    For monotone functions the two modes agree at the optimum.  The first
+    maximizer in size-then-lexicographic order of index tuples is kept.
+
+    Sets are visited in one streaming preorder walk: each set's state comes
+    from its parent's by one ``step`` (``f.extend``, or a generic step
+    through ``f.value``).  Preorder lists each size in lexicographic order,
+    so keeping a greater value, or an equal value at a smaller size, gives
+    the size-major first maximizer.
     """
     n = f.ground.n
     if not 0 <= p <= n:
         raise ValueError(f"p must be in 0..{n}")
     if n > BRUTE_FORCE_CARDINALITY_CAP:
         raise CapExceeded(f"brute force capped at n <= {BRUTE_FORCE_CARDINALITY_CAP}")
-    sizes = [p] if exact_size else range(p + 1)
-    bits = [1 << i for i in range(n)]
-    # map(sum, ...) builds each mask in C: brute force is most of a bench
-    # run, and a per-mask Python loop there costs measurable time.
-    masks = chain.from_iterable(map(sum, combinations(bits, size)) for size in sizes)
-    return _first_maximizer(f, masks)
+    start, step = _prefix_steps(f)
+    low = p if exact_size else 0
+    best = best_mask = best_size = None
+    enumerated = 0
+    stack = [(start, 0, 0, 0)]  # (state, mask, size, smallest element to add)
+    while stack:
+        state, mask, size, first = stack.pop()
+        if size >= low:
+            enumerated += 1
+            v = state[0]
+            if best is None or v > best or (v == best and size < best_size):
+                best, best_mask, best_size = v, mask, size
+        if size < p:
+            # Children in descending order, so they pop in ascending order;
+            # an element past ``stop`` leaves too few to reach size ``low``.
+            stop = min(n, n - low + size + 1)
+            for e in range(stop - 1, first - 1, -1):
+                stack.append((step(state, e), mask | 1 << e, size + 1, e + 1))
+    return OptResult(Subset(f.ground, best_mask), best, enumerated)
+
+
+def _prefix_steps(f: SetFunction):
+    """``f.extend``, or a ``(start, step)`` pair whose states are (value, mask)."""
+    if f.extend is not None:
+        return f.extend
+    value = f.value
+
+    def step(state, e: int):
+        mask = state[1] | 1 << e
+        return (value(mask), mask)
+
+    return (value(0), 0), step
 
 
 def brute_force_matroid(f: SetFunction, matroid: Matroid) -> OptResult:
     """Exact maximum of f over the bases of a matroid (ascending mask order).
 
-    ``Matroid.bases`` raises ``CapExceeded`` past its enumeration cap.
+    The first basis of greatest value is kept.  ``Matroid.bases`` raises
+    ``CapExceeded`` past its enumeration cap.
     """
     if f.ground != matroid.ground:
         raise ValueError("function and matroid must share a ground set")
-    opt = _first_maximizer(f, matroid.bases())
-    if opt is None:
-        raise ValueError("matroid has no basis")
-    return opt
-
-
-def _first_maximizer(f: SetFunction, masks) -> Optional[OptResult]:
-    """The first mask of greatest value in iteration order; None when ``masks`` is empty."""
     best_mask = None
     best = None
     enumerated = 0
-    for mask in masks:
+    for mask in matroid.bases():
         enumerated += 1
         v = f.value(mask)
         if best is None or v > best:
             best, best_mask = v, mask
     if best_mask is None:
-        return None
+        raise ValueError("matroid has no basis")
     return OptResult(Subset(f.ground, best_mask), best, enumerated)

@@ -2,13 +2,17 @@
 
 Each builder returns a ``SetFunction`` whose ``claims`` record what the
 construction guarantees.  Integer inputs stay in integer arithmetic, so the
-classic counterexample values reproduce exactly.
+classic counterexample values reproduce exactly.  The linear, coverage,
+dispersion, segmentation and combination builders also offer an incremental
+``extend`` state (see ``SetFunction``) when all their numbers are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from random import Random
 from typing import Hashable, Iterable, Sequence
 
@@ -23,6 +27,11 @@ from .core import (
     Value,
     cardinality_profile,
 )
+
+
+def _all_exact(values: Iterable) -> bool:
+    """True when every number is an int or a ``Fraction`` (so sums are order-free)."""
+    return all(type(x) is int or type(x) is Fraction for x in values)
 
 
 @dataclass(frozen=True)
@@ -159,11 +168,15 @@ def linear(weights: Sequence[Value], labels: Sequence[Hashable] | None = None) -
     def ev(mask: int) -> Value:
         return sum(w for i, w in enumerate(weights) if mask >> i & 1)
 
+    def step(state, e: int):
+        return (state[0] + weights[e],)
+
     return SetFunction(
         ground,
         ev,
         name="linear",
         claims={NORMALIZED, NONNEGATIVE, MONOTONE, SUBMODULAR, WEAKLY_SUBMODULAR},
+        extend=((0,), step) if _all_exact(weights) else None,
     )
 
 
@@ -197,11 +210,22 @@ def coverage(
                 hit |= c
         return sum(weights[x] for x in hit)
 
+    # State: (value, mask of the covered items); item j is bit j of ``items``.
+    item_bit = {x: 1 << j for j, x in enumerate(items)}
+    hits = [tuple((item_bit[x], weights[x]) for x in c) for c in item_sets]
+    cover_masks = [sum(b for b, _ in h) for h in hits]
+
+    def step(state, e: int):
+        value, covered = state
+        gain = sum([w for b, w in hits[e] if not covered & b])
+        return (value + gain, covered | cover_masks[e])
+
     return SetFunction(
         ground,
         ev,
         name="coverage",
         claims={NORMALIZED, NONNEGATIVE, MONOTONE, SUBMODULAR, WEAKLY_SUBMODULAR},
+        extend=((0, 0), step) if _all_exact(weights[x] for x in items) else None,
     )
 
 
@@ -225,11 +249,21 @@ def metric_dispersion(dist: DistanceMatrix) -> SetFunction:
         idx = [i for i in range(dist.n) if mask >> i & 1]
         return sum(d[u][v] for u, v in combinations(idx, 2))
 
+    # State: (value, indices of the set).  above[e][i] is d[i][e] for i < e,
+    # the same upper-triangle entry the evaluator reads for the pair.
+    above = [tuple(d[i][e] for i in range(e)) for e in range(dist.n)]
+
+    def step(state, e: int):
+        value, idx = state
+        return (value + sum(map(above[e].__getitem__, idx)), idx + (e,))
+
+    exact = all(_all_exact(row) for row in d)
     return SetFunction(
         ground,
         ev,
         name="dispersion",
         claims={NORMALIZED, NONNEGATIVE, MONOTONE, WEAKLY_SUBMODULAR},
+        extend=((0, ()), step) if exact else None,
     )
 
 
@@ -254,11 +288,22 @@ def segmentation(matrix: SegmentationMatrix) -> SetFunction:
         idx = [i for i in range(matrix.rows) if mask >> i & 1]
         return sum(max(m[i][j] for i in idx) for j in range(cols))
 
+    # State: (value, column maxima), None for the empty set.  A tie keeps the
+    # earlier row's entry, as the evaluator's max over rows does.
+    def step(state, e: int):
+        top = state[1]
+        row = m[e]
+        if top is not None:
+            row = [a if a >= b else b for a, b in zip(top, row)]
+        return (sum(row), row)
+
+    exact = all(_all_exact(row) for row in m)
     return SetFunction(
         ground,
         ev,
         name="segmentation",
         claims={NORMALIZED, NONNEGATIVE, MONOTONE, WEAKLY_SUBMODULAR},
+        extend=((0, None), step) if exact else None,
     )
 
 
@@ -306,6 +351,8 @@ def raw_cardinality_profile(k_or_coeffs, n: int) -> SetFunction:
 def threshold(k: int, bonus: Value, n: int) -> SetFunction:
     """f(S) = bonus when |S| >= k, else 0.  Weak submodularity holds exactly
     for k <= 2; k >= 3 breaks on any universe of size >= k."""
+    if type(k) is not int:
+        raise ValueError(f"threshold k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("threshold requires k >= 1")
     if not bonus > 0:
@@ -327,7 +374,11 @@ def threshold(k: int, bonus: Value, n: int) -> SetFunction:
 
 def linear_combination(fs: Sequence[SetFunction], alphas: Sequence[Value]) -> SetFunction:
     """g(S) = sum alpha_i * f_i(S).  Nonnegative combinations preserve every
-    claim shared by all inputs."""
+    claim shared by all inputs.
+
+    The combination offers ``extend`` (a tuple of per-term states) when every
+    term offers one and every alpha is exact.
+    """
     fs = list(fs)
     alphas = list(alphas)
     if len(fs) != len(alphas):
@@ -344,7 +395,19 @@ def linear_combination(fs: Sequence[SetFunction], alphas: Sequence[Value]) -> Se
     def ev(mask: int) -> Value:
         return sum(a * f.value(mask) for a, f in zip(alphas, fs))
 
-    return SetFunction(ground, ev, name="combination", claims=claims)
+    extend = None
+    if _all_exact(alphas) and all(f.extend is not None for f in fs):
+        steps = [f.extend[1] for f in fs]
+
+        def combine(states: tuple):
+            return (sum(map(mul, alphas, [s[0] for s in states])), states)
+
+        def step(state, e: int):
+            return combine(tuple([st(s, e) for st, s in zip(steps, state[1])]))
+
+        extend = (combine(tuple(f.extend[0] for f in fs)), step)
+
+    return SetFunction(ground, ev, name="combination", claims=claims, extend=extend)
 
 
 def msd_objective(quality: SetFunction, dist: DistanceMatrix) -> SetFunction:

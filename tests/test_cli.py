@@ -213,6 +213,11 @@ _MALFORMED = [
     ("ground-negative", {"ground_set": -1, "function": _THRESHOLD}, ("check",)),
     ("ground-true", {"ground_set": True, "function": _THRESHOLD}, ("check",)),
     ("ground-unhashable", {"ground_set": [[0], [1]], "function": _THRESHOLD}, ("check",)),
+    (
+        "threshold-k-fraction",
+        {"ground_set": 4, "function": {"type": "threshold", "params": {"k": 2.5, "B": 1}}},
+        ("check",),
+    ),
     ("samples-string", {"options": {**_SAMPLED, "samples": "10"}}, ("check",)),
     ("samples-fraction", {"options": {**_SAMPLED, "samples": 2.5}}, ("check",)),
     (

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -115,6 +116,49 @@ class TestBases:
     def test_uniform_bases_count(self):
         m = Matroid.uniform(GroundSet.of_size(5), 2)
         assert len(list(m.bases())) == 10
+
+    @staticmethod
+    def _random_uniform_and_partition(rng):
+        """Uniform and partition matroids with caps of 0 and caps above the block size."""
+        for _ in range(40):
+            n = rng.randint(0, 9)
+            g = GroundSet.of_size(n)
+            yield Matroid.uniform(g, rng.randint(0, n))
+            order = list(range(n))
+            rng.shuffle(order)
+            cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
+            blocks = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])] if n else []
+            caps = [rng.choice([0, 1, len(b) - 1, len(b), len(b) + 2]) for b in blocks]
+            yield Matroid.partition(g, blocks, caps)
+
+    def test_bases_and_family_equal_an_oracle_sweep(self):
+        seen_caps = set()
+        for m in self._random_uniform_and_partition(Random(21)):
+            sweep = [x for x in range(m.ground.full_mask + 1) if m.is_independent_mask(x)]
+            assert m.independent_family() == frozenset(sweep), m
+            assert list(m.bases()) == [x for x in sweep if x.bit_count() == m.rank], m
+            if m.kind == "partition":
+                blocks, caps = m._data
+                seen_caps |= {
+                    "zero" if c == 0 else "above" if c > b.bit_count() else "within"
+                    for b, c in zip(blocks, caps)
+                }
+        assert seen_caps == {"zero", "above", "within"}
+
+    def test_bases_keep_the_enumeration_cap(self):
+        g = GroundSet.of_size(19)
+        for m in (Matroid.uniform(g, 2), Matroid.partition(g, [range(19)], [1])):
+            with pytest.raises(CapExceeded, match="basis enumeration capped at n <= 18"):
+                next(m.bases())
+
+    def test_bases_ask_no_independence_query(self, monkeypatch):
+        m = random_partition_matroid(16, 6, 3)
+        blocks, _ = m._data
+        monkeypatch.setattr(Matroid, "is_independent_mask", lambda self, mask: 1 / 0)
+        bases = list(m.bases())
+        assert len(bases) == math.prod(b.bit_count() for b in blocks)
+        assert bases == sorted(bases) and all(b.bit_count() == 6 for b in bases)
+        assert len(m.independent_family()) == math.prod(b.bit_count() + 1 for b in blocks)
 
 
 class TestBrualdiBijection:

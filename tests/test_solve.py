@@ -1,5 +1,6 @@
 import heapq
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -19,7 +20,9 @@ from weaksub.matroid import Matroid, random_partition_matroid
 from weaksub.zoo import (
     DistanceMatrix,
     SegmentationMatrix,
+    cardinality_power,
     complement,
+    coverage,
     linear,
     linear_combination,
     max_cut,
@@ -28,8 +31,10 @@ from weaksub.zoo import (
     random_coverage,
     random_metric,
     random_segmentation,
+    raw_cardinality_profile,
     segmentation,
     star_counterexample,
+    threshold,
 )
 
 
@@ -347,3 +352,149 @@ class TestCombinedObjectives:
         opt_l = brute_force_matroid(f, m)
         assert opt_l.value >= res_l.value
         assert float(opt_l.value) <= ls_bound(3) * float(res_l.value)
+
+
+def _naive_brute_force(f, p, exact_size):
+    """Size-major first maximizer over ``f.value``: (mask, value, value type, enumerated)."""
+    best = None
+    enumerated = 0
+    for size in [p] if exact_size else range(p + 1):
+        for combo in combinations(range(f.ground.n), size):
+            enumerated += 1
+            mask = sum(1 << i for i in combo)
+            v = f.value(mask)
+            if best is None or v > best[1]:
+                best = (mask, v)
+    return best[0], best[1], type(best[1]), enumerated
+
+
+def _quarters(dist):
+    return DistanceMatrix(tuple(tuple(Fraction(x, 4) for x in row) for row in dist.d))
+
+
+def _upper_fractions(dist):
+    """Equal values, mixed types: Fraction above the diagonal, int below."""
+    d = dist.d
+    n = len(d)
+    return DistanceMatrix(
+        tuple(tuple(Fraction(d[i][j]) if i < j else d[i][j] for j in range(n)) for i in range(n))
+    )
+
+
+def _odd_rows_fractions(matrix):
+    """Equal values, mixed types: every odd row holds Fractions, so column ties mix types."""
+    return SegmentationMatrix(
+        tuple(
+            tuple(Fraction(x) for x in row) if i % 2 else row for i, row in enumerate(matrix.m)
+        )
+    )
+
+
+def _tied_segmentation():
+    return SegmentationMatrix(
+        ((2, 1, 0), (Fraction(2), 1, 0), (0, Fraction(1), 2), (0, 1, 2), (1, 1, 1))
+    )
+
+
+# Builders that offer ``extend``: int, Fraction and mixed inputs, several with ties.
+_EXTEND_BUILDERS = {
+    "linear-int": lambda: linear((3, 1, 4, 1, 5, 9, 2)),
+    "linear-int-zeros": lambda: linear((3, 0, 3, 0, 0, 2)),
+    "linear-fraction": lambda: linear(tuple(Fraction(k, 3) for k in (2, 5, 1, 5, 4, 0))),
+    "linear-mixed-tie": lambda: linear((Fraction(2), 2, 0, Fraction(1, 2), 2)),
+    "coverage-int": lambda: random_coverage(7, 3),
+    "coverage-fraction": lambda: coverage(
+        [[0, 1], [1, 2], [3], [0, 3], [2], []], {j: Fraction(j + 1, 2) for j in range(4)}
+    ),
+    "coverage-mixed": lambda: coverage(
+        [[0, 1], [1, 2], [3], [0, 3], [2]], {0: 1, 1: Fraction(1), 2: Fraction(3, 2), 3: 2}
+    ),
+    "dispersion-int": lambda: metric_dispersion(random_metric(7, 4)),
+    "dispersion-unit": lambda: metric_dispersion(DistanceMatrix.unit(7)),
+    "dispersion-quarters": lambda: metric_dispersion(_quarters(random_metric(7, 5))),
+    "dispersion-mixed": lambda: metric_dispersion(_upper_fractions(random_metric(7, 6, high=2))),
+    "segmentation-int": lambda: segmentation(random_segmentation(7, 4, 7)),
+    "segmentation-mixed": lambda: segmentation(
+        _odd_rows_fractions(random_segmentation(7, 4, 8, -2, 3))
+    ),
+    "segmentation-fraction": lambda: segmentation(
+        SegmentationMatrix(
+            tuple(tuple(Fraction(x, 3) for x in row) for row in random_segmentation(6, 3, 15).m)
+        )
+    ),
+    "segmentation-tied": lambda: segmentation(_tied_segmentation()),
+    "combination-int": lambda: msd_objective(random_coverage(7, 9), random_metric(7, 10)),
+    "combination-fraction": lambda: linear_combination(
+        [metric_dispersion(_quarters(random_metric(6, 11))), linear((1, 2, 0, 2, 1, 1))],
+        [Fraction(1, 3), 2],
+    ),
+    "combination-mixed": lambda: linear_combination(
+        [
+            segmentation(_odd_rows_fractions(random_segmentation(6, 3, 12))),
+            metric_dispersion(_upper_fractions(random_metric(6, 13, high=2))),
+        ],
+        [1, Fraction(1)],
+    ),
+}
+
+# Builders without ``extend``: float inputs and claim-free or cardinality-only functions.
+_GENERIC_BUILDERS = {
+    "linear-float": lambda: linear((0.5, 1.5, 0.25, 1.5, 1.0)),
+    "dispersion-float": lambda: metric_dispersion(
+        DistanceMatrix(tuple(tuple(x / 2 for x in row) for row in random_metric(6, 14).d))
+    ),
+    "segmentation-float": lambda: segmentation(
+        SegmentationMatrix(((1.5, 0.0), (0.5, 2.0), (1.5, 2.0)))
+    ),
+    "combination-float-alpha": lambda: linear_combination([linear((1, 2, 3, 4, 5))], [0.5]),
+    "threshold": lambda: threshold(2, 3, 7),
+    "cardinality-power": lambda: cardinality_power(2, 7),
+    "cardinality-profile": lambda: raw_cardinality_profile([0, 3, -1], 7),
+    "complement": lambda: complement(linear((1, 2, 3, 1, 2))),
+    "two-tied-pairs": _two_tied_pairs,
+}
+
+
+class TestBruteForceCardinalityDifferential:
+    @pytest.mark.parametrize("name", sorted(_EXTEND_BUILDERS) + sorted(_GENERIC_BUILDERS))
+    def test_matches_naive_first_maximizer(self, name):
+        build = _EXTEND_BUILDERS.get(name) or _GENERIC_BUILDERS[name]
+        assert (build().extend is not None) == (name in _EXTEND_BUILDERS)
+        n = build().ground.n
+        for p in sorted({0, 1, 3, n}):
+            for exact_size in (False, True):
+                opt = brute_force_cardinality(build(), p, exact_size=exact_size)
+                got = (opt.optimum.mask, opt.value, type(opt.value), opt.enumerated)
+                assert got == _naive_brute_force(build(), p, exact_size), (p, exact_size)
+
+    @pytest.mark.parametrize("name", sorted(_EXTEND_BUILDERS))
+    def test_extend_leaves_the_memo_empty(self, name):
+        f = _EXTEND_BUILDERS[name]()
+        brute_force_cardinality(f, f.ground.n)
+        assert f._cache == {}
+
+    @pytest.mark.parametrize("name", sorted(_EXTEND_BUILDERS))
+    def test_folding_steps_equals_value(self, name):
+        f = _EXTEND_BUILDERS[name]()
+        start, step = f.extend
+        n = f.ground.n
+        assert n <= 8
+        for mask in range(1 << n):
+            state = start
+            for i in range(n):
+                if mask >> i & 1:
+                    state = step(state, i)
+            v = f.value(mask)
+            assert state[0] == v and type(state[0]) is type(v), (mask, state[0], v)
+
+    def test_generic_path_reads_through_the_memo(self):
+        f = threshold(2, 3, 5)
+        assert brute_force_cardinality(f, 2).enumerated == 16
+        assert len(f._cache) == 16
+
+    def test_ties_across_sizes_keep_the_smaller_set(self):
+        # {0, 2} and {0, 1, 2} are both 6; preorder reaches {0, 1, 2} first.
+        opt = brute_force_cardinality(linear((3, 0, 3, 0)), 4)
+        assert opt.optimum.indices() == (0, 2) and opt.value == 6
+        unit = metric_dispersion(DistanceMatrix.unit(6))
+        assert brute_force_cardinality(unit, 4, exact_size=True).optimum.indices() == (0, 1, 2, 3)

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -223,6 +224,11 @@ class TestThreshold:
             threshold(0, 1, 4)
         with pytest.raises(ValueError):
             threshold(2, 0, 4)
+
+    @pytest.mark.parametrize("k", [2.5, Fraction(5, 2), 2.0, True, "2"])
+    def test_k_must_be_an_int(self, k):
+        with pytest.raises(ValueError, match="integer"):
+            threshold(k, 1, 4)
 
 
 class TestLinearCombination:
