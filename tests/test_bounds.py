@@ -113,7 +113,7 @@ class TestGreedyRatio:
             assert rel_close(greedy_ratio(p), exact, 1e-9), p
 
     def test_sum_route_matches_closed_forms(self):
-        for p in (2, 5, 10, 24, 32):
+        for p in range(2, 41):
             assert greedy_ratio(p, exact=True) == greedy_ratio(p, exact=True, from_sums=True)
             assert rel_close(greedy_ratio(p), greedy_ratio(p, from_sums=True), 1e-9)
 
@@ -125,6 +125,20 @@ class TestGreedyRatio:
         # dispersion-like functions; see the acceptance suite for the story.
         assert greedy_ratio(10) == pytest.approx(5.385877670261684, rel=1e-9)
         assert greedy_ratio(100) == pytest.approx(5.895392831106645, rel=1e-9)
+        # The float path to the bit; from p = 1011 the i = 1 term passes
+        # _LOG_OVERFLOW and degenerates to (0, 1).
+        pinned = {
+            2: "0x1.0000000000000p+2",
+            3: "0x1.1555555555555p+2",
+            10: "0x1.58b2384181f58p+2",
+            57: "0x1.766e7fc6d792ap+2",
+            100: "0x1.794e1dbbab420p+2",
+            1011: "0x1.7cc604acea921p+2",
+            1560: "0x1.7ce885cdd5da9p+2",
+            2000: "0x1.7cf6818b49b39p+2",
+            5000: "0x1.7d1442c5197e0p+2",
+        }
+        assert {p: greedy_ratio(p).hex() for p in pinned} == pinned
 
     def test_monotone_and_bounded_on_sampled_scan(self):
         values = [greedy_ratio(p) for p in range(10, 401, 10)]
@@ -138,6 +152,9 @@ class TestGreedyRatio:
     def test_domain(self):
         with pytest.raises(ValueError):
             greedy_ratio(1)
+        for exact in (False, True):
+            with pytest.raises(ValueError, match="need p >= 2"):
+                greedy_ratio_table([3, 1, 2], exact=exact)
 
 
 class TestLocalSearchBound:
@@ -164,6 +181,21 @@ class TestLocalSearchBound:
             t, value = ls_bound_argmax(s)
             assert t == s
             assert value == ls_bound(s)
+        for s in range(2, 61):
+            values = [ls_discrete_bound(s, t, exact=True) for t in range(2, s + 1)]
+            best = max(values)
+            assert ls_bound_argmax(s, exact=True) == (2 + values.index(best), best), s
+
+    def test_float_values_pinned_to_the_bit(self):
+        pinned = {
+            2: "0x1.d000000000000p+3",
+            3: "0x1.8480f2b9d6487p+3",
+            17: "0x1.4cbd1ae5fe173p+3",
+            136: "0x1.47af554c2419fp+3",
+            1000: "0x1.472745f8a5107p+3",
+            1220: "0x1.47237c34f470fp+3",
+        }
+        assert {s: ls_bound(s).hex() for s in pinned} == pinned
 
     def test_global_cap_and_monotone_decrease(self):
         values = [ls_bound(s) for s in range(2, 101)]
@@ -174,6 +206,9 @@ class TestLocalSearchBound:
     def test_domain(self):
         with pytest.raises(ValueError):
             ls_bound(1)
+        for exact in (False, True):
+            with pytest.raises(ValueError, match="need s >= 2"):
+                ls_bound_table([3, 1, 2], exact=exact)
 
 
 class TestContinuousRelaxation:
@@ -259,6 +294,24 @@ class TestRatioTable:
         table = greedy_ratio_table([3], exact=True)
         assert table.rows[0][1] == Fraction(13, 3)
         assert "13/3" in table.to_csv()
+
+    def test_rows_equal_scalar_calls(self):
+        # The float ranges are those of the benchmark's sweep tables; the
+        # greedy one reaches the _LOG_OVERFLOW branch from p = 1011.  Empty,
+        # unordered and repeated parameters must not upset the shared logs.
+        cases = [
+            (greedy_ratio_table, greedy_ratio, range(2, 1561), False),
+            (ls_bound_table, ls_bound, range(2, 1221), False),
+            (greedy_ratio_table, greedy_ratio, range(2, 57), True),
+            (ls_bound_table, ls_bound, range(2, 137), True),
+        ]
+        for table, scalar in ((greedy_ratio_table, greedy_ratio), (ls_bound_table, ls_bound)):
+            for exact in (False, True):
+                cases += [(table, scalar, [], exact), (table, scalar, [5, 3, 5], exact)]
+        for table, scalar, params, exact in cases:
+            mode = "rational" if exact else "float64"
+            expected = tuple((p, scalar(p, exact=exact), mode) for p in params)
+            assert table(params, exact=exact).rows == expected, (table, params, exact)
 
     def test_bounds_exceed_one(self):
         local = ls_bound_table(range(2, 9))

@@ -272,6 +272,9 @@ class TestBoundsCommand:
     def test_bad_range_exits_two(self, capsys):
         code, _ = run_cli(capsys, "bounds", "greedy", "--range", "5..2")
         assert code == 2
+        for kind in ("greedy", "local"):
+            code, _ = run_cli(capsys, "bounds", kind, "--range", "1..3")
+            assert code == 2, kind
 
     @staticmethod
     def _reference(p):
