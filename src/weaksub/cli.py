@@ -4,11 +4,19 @@ Commands: ``check``, ``maximize``, ``bounds``, ``counterexamples``, ``bench``.
 JSON in, JSON (or CSV for tabular results) out; no interactive mode.  Exit
 codes: 0 success / property holds, 1 property violation or unreproduced
 counterexample, 2 usage, schema, or cap errors.
+
+Each ``_cmd_*`` function returns ``(exit_code, result)``: a library result
+(``CheckReport``, ``SolveResult``, ``OptResult``), a dict holding such
+results, or None when the command wrote CSV itself.  ``main`` renders every
+JSON report: it wraps the result in the ``command``/``version``/
+``wall_time_s``/``result`` envelope and renders it with one ``json.dumps``
+whose ``_json_default`` is the only rendering rule.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -18,9 +26,9 @@ from . import __version__, bounds, zoo
 from .core import (
     CHECKERS,
     CapExceeded,
-    CheckReport,
     Subset,
     ViolationWitness,
+    cardinality_family_sides,
     cardinality_profile,
     weak_submodularity_sides,
 )
@@ -28,7 +36,6 @@ from .instances import Instance, SchemaError, load_instance
 from .matroid import Matroid, random_partition_matroid
 from .solve import (
     OptResult,
-    SolveResult,
     brute_force_cardinality,
     brute_force_matroid,
     greedy_cardinality,
@@ -36,75 +43,26 @@ from .solve import (
 )
 
 
-def _plain(v):
-    """JSON-safe value: exact rationals render as 'p/q' strings."""
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else str(v)
-    return v
+def _json_default(obj):
+    """Render a report value that ``json`` cannot encode by itself.
+
+    An exact rational becomes an int when integral and a ``"p/q"`` string
+    otherwise; a subset becomes its label list; a dataclass becomes its
+    fields in declaration order (a witness without a triple leaves it out).
+    """
+    if isinstance(obj, Fraction):
+        return int(obj) if obj.denominator == 1 else str(obj)
+    if isinstance(obj, Subset):
+        return list(obj.labels())
+    if dataclasses.is_dataclass(obj):
+        fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        if isinstance(obj, ViolationWitness) and obj.triple is None:
+            del fields["triple"]
+        return fields
+    return str(obj)
 
 
-def _subset_json(s: Subset | None):
-    return None if s is None else list(s.labels())
-
-
-def _witness_json(w: ViolationWitness | None):
-    if w is None:
-        return None
-    out = {
-        "kind": w.kind.value,
-        "S": _subset_json(w.S),
-        "T": _subset_json(w.T),
-        "lhs": _plain(w.lhs),
-        "rhs": _plain(w.rhs),
-    }
-    if w.triple is not None:
-        out["triple"] = list(w.triple)
-    return out
-
-
-def _check_json(r: CheckReport):
-    return {
-        "property": r.property.value,
-        "mode": r.mode,
-        "pairs_checked": r.pairs_checked,
-        "passed": r.passed,
-        "witness": _witness_json(r.witness),
-        "samples": r.samples,
-        "seed": r.seed,
-    }
-
-
-def _solve_json(r: SolveResult):
-    return {
-        "selected": _subset_json(r.selected),
-        "value": _plain(r.value),
-        "iterations": r.iterations,
-        "trace": [[step, move, _plain(v)] for step, move, v in r.trace],
-        "certificate": r.certificate,
-    }
-
-
-def _opt_json(r: OptResult):
-    return {
-        "optimum": _subset_json(r.optimum),
-        "value": _plain(r.value),
-        "enumerated": r.enumerated,
-    }
-
-
-def _emit(args, result, started: float) -> None:
-    report = {
-        "command": list(args.argv),
-        "version": __version__,
-        "wall_time_s": round(time.perf_counter() - started, 6),
-        "result": result,
-    }
-    json.dump(report, sys.stdout, indent=2, default=str)
-    sys.stdout.write("\n")
-
-
-def _cmd_check(args) -> int:
-    started = time.perf_counter()
+def _cmd_check(args):
     instance = load_instance(args.instance)
     checker = CHECKERS[args.property]
     opts = instance.options
@@ -114,12 +72,10 @@ def _cmd_check(args) -> int:
     report = checker(
         instance.function, mode, samples=samples, seed=seed, jobs=args.jobs
     )
-    _emit(args, _check_json(report), started)
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), report
 
 
-def _cmd_maximize(args) -> int:
-    started = time.perf_counter()
+def _cmd_maximize(args):
     instance = load_instance(args.instance)
     f = instance.function
     p = instance.cardinality_p
@@ -128,22 +84,17 @@ def _cmd_maximize(args) -> int:
         if p is None:
             raise SchemaError("greedy requires a cardinality (or uniform) constraint")
         res = greedy_cardinality(f, p)
-        result = {"algorithm": "greedy", "solve": _solve_json(res)}
     elif args.algorithm == "local":
         epsilon = args.epsilon if args.epsilon is not None else instance.options.get("epsilon", 0)
         res = local_search_matroid(f, instance.matroid(), epsilon=epsilon)
-        result = {"algorithm": "local", "solve": _solve_json(res)}
     else:
-        opt = _exact_optimum(instance)
-        _emit(args, {"algorithm": "exact", "optimum": _opt_json(opt)}, started)
-        return 0
+        return 0, {"algorithm": "exact", "optimum": _exact_optimum(instance)}
 
+    result = {"algorithm": args.algorithm, "solve": res}
     if args.compare == "exact":
         opt = _exact_optimum(instance)
-        ratio = _ratio(opt.value, res.value)
-        result["compare"] = {"optimum": _opt_json(opt), "ratio": _plain(ratio)}
-    _emit(args, result, started)
-    return 0
+        result["compare"] = {"optimum": opt, "ratio": _ratio(opt.value, res.value)}
+    return 0, result
 
 
 def _exact_optimum(instance: Instance) -> OptResult:
@@ -169,8 +120,7 @@ def _parse_range(text: str) -> range:
     return range(single, single + 1)
 
 
-def _cmd_bounds(args) -> int:
-    started = time.perf_counter()
+def _cmd_bounds(args):
     params = _parse_range(args.range)
     if len(params) == 0:
         raise SchemaError(f"empty range {args.range!r}")
@@ -178,9 +128,8 @@ def _cmd_bounds(args) -> int:
     table = maker(params, exact=args.exact)
     if args.format == "csv":
         sys.stdout.write(table.to_csv())
-        return 0
-    _emit(args, table.to_json_obj(), started)
-    return 0
+        return 0, None
+    return 0, table.to_json_obj()
 
 
 def _counterexample_fixtures():
@@ -209,15 +158,10 @@ def _counterexample_fixtures():
         (0, 1),
     )
 
-    prof = cardinality_profile(4)
-    a, b, c = 4, 4, 1
     yield (
         "cardinality_power_4",
         "|S|^4 profile at the split (4, 4, 1)",
-        lambda: (
-            (b + c) * prof(a + c) + (a + c) * prof(b + c),
-            c * prof(a + b + c) + (a + b + c) * prof(c),
-        ),
+        lambda: cardinality_family_sides(cardinality_profile(4), 4, 4, 1),
         (6250, 6570),
     )
 
@@ -234,8 +178,7 @@ def _counterexample_fixtures():
     )
 
 
-def _cmd_counterexamples(args) -> int:
-    started = time.perf_counter()
+def _cmd_counterexamples(args):
     rows = []
     all_ok = True
     for name, description, sides, expected in _counterexample_fixtures():
@@ -246,15 +189,14 @@ def _cmd_counterexamples(args) -> int:
             {
                 "name": name,
                 "description": description,
-                "lhs": _plain(lhs),
-                "rhs": _plain(rhs),
+                "lhs": lhs,
+                "rhs": rhs,
                 "expected_lhs": expected[0],
                 "expected_rhs": expected[1],
                 "violation_reproduced": ok,
             }
         )
-    _emit(args, {"counterexamples": rows, "all_reproduced": all_ok}, started)
-    return 0 if all_ok else 1
+    return (0 if all_ok else 1), {"counterexamples": rows, "all_reproduced": all_ok}
 
 
 def _bench_function(suite: str, n: int, seed: int):
@@ -280,14 +222,13 @@ def _bench_one(suite: str, algorithm: str, n: int, param: int, matroid_kind: str
         opt = brute_force_matroid(f, matroid)
     return {
         "seed": seed,
-        "alg_value": _plain(alg.value),
-        "opt_value": _plain(opt.value),
-        "ratio": _plain(_ratio(opt.value, alg.value)),
+        "alg_value": alg.value,
+        "opt_value": opt.value,
+        "ratio": _ratio(opt.value, alg.value),
     }
 
 
-def _cmd_bench(args) -> int:
-    started = time.perf_counter()
+def _cmd_bench(args):
     flag, param = ("--p", args.p) if args.algorithm == "greedy" else ("--rank", args.rank)
     if param is None:
         param = 3
@@ -303,7 +244,9 @@ def _cmd_bench(args) -> int:
         for seed in seeds
     ]
 
-    ratios = [float(Fraction(r["ratio"])) if isinstance(r["ratio"], str) else r["ratio"] for r in rows]
+    top = max(r["ratio"] for r in rows)
+    if isinstance(top, Fraction):  # the summary gives a number, an int when integral
+        top = int(top) if top.denominator == 1 else float(top)
     bound = (
         bounds.greedy_ratio(param) if args.algorithm == "greedy" else bounds.ls_bound(param)
     )
@@ -313,9 +256,9 @@ def _cmd_bench(args) -> int:
         "count": args.count,
         "n": args.n,
         "param": param,
-        "max_ratio": max(ratios),
+        "max_ratio": top,
         "bound": bound,
-        "within_bound": max(ratios) <= bound,
+        "within_bound": top <= bound,
     }
     if args.format == "csv":
         sys.stdout.write("index,seed,opt_value,alg_value,ratio\n")
@@ -323,9 +266,8 @@ def _cmd_bench(args) -> int:
             sys.stdout.write(
                 f"{i},{r['seed']},{r['opt_value']},{r['alg_value']},{r['ratio']}\n"
             )
-        return 0
-    _emit(args, {"instances": rows, "summary": summary}, started)
-    return 0
+        return 0, None
+    return 0, {"instances": rows, "summary": summary}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,9 +333,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; keep that contract
         return int(exc.code or 0)
-    args.argv = argv
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        code, result = args.func(args)
+        if result is not None:
+            report = {
+                "command": argv,
+                "version": __version__,
+                "wall_time_s": round(time.perf_counter() - started, 6),
+                "result": result,
+            }
+            # Rendered whole before writing, so a value that cannot be
+            # rendered exits 2 with nothing on stdout.
+            sys.stdout.write(json.dumps(report, indent=2, default=_json_default) + "\n")
+        return code
     except (SchemaError, CapExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

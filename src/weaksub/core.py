@@ -218,11 +218,14 @@ class SetFunction:
             v = self._cache[mask] = self._evaluator(mask)
         return v
 
-    def evaluate(self, subset: Subset) -> Value:
+    def _require_ground(self, subset: Subset) -> None:
         if subset.ground != self.ground:
             raise GroundSetMismatch(
                 f"subset over {subset.ground!r} passed to function over {self.ground!r}"
             )
+
+    def evaluate(self, subset: Subset) -> Value:
+        self._require_ground(subset)
         return self.value(subset.mask)
 
     def __call__(self, subset) -> Value:
@@ -439,6 +442,8 @@ def check_monotone(
         w = witness(S, S | bit, values[S | bit], values[S])
         return CheckReport(kind, "exhaustive", _adjacent_position(S, bit, n), False, w)
 
+    if n == 0:  # no adjacent pair exists, as the exhaustive scan reports
+        return CheckReport(kind, "sampled", 0, True, None, samples=samples, seed=seed)
     rng = Random(seed)
     full = f.ground.full_mask
     w = None
@@ -599,10 +604,9 @@ def check_weakly_submodular(
 
 def weak_submodularity_sides(f: SetFunction, S: Subset, T: Subset) -> tuple[Value, Value]:
     """The two sides (lhs, rhs) of the defining inequality at a specific pair."""
-    union, inter = S | T, S & T
-    lhs = len(T) * f.evaluate(S) + len(S) * f.evaluate(T)
-    rhs = len(inter) * f.evaluate(union) + len(union) * f.evaluate(inter)
-    return lhs, rhs
+    S._require_same_ground(T)
+    f._require_ground(S)
+    return _weak_sides(f.value, S.mask, T.mask)
 
 
 def cardinality_profile(k_or_coeffs) -> Callable[[int], Value]:
@@ -614,6 +618,19 @@ def cardinality_profile(k_or_coeffs) -> Callable[[int], Value]:
         return lambda m: m**k
     coeffs = list(k_or_coeffs)
     return lambda m: sum(c * m**j for j, c in enumerate(coeffs))
+
+
+def cardinality_family_sides(
+    prof: Callable[[int], Value], a: int, b: int, c: int
+) -> tuple[Value, Value]:
+    """The sides (lhs, rhs) of the pair inequality for a cardinality-only profile.
+
+    With a = |S-T|, b = |T-S| and c = |S&T|:
+    lhs = (b+c) f(a+c) + (a+c) f(b+c) and rhs = c f(a+b+c) + (a+b+c) f(c).
+    """
+    lhs = (b + c) * prof(a + c) + (a + c) * prof(b + c)
+    rhs = c * prof(a + b + c) + (a + b + c) * prof(c)
+    return lhs, rhs
 
 
 def check_cardinality_family(
@@ -630,7 +647,7 @@ def check_cardinality_family(
         (b+c) f(a+c) + (a+c) f(b+c) >= c f(a+b+c) + (a+b+c) f(c)
 
     scanned over 0 <= a <= a_max, 0 <= b <= b_max, 0 <= c <= c_max in
-    lexicographic order.
+    lexicographic order (see ``cardinality_family_sides``).
     """
     if min(a_max, b_max, c_max) < 1:
         raise ValueError("triple bounds must be >= 1")
@@ -640,8 +657,7 @@ def check_cardinality_family(
         for b in range(b_max + 1):
             for c in range(c_max + 1):
                 checked += 1
-                lhs = (b + c) * prof(a + c) + (a + c) * prof(b + c)
-                rhs = c * prof(a + b + c) + (a + b + c) * prof(c)
+                lhs, rhs = cardinality_family_sides(prof, a, b, c)
                 if violates(lhs, rhs):
                     witness = ViolationWitness(
                         PropertyKind.CARDINALITY_FAMILY, None, None, lhs, rhs, triple=(a, b, c)

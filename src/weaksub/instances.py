@@ -94,7 +94,9 @@ def _on_declared_ground(f: SetFunction, ground: GroundSet | None, kind: str) -> 
             f"{kind!r} carries intrinsic labels {list(f.ground.elements)}, "
             f"which conflict with the declared ground_set"
         )
-    return SetFunction(ground, f.value, name=f.name, claims=f.claims)
+    # The relabelled function shares the builder's evaluator and ``extend``,
+    # not its memo.
+    return SetFunction(ground, f._evaluator, name=f.name, claims=f.claims, extend=f.extend)
 
 
 def _need_n(params: dict, ground: GroundSet | None, kind: str) -> int:

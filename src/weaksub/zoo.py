@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
+from operator import add, mul
 from random import Random
 from typing import Hashable, Iterable, Sequence
 
@@ -27,6 +27,7 @@ from .core import (
     Value,
     cardinality_profile,
 )
+from .matroid import Matroid
 
 
 def _all_exact(values: Iterable) -> bool:
@@ -54,14 +55,16 @@ class DistanceMatrix:
                     raise ValueError("distance matrix must be symmetric")
                 if d[i][j] < 0:
                     raise ValueError("distances must be nonnegative")
+        # With d symmetric, d[i][k] + d[k][j] is add(d[i][k], d[j][k]), and the
+        # first failing (i, j, k) in lexicographic order always has i < j.
         for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if d[i][j] > d[i][k] + d[k][j]:
-                        raise ValueError(
-                            f"triangle inequality fails on ({i},{j},{k}): "
-                            f"{d[i][j]} > {d[i][k]} + {d[k][j]}"
-                        )
+            for j in range(i + 1, n):
+                if d[i][j] > min(map(add, d[i], d[j])):
+                    k = next(k for k in range(n) if d[i][j] > d[i][k] + d[k][j])
+                    raise ValueError(
+                        f"triangle inequality fails on ({i},{j},{k}): "
+                        f"{d[i][j]} > {d[i][k]} + {d[k][j]}"
+                    )
 
     @property
     def n(self) -> int:
@@ -519,8 +522,6 @@ def welfare_reduction(instance: WelfareInstance):
     valuations do not survive the lift (valuations with zero singletons such
     as dispersion give immediate counterexamples).
     """
-    from .matroid import Matroid  # local import to avoid a cycle
-
     items = instance.items
     n_agents = instance.n_agents
     m = items.n

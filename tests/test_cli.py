@@ -100,6 +100,23 @@ class TestCheckCommand:
         _, multi = run_json(capsys, "check", star_instance, "--jobs", "4")
         assert solo["result"] == multi["result"]
 
+    def test_sampled_monotone_on_empty_ground_exits_zero(self, tmp_path):
+        # A subprocess with a timeout, so a sampler that never ends fails the
+        # test instead of hanging the run.
+        path = tmp_path / "empty.json"
+        path.write_text(
+            json.dumps({"ground_set": 0, "function": {"type": "linear", "params": {"weights": []}}})
+        )
+        argv = ["check", str(path), "--property", "monotone", "--mode", "sampled"]
+        env = {"PYTHONPATH": str(Path(weaksub.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "weaksub", *argv, "--samples", "3", "--seed", "1"],
+            env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 0
+        result = json.loads(proc.stdout)["result"]
+        assert (result["mode"], result["pairs_checked"], result["passed"]) == ("sampled", 0, True)
+
     def test_usage_error_exits_two(self, capsys, dispersion_instance):
         assert main(["check", dispersion_instance, "--property", "bogus"]) == 2
 
@@ -152,6 +169,20 @@ class TestMaximizeCommand:
         path.write_text(json.dumps(doc))
         code, _ = run_cli(capsys, "maximize", str(path), "--algorithm", "greedy")
         assert code == 2
+
+    def test_unrenderable_value_exits_two_with_empty_stdout(self, capsys, tmp_path):
+        # The value's denominator has more digits than str(int) allows.
+        doc = {
+            "function": {"type": "linear", "params": {"weights": [1, 2]}},
+            "constraint": {"type": "cardinality", "p": 1},
+        }
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc).replace("[1, 2]", "[1e-5000, 2e-5000]"))
+        code = main(["maximize", str(path), "--algorithm", "greedy"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_exact_over_cap_exits_two(self, capsys, tmp_path):
         doc = {
@@ -422,6 +453,249 @@ class TestBenchCommand:
         code = main(["bench", "dispersion", "--algorithm", algorithm, flag, "1", "--n", "6"])
         assert code == 2
         assert flag in capsys.readouterr().err
+
+
+@pytest.fixture
+def labelled_partition_instance(tmp_path):
+    doc = {
+        "ground_set": list("abcdef"),
+        "function": {
+            "type": "dispersion",
+            "params": {
+                "distances": [
+                    [0, 7, 7, 1, 4, 6],
+                    [7, 0, 8, 7, 5, 8],
+                    [7, 8, 0, 6, 4, 7],
+                    [1, 7, 6, 0, 3, 5],
+                    [4, 5, 4, 3, 0, 3],
+                    [6, 8, 7, 5, 3, 0],
+                ]
+            },
+        },
+        "constraint": {"type": "partition", "blocks": [list("abc"), list("def")], "caps": [1, 2]},
+    }
+    path = tmp_path / "labelled_partition.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _local_certificate(epsilon):
+    return {
+        "algorithm": "local_search_matroid",
+        "epsilon": epsilon,
+        "max_iters": None,
+        "init": "greedy-basis",
+        "scan": "first-improvement, u then v ascending",
+        "deterministic": True,
+    }
+
+
+def _counterexample_row(name, description, lhs, rhs):
+    return {
+        "name": name,
+        "description": description,
+        "lhs": lhs,
+        "rhs": rhs,
+        "expected_lhs": lhs,
+        "expected_rhs": rhs,
+        "violation_reproduced": True,
+    }
+
+
+_OPT_DISPERSION = {"optimum": [0, 1, 2], "value": 7, "enumerated": 42}
+
+
+def _local_dispersion(epsilon):
+    solve = {"selected": [0, 1, 2], "value": 7, "iterations": 0, "trace": [[0, None, 7]]}
+    return {"algorithm": "local", "solve": {**solve, "certificate": _local_certificate(epsilon)}}
+
+
+# One command per report shape, with the `result` it prints (recorded before
+# every report went through one JSON encoder) and its exit code.  DISPERSION,
+# STAR and PARTITION name the fixture files.
+_PINNED = [
+    (
+        "check-pass",
+        ("check", "DISPERSION", "--property", "weakly_submodular"),
+        0,
+        {
+            "property": "weakly_submodular", "mode": "exhaustive", "pairs_checked": 2080,
+            "passed": True, "witness": None, "samples": None, "seed": None,
+        },
+    ),
+    (
+        "check-witness",
+        ("check", "STAR"),
+        1,
+        {
+            "property": "weakly_submodular", "mode": "exhaustive", "pairs_checked": 306,
+            "passed": False,
+            "witness": {
+                "kind": "weakly_submodular", "S": [0, 1, 3], "T": [0, 1, 4], "lhs": 18, "rhs": 20,
+            },
+            "samples": None, "seed": None,
+        },
+    ),
+    (
+        "check-sampled",
+        ("check", "PARTITION", "--property", "monotone", "--mode", "sampled", "--samples", "5",
+         "--seed", "2"),
+        0,
+        {
+            "property": "monotone", "mode": "sampled", "pairs_checked": 5, "passed": True,
+            "witness": None, "samples": 5, "seed": 2,
+        },
+    ),
+    (
+        "greedy-compare",
+        ("maximize", "DISPERSION", "--algorithm", "greedy", "--compare", "exact"),
+        0,
+        {
+            "algorithm": "greedy",
+            "solve": {
+                "selected": [0, 1, 2], "value": 7, "iterations": 3,
+                "trace": [[1, 0, 0], [2, 1, 2], [3, 2, 7]],
+                "certificate": {
+                    "algorithm": "greedy_cardinality", "p": 3, "tie_break": "smallest-index",
+                    "deterministic": True,
+                },
+            },
+            "compare": {"optimum": _OPT_DISPERSION, "ratio": 1},
+        },
+    ),
+    (
+        "local-partition-compare",
+        ("maximize", "PARTITION", "--algorithm", "local", "--compare", "exact"),
+        0,
+        {
+            "algorithm": "local",
+            "solve": {
+                "selected": ["b", "d", "f"], "value": 20, "iterations": 2,
+                "trace": [[0, None, 13], [1, ["b", "a"], 16], [2, ["d", "e"], 20]],
+                "certificate": _local_certificate(0),
+            },
+            "compare": {
+                "optimum": {"optimum": ["b", "d", "f"], "value": 20, "enumerated": 9}, "ratio": 1,
+            },
+        },
+    ),
+    (
+        "exact",
+        ("maximize", "DISPERSION", "--algorithm", "exact"),
+        0,
+        {"algorithm": "exact", "optimum": _OPT_DISPERSION},
+    ),
+    (
+        "local-epsilon-half",
+        ("maximize", "DISPERSION", "--algorithm", "local", "--epsilon", "1/2"),
+        0,
+        _local_dispersion("1/2"),
+    ),
+    (
+        # An integral --epsilon is a number, like every other integral rational
+        # (it used to be the string "0").
+        "local-epsilon-zero",
+        ("maximize", "DISPERSION", "--algorithm", "local", "--epsilon", "0"),
+        0,
+        _local_dispersion(0),
+    ),
+    (
+        "counterexamples",
+        ("counterexamples",),
+        0,
+        {
+            "counterexamples": [
+                _counterexample_row(
+                    "max_cut_star_n3", "two-hub unit gadget, around-the-hubs pair", 24, 30
+                ),
+                _counterexample_row(
+                    "threshold_k3", "two below-threshold sets sharing one element", 0, 1
+                ),
+                _counterexample_row(
+                    "cardinality_power_4", "|S|^4 profile at the split (4, 4, 1)", 6250, 6570
+                ),
+                _counterexample_row(
+                    "supermodular_pair", "both partners split across the pair", 0, 1
+                ),
+            ],
+            "all_reproduced": True,
+        },
+    ),
+    (
+        "bench-fraction-ratio",
+        ("bench", "dispersion", "--count", "2", "--n", "5"),
+        0,
+        {
+            "instances": [
+                {"seed": 0, "alg_value": 22, "opt_value": 24, "ratio": "12/11"},
+                {"seed": 1, "alg_value": 14, "opt_value": 18, "ratio": "9/7"},
+            ],
+            "summary": {
+                "suite": "dispersion", "algorithm": "greedy", "count": 2, "n": 5, "param": 3,
+                "max_ratio": 1.2857142857142858, "bound": 4.333333333333333, "within_bound": True,
+            },
+        },
+    ),
+    (
+        "bench-integral-ratio",
+        ("bench", "dispersion", "--count", "3", "--n", "4", "--algorithm", "local", "--rank", "2",
+         "--matroid", "partition"),
+        0,
+        {
+            "instances": [
+                {"seed": 0, "alg_value": 8, "opt_value": 8, "ratio": 1},
+                {"seed": 1, "alg_value": 5, "opt_value": 5, "ratio": 1},
+                {"seed": 2, "alg_value": 3, "opt_value": 3, "ratio": 1},
+            ],
+            "summary": {
+                "suite": "dispersion", "algorithm": "local", "count": 3, "n": 4, "param": 2,
+                "max_ratio": 1, "bound": 14.5, "within_bound": True,
+            },
+        },
+    ),
+    (
+        "bounds-exact",
+        ("bounds", "greedy", "--range", "2..3", "--exact"),
+        0,
+        {
+            "kind": "greedy", "precision": "rational", "formula_version": "1",
+            "rows": [
+                {"param": 2, "bound": "4", "mode": "rational"},
+                {"param": 3, "bound": "13/3", "mode": "rational"},
+            ],
+        },
+    ),
+]
+
+
+class TestPinnedReports:
+    @pytest.fixture
+    def files(self, dispersion_instance, star_instance, labelled_partition_instance):
+        return {
+            "DISPERSION": dispersion_instance,
+            "STAR": star_instance,
+            "PARTITION": labelled_partition_instance,
+        }
+
+    @pytest.mark.parametrize(
+        "argv, code, result",
+        [pytest.param(argv, code, result, id=name) for name, argv, code, result in _PINNED],
+    )
+    def test_report(self, capsys, files, argv, code, result):
+        argv = [files.get(a, a) for a in argv]
+        got, report = run_json(capsys, *argv)
+        assert got == code
+        assert list(report) == ["command", "version", "wall_time_s", "result"]
+        assert report["command"] == argv
+        assert report["version"] == weaksub.__version__
+        # Compare the JSON text, so 1 and 1.0 or "0" and 0 differ.
+        assert json.dumps(report["result"]) == json.dumps(result)
+
+    def test_bench_csv(self, capsys):
+        argv = ("bench", "dispersion", "--count", "2", "--n", "5", "--format", "csv")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == "index,seed,opt_value,alg_value,ratio\n0,0,24,22,12/11\n1,1,18,14,9/7\n"
 
 
 class TestReportStability:

@@ -1,8 +1,12 @@
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import weaksub
 from weaksub import (
     CapExceeded,
     CheckerLimits,
@@ -18,6 +22,7 @@ from weaksub import (
     evaluate,
     weak_submodularity_sides,
 )
+from weaksub.core import cardinality_family_sides
 from weaksub.zoo import (
     DistanceMatrix,
     SegmentationMatrix,
@@ -96,6 +101,9 @@ class TestEvaluate:
         other = Subset.empty(GroundSet.of_size(4))
         with pytest.raises(GroundSetMismatch):
             evaluate(f, other)
+        for S, T in ((other, other), (Subset.empty(f.ground), other)):
+            with pytest.raises(GroundSetMismatch):
+                weak_submodularity_sides(f, S, T)
 
     def test_memoization_is_bit_identical(self):
         calls = []
@@ -171,6 +179,23 @@ class TestMonotone:
         f = segmentation(SegmentationMatrix(((2, -1), (-3, 5), (1, 1))))
         naive = naive_monotone_violations(f.ground.elements, lambda S: f(S))
         assert check_monotone(f).passed == (not naive)
+
+    def test_sampled_on_empty_ground_passes_like_exhaustive(self):
+        # At n = 0 every draw is the full set, so redrawing until a draw
+        # misses it never ends: run the call where a hang fails the test.
+        code = (
+            "from weaksub import check_monotone\n"
+            "from weaksub.zoo import linear\n"
+            "for mode in ('exhaustive', 'sampled'):\n"
+            "    r = check_monotone(linear(()), mode, samples=3, seed=1)\n"
+            "    print(r.mode, r.pairs_checked, r.passed, r.witness)"
+        )
+        env = {"PYTHONPATH": str(Path(weaksub.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=20, check=True,
+        ).stdout
+        assert out.splitlines() == ["exhaustive 0 True None", "sampled 0 True None"]
 
 
 class TestSubmodular:
@@ -341,6 +366,7 @@ class TestCardinalityFamily:
         lhs = (b + c) * prof(a + c) + (a + c) * prof(b + c)
         rhs = c * prof(a + b + c) + (a + b + c) * prof(c)
         assert (lhs, rhs) == (6250, 6570)
+        assert cardinality_family_sides(prof, a, b, c) == (6250, 6570)
 
     def test_coefficient_profiles(self):
         assert check_cardinality_family([0, 2, 1, 1], 8, 8, 8).passed

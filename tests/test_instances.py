@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from weaksub.solve import brute_force_cardinality
 from weaksub.instances import (
     Instance,
     SchemaError,
@@ -184,6 +185,40 @@ class TestInstanceDocuments:
         assert [type(v) for v in inst.options.values()] == [int, int]
         assert inst.function({0, 1}) == Fraction(3, 2)
         assert inst.cardinality_p is None
+
+    @pytest.mark.parametrize(
+        "function",
+        [
+            {"type": "linear", "params": {"weights": [3, 1, 4, 1, 5]}},
+            {
+                "type": "dispersion",
+                "params": {
+                    "distances": [
+                        [0, 2, 3, 1, 2],
+                        [2, 0, 1, 2, 3],
+                        [3, 1, 0, 2, 2],
+                        [1, 2, 2, 0, 1],
+                        [2, 3, 2, 1, 0],
+                    ]
+                },
+            },
+        ],
+        ids=["linear", "dispersion"],
+    )
+    def test_declared_labels_keep_extend(self, function):
+        plain = build({"function": function}).function
+        labelled = build({"ground_set": list("abcde"), "function": function}).function
+        assert labelled.ground.elements == tuple("abcde")
+        assert plain.extend is not None and labelled.extend is not None
+        ours, reference = brute_force_cardinality(labelled, 2), brute_force_cardinality(plain, 2)
+        assert labelled._cache == {}
+        assert (ours.optimum.mask, ours.value, ours.enumerated) == (
+            reference.optimum.mask,
+            reference.value,
+            reference.enumerated,
+        )
+        assert ours.optimum.labels() == tuple("abcde"[i] for i in reference.optimum.indices())
+        assert labelled.all_values() == plain.all_values()
 
     def test_constraint_built_once(self):
         inst = build(

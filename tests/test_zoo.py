@@ -56,6 +56,53 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError):
             DistanceMatrix(((0, 1, 5), (1, 0, 1), (5, 1, 0)))  # triangle fails
 
+    def test_triangle_error_names_the_first_failing_triple(self):
+        # The reference scans every ordered (i, j, k); the validator scans
+        # i < j only and must report the same first triple and message.
+        def naive_error(d):
+            n = len(d)
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        if d[i][j] > d[i][k] + d[k][j]:
+                            return (
+                                f"triangle inequality fails on ({i},{j},{k}): "
+                                f"{d[i][j]} > {d[i][k]} + {d[k][j]}"
+                            )
+            return None
+
+        rng = Random(5)
+        failures = 0
+        for _ in range(600):
+            n = rng.randint(2, 7)
+            d = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    x = rng.choice((rng.randint(1, 9), Fraction(rng.randint(1, 30), 4)))
+                    d[i][j] = d[j][i] = x
+            expected = naive_error(d)
+            if expected is None:
+                assert DistanceMatrix(d).n == n
+                continue
+            failures += 1
+            with pytest.raises(ValueError) as info:
+                DistanceMatrix(d)
+            assert str(info.value) == expected
+        assert 100 < failures < 600
+
+    def test_triangle_scan_sums_each_unordered_pair_once(self):
+        # A valid metric costs n additions per pair i < j, not n^3.
+        added = []
+
+        class Counted(int):
+            def __add__(self, other):
+                added.append(1)
+                return int.__add__(self, other)
+
+        n = 8
+        DistanceMatrix([[Counted(0 if i == j else 1) for j in range(n)] for i in range(n)])
+        assert len(added) == n * n * (n - 1) // 2
+
     def test_random_metrics_are_valid_and_deterministic(self):
         for seed in range(10):
             m = random_metric(6, seed)
