@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, count
 from numbers import Rational
 from operator import lt
 from random import Random
@@ -181,7 +182,9 @@ class SetFunction:
 
     The evaluator receives a bitmask and must be pure; results are memoized
     in an unsynchronized dict.  ``claims`` records which properties the
-    builder asserts.
+    builder asserts.  A full value table (``all_values``) is built from the
+    ``extend`` states below when the builder offers them, without the
+    evaluator or the memo.
 
     ``extend``, when given, is a pair ``(start, step)`` for building a set
     one element at a time without the evaluator or the memo: ``start`` is
@@ -234,11 +237,40 @@ class SetFunction:
         return self.evaluate(subset)
 
     def all_values(self) -> list[Value]:
-        """Values for every subset, indexed by mask (2**n evaluations)."""
-        return [self.value(m) for m in range(self.ground.full_mask + 1)]
+        """Values for every subset, indexed by mask.
+
+        One depth-first walk: each set's state is its prefix's (the set
+        minus its largest element) plus one ``step``.  With ``extend`` that
+        makes no evaluator call and no memo write; without it, each mask is
+        evaluated once through ``value``.  The stack holds O(n**2) states.
+        """
+        n = self.ground.n
+        start, step = _prefix_steps(self)
+        table = [start[0]] * (1 << n)
+        stack = [(start, 0, 0)]  # (state, mask, smallest element to add)
+        while stack:
+            state, mask, first = stack.pop()
+            for e in range(first, n):
+                child = step(state, e)
+                table[mask | 1 << e] = child[0]
+                stack.append((child, mask | 1 << e, e + 1))
+        return table
 
     def __repr__(self) -> str:
         return f"SetFunction({self.name!r}, n={self.ground.n})"
+
+
+def _prefix_steps(f: SetFunction):
+    """``f.extend``, or a ``(start, step)`` pair whose states are (value, mask)."""
+    if f.extend is not None:
+        return f.extend
+    value = f.value
+
+    def step(state, e: int):
+        mask = state[1] | 1 << e
+        return (value(mask), mask)
+
+    return (value(0), 0), step
 
 
 def evaluate(f: SetFunction, subset: Subset) -> Value:
@@ -341,8 +373,12 @@ def _pair_position(S: int, T: int, total: int) -> int:
 
 def _adjacent_position(S: int, bit: int, n: int) -> int:
     """1-based position of the adjacent pair (S, S + bit) in the mask-major scan."""
-    before = n * S - sum(m.bit_count() for m in range(S))
-    return before + (~S & (2 * bit - 1)).bit_count()
+    # Bit i is set in (S >> i + 1) << i of the masks below the last multiple
+    # of 2**(i+1) under S, and in the part of the rest past 2**i.
+    ones = sum(
+        (S >> i + 1 << i) + max(0, (S & (2 << i) - 1) - (1 << i)) for i in range(S.bit_length())
+    )
+    return n * S - ones + (~S & (2 * bit - 1)).bit_count()
 
 
 def check_normalized_nonnegative(
@@ -398,13 +434,34 @@ def check_normalized_nonnegative(
 
 
 def _first_monotone_violation(values: list[Value], n: int, less) -> tuple[int, int] | None:
-    """First (S, bit) in mask-major order with less(f(S + bit), f(S))."""
-    bits = [1 << e for e in range(n)]
-    for S, fS in enumerate(values):
-        for bit in bits:
-            if not S & bit and less(values[S | bit], fS):
-                return S, bit
-    return None
+    """First (S, bit) in mask-major order with less(f(S + bit), f(S)).
+
+    Each bit's pairs (S, S + bit) are compared as table slices: strided runs
+    ``values[r::span]`` while bits are low, contiguous blocks once they are
+    high.  The least (S, bit) found across the bits is the first in order.
+    """
+    total = len(values)
+    best = None
+    for e in range(n):
+        bit = 1 << e
+        span = 2 * bit
+        first = None
+        if bit * span <= total:  # at most as many runs as blocks
+            for r in range(bit):
+                hi = values[r + bit :: span]
+                k = next(compress(count(), map(less, hi, values[r::span])), None)
+                if k is not None and (first is None or r + k * span < first):
+                    first = r + k * span
+        else:
+            for base in range(0, total, span):
+                hi = values[base + bit : base + span]
+                k = next(compress(count(), map(less, hi, values[base : base + bit])), None)
+                if k is not None:
+                    first = base + k
+                    break
+        if first is not None and (best is None or first < best[0]):
+            best = first, bit
+    return best
 
 
 def check_monotone(
@@ -420,7 +477,8 @@ def check_monotone(
 
     Adjacent pairs suffice for full monotonicity by transitivity, turning a
     4^n scan into n * 2^(n-1) checks.  The exhaustive scan reads the full
-    value table; exact tables compare with ``<``, others with ``violates``.
+    value table; exact tables compare with ``<`` on their scaled int table,
+    others with ``violates``.
     ``jobs`` is accepted for compatibility and ignored.
     """
     _require_mode(mode, samples, seed)
@@ -434,8 +492,11 @@ def check_monotone(
         if n > limits.monotone:
             raise CapExceeded(f"exhaustive monotone check capped at n <= {limits.monotone}")
         values = f.all_values()
-        less = lt if all(_is_exact(v) for v in values) else violates
-        hit = _first_monotone_violation(values, n, less)
+        table = _exact_table(values)
+        if table is None:
+            hit = _first_monotone_violation(values, n, violates)
+        else:
+            hit = _first_monotone_violation(table, n, lt)
         if hit is None:
             return CheckReport(kind, "exhaustive", n * len(values) // 2, True, None)
         S, bit = hit

@@ -27,6 +27,7 @@ from .core import (
     SetFunction,
     Subset,
     Value,
+    _prefix_steps,
 )
 from .matroid import Matroid
 
@@ -231,19 +232,6 @@ def brute_force_cardinality(
             for e in range(stop - 1, first - 1, -1):
                 stack.append((step(state, e), mask | 1 << e, size + 1, e + 1))
     return OptResult(Subset(f.ground, best_mask), best, enumerated)
-
-
-def _prefix_steps(f: SetFunction):
-    """``f.extend``, or a ``(start, step)`` pair whose states are (value, mask)."""
-    if f.extend is not None:
-        return f.extend
-    value = f.value
-
-    def step(state, e: int):
-        mask = state[1] | 1 << e
-        return (value(mask), mask)
-
-    return (value(0), 0), step
 
 
 def brute_force_matroid(f: SetFunction, matroid: Matroid) -> OptResult:

@@ -9,6 +9,7 @@ number of pairs checked up to it.
 import json
 from fractions import Fraction
 from math import comb
+from operator import lt
 from random import Random
 
 import pytest
@@ -403,3 +404,143 @@ def test_mixed_float_table_uses_tolerance():
     outcome = report_outcome(check_monotone(f))
     assert outcome == scalar_monotone_outcome(f) == naive_monotone_outcome(f)
     assert not check_monotone(f).passed
+
+
+# -- the sliced monotone scan ----------------------------------------------
+
+
+def loop_monotone_violation(values, n, less):
+    """The mask-major double loop that the sliced scan must reproduce."""
+    for S, fS in enumerate(values):
+        for e in range(n):
+            bit = 1 << e
+            if not S & bit and less(values[S | bit], fS):
+                return S, bit
+    return None
+
+
+# Integer quarters -> a table of one number kind; witnesses must keep it.
+KINDS = {
+    "int": lambda q: q,
+    "fraction": lambda q: Fraction(q, 4),
+    "mixed": lambda q: q // 4 if q % 4 == 0 else Fraction(q, 4),
+    "float": lambda q: q / 4,
+}
+
+
+def monotone_outcome(quarters, kind):
+    """Check the table against the loop and the naive oracle; return its outcome."""
+    values = [KINDS[kind](q) for q in quarters]
+    f = table_function(values)
+    n = f.ground.n
+    outcome = report_outcome(check_monotone(f))
+    assert outcome == scalar_monotone_outcome(f) == naive_monotone_outcome(f)
+    hit = core._first_monotone_violation(values, n, core.violates)
+    assert hit == loop_monotone_violation(values, n, core.violates)
+    if kind != "float":
+        scaled = core._exact_table(values)
+        assert core._first_monotone_violation(scaled, n, lt) == hit
+    return outcome
+
+
+def cardinality_quarters(n):
+    return [8 * m.bit_count() for m in range(1 << n)]
+
+
+def expected(S, bit, n, quarters, kind):
+    to = KINDS[kind]
+    lhs, rhs = to(quarters[S | bit]), to(quarters[S])
+    return (False, monotone_position(S, bit, n), _witness(S, S | bit, lhs, rhs))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_monotone_only_drop_at_top_bit(kind):
+    # In the first block; the next test puts one in the last block, (full - top, top).
+    for n in range(1, 10):
+        q = cardinality_quarters(n)
+        top = 1 << n - 1
+        q[top] = -1  # below the empty set, its one predecessor
+        assert monotone_outcome(q, kind) == expected(0, top, n, q, kind)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_monotone_only_drop_in_last_block_or_run(kind):
+    # full - bit lies in the last block of a high bit and ends the last run of a low one.
+    for n in range(1, 10):
+        for e in range(n):
+            q = cardinality_quarters(n)
+            full, bit = (1 << n) - 1, 1 << e
+            q[full ^ bit] = q[full] + 3  # one successor, so one drop
+            assert monotone_outcome(q, kind) == expected(full ^ bit, bit, n, q, kind)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_monotone_smallest_bit_of_one_set_wins(kind):
+    for n in range(2, 10):
+        full = (1 << n) - 1
+        for missing in ({1, 3} & set(range(n)), {n - 2, n - 1}, {1, n - 1}, set(range(1, n))):
+            S = full ^ sum(1 << e for e in missing)
+            q = cardinality_quarters(n)
+            q[S] = q[full] + 1  # above every successor: a drop at each missing bit
+            bit = 1 << min(missing)
+            assert monotone_outcome(q, kind) == expected(S, bit, n, q, kind)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_monotone_smaller_set_beats_lower_bit(kind):
+    # (full - top, top) precedes (full - 1, 1) in mask-major order.
+    for n in range(2, 10):
+        q = cardinality_quarters(n)
+        full, top = (1 << n) - 1, 1 << n - 1
+        q[full ^ top] = q[full ^ 1] = q[full] + 1
+        assert monotone_outcome(q, kind) == expected(full ^ top, top, n, q, kind)
+
+
+def test_monotone_float_drops_below_tolerance_pass():
+    for n in range(1, 10):
+        values = [float(8 * m.bit_count()) for m in range(1 << n)]
+        full = (1 << n) - 1
+        for e in range(n):
+            values[full ^ 1 << e] = values[full] * (1 + RELATIVE_TOL / 10)
+        f = table_function(values)
+        assert naive_monotone_violations(f.ground.elements, f)
+        report = check_monotone(f)
+        assert report.passed and report.pairs_checked == n << n - 1
+        values[full ^ 1] = values[full] * (1 + RELATIVE_TOL * 10)
+        report = check_monotone(table_function(values))
+        assert report_outcome(report) == (
+            False,
+            monotone_position(full ^ 1, 1, n),
+            _witness(full ^ 1, full, values[full], values[full ^ 1]),
+        )
+
+
+@st.composite
+def planted_drops(draw):
+    """A modular table in quarters with a few sets raised or lowered."""
+    n = draw(st.integers(0, 9))
+    weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    q = [sum(w for i, w in enumerate(weights) if m >> i & 1) for m in range(1 << n)]
+    for mask, shift in draw(
+        st.lists(st.tuples(st.integers(0, (1 << n) - 1), st.integers(-8, 8)), max_size=4)
+    ):
+        q[mask] += shift
+    return q
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=40, deadline=None)
+@given(quarters=planted_drops())
+def test_generated_monotone_tables(kind, quarters):
+    monotone_outcome(quarters, kind)
+
+
+def test_adjacent_position_closed_form():
+    n = 12
+    ones_below = 0  # set bits over the masks 0..S-1
+    for S in range(1 << n):
+        for e in range(n):
+            bit = 1 << e
+            naive = n * S - ones_below + (~S & (2 * bit - 1)).bit_count()
+            assert core._adjacent_position(S, bit, n) == naive, (S, bit)
+        ones_below += S.bit_count()

@@ -16,6 +16,7 @@ from weaksub import (
     local_search_matroid,
 )
 from weaksub.bounds import greedy_ratio, ls_bound
+from weaksub.instances import _on_declared_ground
 from weaksub.matroid import Matroid, random_partition_matroid
 from weaksub.zoo import (
     DistanceMatrix,
@@ -498,3 +499,60 @@ class TestBruteForceCardinalityDifferential:
         assert opt.optimum.indices() == (0, 2) and opt.value == 6
         unit = metric_dispersion(DistanceMatrix.unit(6))
         assert brute_force_cardinality(unit, 4, exact_size=True).optimum.indices() == (0, 1, 2, 3)
+
+
+def _counting(f):
+    """``f`` with its evaluator wrapped to record every mask it is called on."""
+    calls = []
+    evaluator = f._evaluator
+
+    def counted(mask):
+        calls.append(mask)
+        return evaluator(mask)
+
+    f._evaluator = counted
+    return f, calls
+
+
+class TestAllValuesWalk:
+    @pytest.mark.parametrize("name", sorted(_EXTEND_BUILDERS) + sorted(_GENERIC_BUILDERS))
+    def test_table_equals_value_per_mask(self, name):
+        build = _EXTEND_BUILDERS.get(name) or _GENERIC_BUILDERS[name]
+        f = build()
+        n = f.ground.n
+        assert n <= 8
+        table = f.all_values()
+        reference = [build().value(m) for m in range(1 << n)]
+        assert table == reference
+        assert [type(v) for v in table] == [type(v) for v in reference]
+
+    @pytest.mark.parametrize("name", sorted(_EXTEND_BUILDERS))
+    def test_extend_walk_never_calls_the_evaluator(self, name):
+        f, calls = _counting(_EXTEND_BUILDERS[name]())
+        f.all_values()
+        assert calls == [] and f._cache == {}
+
+    @pytest.mark.parametrize("name", sorted(_GENERIC_BUILDERS))
+    def test_generic_walk_evaluates_each_mask_once(self, name):
+        f, calls = _counting(_GENERIC_BUILDERS[name]())
+        table = f.all_values()
+        assert sorted(calls) == list(range(1 << f.ground.n))
+        assert f._cache == dict(enumerate(table))
+        f.all_values()  # a second table reads the memo
+        assert len(calls) == 1 << f.ground.n
+
+    @pytest.mark.parametrize("name", sorted(_EXTEND_BUILDERS) + sorted(_GENERIC_BUILDERS))
+    def test_labelled_ground_gives_the_same_table(self, name):
+        build = _EXTEND_BUILDERS.get(name) or _GENERIC_BUILDERS[name]
+        plain = build()
+        labels = GroundSet(tuple(f"e{i}" for i in range(plain.ground.n)))
+        labelled = _on_declared_ground(build(), labels, plain.name)
+        assert labelled.ground == labels
+        assert (labelled.extend is None) == (plain.extend is None)
+        ours, reference = labelled.all_values(), plain.all_values()
+        assert ours == reference
+        assert [type(v) for v in ours] == [type(v) for v in reference]
+
+    def test_empty_ground_set(self):
+        for f in (linear(()), threshold(1, 2, 0)):
+            assert f.all_values() == [0]
