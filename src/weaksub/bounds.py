@@ -18,7 +18,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Sequence
 
-from .core import Value
+from .core import Value, violates
 
 _LOG_OVERFLOW = 700.0  # beyond exp overflow; terms degenerate gracefully
 
@@ -303,11 +303,7 @@ def rearrangement_check(
     al, be, x = seqs
     lhs = sum(a * v for a, v in zip(al, x)) * sum(be)
     rhs = sum(b * v for b, v in zip(be, reversed(x))) * sum(al)
-    if lhs >= rhs:
-        return True
-    if isinstance(lhs, Rational) and isinstance(rhs, Rational):
-        return False
-    return rhs - lhs <= 1e-9 * max(1, abs(lhs), abs(rhs))
+    return not violates(lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -336,7 +332,7 @@ class RatioTable:
 
     def to_csv(self) -> str:
         out = io.StringIO()
-        writer = csv.writer(out)
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["param", "bound", "mode"])
         for p, b, m in self.rows:
             writer.writerow([p, _plain(b), m])

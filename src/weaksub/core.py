@@ -191,8 +191,10 @@ class SetFunction:
     the state of the empty set, ``step(state, e)`` returns the state of the
     set plus element ``e`` (``e`` above every element already in it), and
     ``state[0]`` is the set's value, equal to ``value(mask)`` in value and
-    type.  Builders offer it only when every input number is an int or a
-    ``Fraction``, so summing in another order stays exact; otherwise
+    type.  A builder whose evaluator folds ``step`` over the set's elements
+    in ascending order offers it for every input.  A builder whose evaluator
+    sums in another order offers it only when every input number is an int
+    or a ``Fraction``, so the order cannot change a value; otherwise
     ``extend`` is None.
     """
 
@@ -332,13 +334,14 @@ def violates(lhs: Value, rhs: Value) -> bool:
     """True when lhs < rhs by more than the arithmetic-aware tolerance.
 
     Exact values (int/Fraction) are compared with zero tolerance; floats get
-    RELATIVE_TOL * max(1, |lhs|, |rhs|) of slack to absorb roundoff.
+    RELATIVE_TOL * max(1, |lhs|, |rhs|) of slack to absorb roundoff.  A NaN
+    side always violates.
     """
     if lhs >= rhs:
         return False
     if _is_exact(lhs) and _is_exact(rhs):
         return True
-    return rhs - lhs > RELATIVE_TOL * max(1, abs(lhs), abs(rhs))
+    return not rhs - lhs <= RELATIVE_TOL * max(1, abs(lhs), abs(rhs))
 
 
 def _require_mode(mode: str, samples, seed) -> None:

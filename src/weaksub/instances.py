@@ -11,7 +11,8 @@ optional solver/checker options:
     }
 
 Decimal literals are parsed as exact rationals, and integral ones as ints,
-so integer-valued fixtures stay integer-valued end to end.
+so integer-valued fixtures stay integer-valued end to end.  ``NaN``,
+``Infinity`` and ``-Infinity``, which ``json`` accepts, are schema errors.
 """
 
 from __future__ import annotations
@@ -34,8 +35,14 @@ def _exact(v: Fraction) -> int | Fraction:
     return int(v) if v.denominator == 1 else v
 
 
+def _non_finite(token: str):
+    raise SchemaError(f"non-finite number {token} is not allowed")
+
+
 def parse_json(text: str) -> Any:
-    return json.loads(text, parse_float=lambda s: _exact(Fraction(s)))
+    return json.loads(
+        text, parse_float=lambda s: _exact(Fraction(s)), parse_constant=_non_finite
+    )
 
 
 def _params(spec: dict) -> dict:

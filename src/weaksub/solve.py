@@ -11,7 +11,8 @@ instances; both oracles keep the first maximizer in their enumeration order.
 The cardinality oracle walks its sets depth-first, building each from its
 prefix with the function's ``extend`` step; when the function offers one,
 brute force neither reads nor writes the memo.  Greedy and local search
-evaluate through ``f.value``.
+evaluate through ``f.value`` and keep the values they evaluate, so neither
+reads the oracle again for a set it has just evaluated.
 """
 
 from __future__ import annotations
@@ -77,10 +78,10 @@ def greedy_cardinality(f: SetFunction, p: int) -> SolveResult:
         raise ValueError(f"p = {p} exceeds ground size {n}")
     _check_solver_claims(f, "greedy")
 
-    mask, trace = _greedy_basis(f, Matroid.uniform(f.ground, p), 0)
+    mask, value, trace = _greedy_basis(f, Matroid.uniform(f.ground, p), 0)
     return SolveResult(
         selected=Subset(f.ground, mask),
-        value=f.value(mask),
+        value=value,
         iterations=p,
         trace=trace,
         certificate={
@@ -92,30 +93,33 @@ def greedy_cardinality(f: SetFunction, p: int) -> SolveResult:
     )
 
 
-def _greedy_basis(f: SetFunction, matroid: Matroid, start_mask: int) -> tuple[int, tuple]:
+def _greedy_basis(
+    f: SetFunction, matroid: Matroid, start_mask: int
+) -> tuple[int, Value, tuple]:
     """Complete a mask to a basis by best-marginal-gain feasible additions.
 
-    Returns the basis mask and one ``(step, label, value)`` row per addition.
-    Ties break toward the smallest index.
+    Returns the basis mask, its value and one ``(step, label, value)`` row
+    per addition.  Ties break toward the smallest index.
     """
     mask = start_mask
     n = f.ground.n
     trace = []
+    base = f.value(mask)
     while mask.bit_count() < matroid.rank:
-        base = f.value(mask)
-        best_gain = None
-        best_e = None
+        best_gain = best_value = best_e = None
         for e in range(n):
             if mask >> e & 1 or not matroid.is_independent_mask(mask | (1 << e)):
                 continue
-            gain = f.value(mask | (1 << e)) - base
+            value = f.value(mask | (1 << e))
+            gain = value - base
             if best_gain is None or gain > best_gain:
-                best_gain, best_e = gain, e
+                best_gain, best_value, best_e = gain, value, e
         if best_e is None:
             raise RuntimeError("independence oracle inconsistent: basis unreachable")
         mask |= 1 << best_e
-        trace.append((len(trace) + 1, f.ground.label(best_e), f.value(mask)))
-    return mask, tuple(trace)
+        base = best_value
+        trace.append((len(trace) + 1, f.ground.label(best_e), base))
+    return mask, base, tuple(trace)
 
 
 def local_search_matroid(
@@ -142,13 +146,12 @@ def local_search_matroid(
 
     if init is not None and not matroid.is_independent(init):
         raise ValueError("init must be independent")
-    mask, _ = _greedy_basis(f, matroid, 0 if init is None else init.mask)
+    mask, current, _ = _greedy_basis(f, matroid, 0 if init is None else init.mask)
 
     n = f.ground.n
-    trace = [(0, None, f.value(mask))]
+    trace = [(0, None, current)]
     swaps = 0
     while max_iters is None or swaps < max_iters:
-        current = f.value(mask)
         bar = current + epsilon * current
         found = False
         for u in range(n):
@@ -161,12 +164,11 @@ def local_search_matroid(
                 candidate = with_u & ~(1 << v)
                 if not matroid.is_independent_mask(candidate):
                     continue
-                if f.value(candidate) > bar:
-                    mask = candidate
+                value = f.value(candidate)
+                if value > bar:
+                    mask, current = candidate, value
                     swaps += 1
-                    trace.append(
-                        (swaps, (f.ground.label(u), f.ground.label(v)), f.value(mask))
-                    )
+                    trace.append((swaps, (f.ground.label(u), f.ground.label(v)), current))
                     found = True
                     break
             if found:
@@ -177,7 +179,7 @@ def local_search_matroid(
     selected = Subset(f.ground, mask)
     return SolveResult(
         selected=selected,
-        value=f.value(mask),
+        value=current,
         iterations=swaps,
         trace=tuple(trace),
         certificate={

@@ -4,7 +4,11 @@ Each builder returns a ``SetFunction`` whose ``claims`` record what the
 construction guarantees.  Integer inputs stay in integer arithmetic, so the
 classic counterexample values reproduce exactly.  The linear, coverage,
 dispersion, segmentation and combination builders also offer an incremental
-``extend`` state (see ``SetFunction``) when all their numbers are exact.
+``extend`` state (see ``SetFunction``).  Linear and segmentation have no
+other definition: their evaluator folds their step over the set, so they
+offer ``extend`` for every input.  Dispersion and coverage evaluate a single
+set in another order, so they offer it only when all their numbers are
+exact; a combination offers it when every term does.
 """
 
 from __future__ import annotations
@@ -33,6 +37,21 @@ from .matroid import Matroid
 def _all_exact(values: Iterable) -> bool:
     """True when every number is an int or a ``Fraction`` (so sums are order-free)."""
     return all(type(x) is int or type(x) is Fraction for x in values)
+
+
+def _folded(start, step):
+    """The evaluator that applies ``step`` from ``start`` over a mask's elements
+    in ascending index order and returns the final ``state[0]``."""
+
+    def ev(mask: int) -> Value:
+        state = start
+        while mask:
+            low = mask & -mask
+            state = step(state, low.bit_length() - 1)
+            mask ^= low
+        return state[0]
+
+    return ev
 
 
 @dataclass(frozen=True)
@@ -113,7 +132,7 @@ class SegmentationMatrix:
         if any(len(row) != width for row in m):
             raise ValueError("segmentation matrix rows must have equal length")
         for i, row in enumerate(m):
-            if sum(row) < 0:
+            if not sum(row) >= 0:
                 raise ValueError(f"row {i} sums to {sum(row)} < 0 (average non-negativity)")
 
     @property
@@ -155,31 +174,28 @@ class Graph:
                 raise ValueError("self-loops are not allowed")
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
                 raise ValueError(f"edge ({u},{v}) endpoint out of range")
-            if w < 0:
+            if not w >= 0:
                 raise ValueError("edge weights must be nonnegative")
 
 
 def linear(weights: Sequence[Value], labels: Sequence[Hashable] | None = None) -> SetFunction:
     """f(S) = sum of per-element weights; modular, hence in every class here."""
     weights = tuple(weights)
-    if any(w < 0 for w in weights):
+    if any(not w >= 0 for w in weights):
         raise ValueError("linear weights must be nonnegative")
     ground = GroundSet(tuple(labels) if labels is not None else tuple(range(len(weights))))
     if ground.n != len(weights):
         raise ValueError("one weight per ground element required")
-
-    def ev(mask: int) -> Value:
-        return sum(w for i, w in enumerate(weights) if mask >> i & 1)
 
     def step(state, e: int):
         return (state[0] + weights[e],)
 
     return SetFunction(
         ground,
-        ev,
+        _folded((0,), step),
         name="linear",
         claims={NORMALIZED, NONNEGATIVE, MONOTONE, SUBMODULAR, WEAKLY_SUBMODULAR},
-        extend=((0,), step) if _all_exact(weights) else None,
+        extend=((0,), step),
     )
 
 
@@ -192,7 +208,8 @@ def coverage(
 
     ``covers[i]`` lists the items ground element i covers; ``weights`` maps
     item -> weight (default 1 each).  Referencing an item missing from an
-    explicit weights table is an error.
+    explicit weights table, or giving a covered item a weight that is not
+    nonnegative, is an error.
     """
     item_sets = [frozenset(c) for c in covers]
     items = sorted({x for c in item_sets for x in c}, key=repr)
@@ -202,6 +219,8 @@ def coverage(
         dangling = [x for x in items if x not in weights]
         if dangling:
             raise ValueError(f"covered items missing from weight table: {dangling}")
+        if any(not weights[x] >= 0 for x in items):
+            raise ValueError("coverage item weights must be nonnegative")
     ground = GroundSet(tuple(labels) if labels is not None else tuple(range(len(item_sets))))
     if ground.n != len(item_sets):
         raise ValueError("one cover set per ground element required")
@@ -282,17 +301,10 @@ def cross_dispersion(dist: DistanceMatrix, s_indices, t_indices) -> Value:
 def segmentation(matrix: SegmentationMatrix) -> SetFunction:
     """Column-wise best-row sum over the chosen rows, with value 0 on the empty set."""
     m = matrix.m
-    cols = matrix.cols
     ground = GroundSet.of_size(matrix.rows)
 
-    def ev(mask: int) -> Value:
-        if mask == 0:
-            return 0
-        idx = [i for i in range(matrix.rows) if mask >> i & 1]
-        return sum(max(m[i][j] for i in idx) for j in range(cols))
-
     # State: (value, column maxima), None for the empty set.  A tie keeps the
-    # earlier row's entry, as the evaluator's max over rows does.
+    # earlier row's entry, as ``max`` over the rows in index order does.
     def step(state, e: int):
         top = state[1]
         row = m[e]
@@ -300,13 +312,12 @@ def segmentation(matrix: SegmentationMatrix) -> SetFunction:
             row = [a if a >= b else b for a, b in zip(top, row)]
         return (sum(row), row)
 
-    exact = all(_all_exact(row) for row in m)
     return SetFunction(
         ground,
-        ev,
+        _folded((0, None), step),
         name="segmentation",
         claims={NORMALIZED, NONNEGATIVE, MONOTONE, WEAKLY_SUBMODULAR},
-        extend=((0, None), step) if exact else None,
+        extend=((0, None), step),
     )
 
 
@@ -334,7 +345,7 @@ def cardinality_polynomial(coeffs: Sequence[Value], n: int) -> SetFunction:
         raise ValueError("cardinality polynomials of degree >= 4 are refused")
     if coeffs and coeffs[0] != 0:
         raise ValueError("constant term must be zero (normalization)")
-    if any(c < 0 for c in coeffs):
+    if any(not c >= 0 for c in coeffs):
         raise ValueError("coefficients must be nonnegative")
     prof = cardinality_profile(coeffs)
     claims = {NORMALIZED, NONNEGATIVE, MONOTONE, WEAKLY_SUBMODULAR}
@@ -380,7 +391,8 @@ def linear_combination(fs: Sequence[SetFunction], alphas: Sequence[Value]) -> Se
     claim shared by all inputs.
 
     The combination offers ``extend`` (a tuple of per-term states) when every
-    term offers one and every alpha is exact.
+    term offers one.  Its value sums ``alpha * value`` over the terms in order,
+    as the evaluator does, so any alpha keeps it equal to the evaluator.
     """
     fs = list(fs)
     alphas = list(alphas)
@@ -388,7 +400,7 @@ def linear_combination(fs: Sequence[SetFunction], alphas: Sequence[Value]) -> Se
         raise ValueError("one coefficient per function required")
     if not fs:
         raise ValueError("need at least one function")
-    if any(a < 0 for a in alphas):
+    if any(not a >= 0 for a in alphas):
         raise ValueError("combination coefficients must be nonnegative")
     ground = fs[0].ground
     if any(f.ground != ground for f in fs):
@@ -399,7 +411,7 @@ def linear_combination(fs: Sequence[SetFunction], alphas: Sequence[Value]) -> Se
         return sum(a * f.value(mask) for a, f in zip(alphas, fs))
 
     extend = None
-    if _all_exact(alphas) and all(f.extend is not None for f in fs):
+    if all(f.extend is not None for f in fs):
         steps = [f.extend[1] for f in fs]
 
         def combine(states: tuple):

@@ -263,6 +263,9 @@ class TestRearrangement:
             mk = lambda: tuple(sorted((rng.randint(0, 30) for _ in range(n)), reverse=True))
             assert rearrangement_check(mk(), mk(), mk())
 
+    def test_nan_fails(self):
+        assert not rearrangement_check((1.0, 1.0), (1.0, 1.0), (math.nan, 0.0))
+
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
             rearrangement_check((1, 2), (2, 1), (2, 1))

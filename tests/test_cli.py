@@ -271,6 +271,57 @@ def test_malformed_field_exits_two(capsys, tmp_path, fields, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+_NAN = float("nan")
+_INF = float("inf")
+_REJECTED = [
+    (
+        "nan-weight",
+        {"function": {"type": "linear", "params": {"weights": [1, _NAN, 2]}}},
+        ("check",),
+    ),
+    (
+        "infinity-distance",
+        {"function": {"type": "dispersion", "params": {"distances": [[0, _INF], [_INF, 0]]}}},
+        ("check",),
+    ),
+    (
+        "minus-infinity-matrix-entry",
+        {"function": {"type": "segmentation", "params": {"matrix": [[1, 2], [_INF, -_INF]]}}},
+        ("check",),
+    ),
+    (
+        "nan-epsilon",
+        {"constraint": {"type": "uniform", "rank": 2}, "options": {"epsilon": _NAN}},
+        _LOCAL,
+    ),
+    (
+        "coverage-negative-weight",
+        {
+            "function": {
+                "type": "coverage",
+                "params": {"covers": [["a"], ["a", "b"]], "weights": {"a": -5, "b": 1}},
+            },
+            "constraint": {"type": "cardinality", "p": 2},
+        },
+        (*_GREEDY, "--compare", "exact"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, argv", [pytest.param(fields, argv, id=name) for name, fields, argv in _REJECTED]
+)
+def test_rejected_number_exits_two_with_empty_stdout(capsys, tmp_path, fields, argv):
+    # ``json.dumps`` writes NaN and infinities as the tokens ``json.loads`` accepts.
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"function": _LINEAR, **fields}))
+    code = main([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 class TestBoundsCommand:
     def test_greedy_table_json(self, capsys):
         code, report = run_json(capsys, "bounds", "greedy", "--range", "2..4")
@@ -292,6 +343,14 @@ class TestBoundsCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "param,bound,mode"
         assert len(lines) == 3
+
+    def test_csv_bytes(self, capsys):
+        # One line ending (LF) for every CSV the CLI writes, as in ``bench``.
+        code, out = run_cli(
+            capsys, "bounds", "greedy", "--range", "2..3", "--exact", "--format", "csv"
+        )
+        assert code == 0
+        assert out == "param,bound,mode\n2,4,rational\n3,13/3,rational\n"
 
     def test_exact_flag(self, capsys):
         code, out = run_cli(

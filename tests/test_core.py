@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -392,6 +393,29 @@ class TestToleranceModel:
         f = SetFunction(GroundSet.of_size(2), ev)
         assert check_monotone(f).passed
         assert check_submodular(f).passed
+
+    @staticmethod
+    def _nan_at(bad: int) -> SetFunction:
+        """|S| as a float, except NaN at the mask ``bad``."""
+        return SetFunction(
+            GroundSet.of_size(3), lambda mask: math.nan if mask == bad else mask.bit_count() * 1.0
+        )
+
+    @pytest.mark.parametrize(
+        "checker",
+        [check_normalized_nonnegative, check_monotone, check_submodular, check_weakly_submodular],
+    )
+    def test_nan_value_fails_exhaustive_checks(self, checker):
+        report = checker(self._nan_at(0b101))
+        assert not report.passed
+        assert math.isnan(report.witness.lhs) or math.isnan(report.witness.rhs)
+
+    def test_nan_value_fails_sampled_check(self):
+        # Seed 4 draws the masks 1, 2, 0 and then the NaN mask 5.
+        f = self._nan_at(0b101)
+        report = check_normalized_nonnegative(f, "sampled", samples=10, seed=4)
+        assert not report.passed and report.pairs_checked == 5
+        assert report.witness.S.mask == 0b101 and math.isnan(report.witness.lhs)
 
     def test_fraction_values_stay_exact(self):
         w = (Fraction(1, 3), Fraction(2, 3))

@@ -1,6 +1,8 @@
 import heapq
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import add
 from random import Random
 
 import pytest
@@ -37,6 +39,14 @@ from weaksub.zoo import (
     star_counterexample,
     threshold,
 )
+
+
+def _recording_reads(f):
+    """``f`` with ``f.value`` wrapped to record every mask it is read at."""
+    reads = []
+    value = f.value
+    f.value = lambda mask: reads.append(mask) or value(mask)
+    return f, reads
 
 
 class TestGreedy:
@@ -145,6 +155,15 @@ class TestGreedy:
             assert start.selected == res.selected
             assert start.trace == ((0, None, res.value),)
 
+    @pytest.mark.parametrize("n, p", [(0, 0), (5, 0), (5, 1), (7, 3), (8, 8)])
+    def test_reads_each_set_once(self, n, p):
+        # One read of the empty set, then n - i candidates at step i.
+        f, reads = _recording_reads(metric_dispersion(random_metric(n, 3)) if n else linear(()))
+        res = greedy_cardinality(f, p)
+        assert len(reads) == 1 + p * n - p * (p - 1) // 2
+        assert len(set(reads)) == len(reads)
+        assert res.value == SetFunction.value(f, res.selected.mask)
+
     def test_lazy_greedy_is_unsound_for_dispersion(self):
         # Points on a line at 0, 1, 3, 2: d(0, 1) = 1 < d(0, 2) = 3.
         pos = (0, 1, 3, 2)
@@ -201,6 +220,14 @@ class TestLocalSearch:
         values = [v for _, _, v in res.trace]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert res.iterations == len(res.trace) - 1
+
+    def test_keeps_the_values_it_evaluates(self):
+        f, reads = _recording_reads(metric_dispersion(random_metric(9, 2)))
+        res = local_search_matroid(f, random_partition_matroid(9, 3, 8))
+        assert res.iterations > 0
+        assert all(a != b for a, b in zip(reads, reads[1:]))
+        assert res.value == SetFunction.value(f, res.selected.mask)
+        assert res.trace[-1][2] == res.value
 
     def test_ratio_respects_analytic_bound(self):
         f = metric_dispersion(random_metric(8, 3))
@@ -436,18 +463,24 @@ _EXTEND_BUILDERS = {
         ],
         [1, Fraction(1)],
     ),
-}
-
-# Builders without ``extend``: float inputs and claim-free or cardinality-only functions.
-_GENERIC_BUILDERS = {
     "linear-float": lambda: linear((0.5, 1.5, 0.25, 1.5, 1.0)),
-    "dispersion-float": lambda: metric_dispersion(
-        DistanceMatrix(tuple(tuple(x / 2 for x in row) for row in random_metric(6, 14).d))
-    ),
     "segmentation-float": lambda: segmentation(
         SegmentationMatrix(((1.5, 0.0), (0.5, 2.0), (1.5, 2.0)))
     ),
+    # Column ties of 1 against 1.0 and 0.0 against -0.0 (and 0 against -0.0).
+    "segmentation-float-ties": lambda: segmentation(
+        SegmentationMatrix(
+            ((1, 0.0, 2, 0), (1.0, -0.0, 0.5, -0.0), (0.5, -0.0, 3, 0), (1, 0.0, 1, 0.0))
+        )
+    ),
     "combination-float-alpha": lambda: linear_combination([linear((1, 2, 3, 4, 5))], [0.5]),
+}
+
+# Builders without ``extend``: float dispersion and claim-free or cardinality-only functions.
+_GENERIC_BUILDERS = {
+    "dispersion-float": lambda: metric_dispersion(
+        DistanceMatrix(tuple(tuple(x / 2 for x in row) for row in random_metric(6, 14).d))
+    ),
     "threshold": lambda: threshold(2, 3, 7),
     "cardinality-power": lambda: cardinality_power(2, 7),
     "cardinality-profile": lambda: raw_cardinality_profile([0, 3, -1], 7),
@@ -556,3 +589,56 @@ class TestAllValuesWalk:
     def test_empty_ground_set(self):
         for f in (linear(()), threshold(1, 2, 0)):
             assert f.all_values() == [0]
+
+
+def _mixed_number(rng, low=0):
+    """An int, a float (not always dyadic), a Fraction or -0.0, at least ``low``."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(low, 5)
+    if kind == 1:
+        return rng.uniform(low, 5)
+    if kind == 2:
+        return Fraction(rng.randint(3 * low, 15), 3)
+    return -0.0
+
+
+class TestFoldedBuildersDifferential:
+    """Linear and segmentation evaluate by folding their step; an independent
+    reference fixes each value and its type on mixed int/float/Fraction inputs."""
+
+    @staticmethod
+    def _assert_matches(f, reference):
+        table = f.all_values()
+        for mask in range(1 << f.ground.n):
+            want = reference(mask)
+            for got in (f.value(mask), table[mask]):
+                assert type(got) is type(want) and repr(got) == repr(want), (mask, got, want)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_linear_is_a_left_to_right_sum(self, seed):
+        rng = Random(seed)
+        weights = [_mixed_number(rng) for _ in range(rng.randint(0, 7))]
+
+        def reference(mask):
+            return reduce(add, [w for i, w in enumerate(weights) if mask >> i & 1], 0)
+
+        self._assert_matches(linear(weights), reference)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_segmentation_sums_column_maxima(self, seed):
+        rng = Random(seed)
+        size, cols = rng.randint(1, 7), rng.randint(1, 4)
+        rows = []
+        while len(rows) < size:
+            row = tuple(_mixed_number(rng, low=-3) for _ in range(cols))
+            if sum(row) >= 0:
+                rows.append(row)
+
+        def reference(mask):
+            chosen = [row for i, row in enumerate(rows) if mask >> i & 1]
+            if not chosen:
+                return 0
+            return sum(max(row[j] for row in chosen) for j in range(cols))
+
+        self._assert_matches(segmentation(SegmentationMatrix(tuple(rows))), reference)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from random import Random
 
@@ -138,6 +139,28 @@ class TestCoverage:
     def test_dangling_item_rejected(self):
         with pytest.raises(ValueError):
             coverage([["a", "b"]], {"a": 1})
+
+    def test_negative_weight_rejected(self):
+        # Accepted, it would give the values [0, -5, -4, -4] under nonnegative claims.
+        with pytest.raises(ValueError, match="nonnegative"):
+            coverage([["a"], ["a", "b"]], {"a": -5, "b": 1})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: linear((1.0, math.nan, 2.0)),
+        lambda: coverage([["a"], ["b"]], {"a": 1, "b": math.nan}),
+        lambda: Graph(2, ((0, 1, math.nan),)),
+        lambda: SegmentationMatrix(((1.0, math.nan),)),
+        lambda: linear_combination([linear((1, 2))], [math.nan]),
+        lambda: cardinality_polynomial((0, math.nan), 3),
+    ],
+    ids=["linear", "coverage", "graph", "segmentation", "combination", "card_poly"],
+)
+def test_nan_fails_nonnegativity_checks(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestDispersion:
