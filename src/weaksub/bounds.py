@@ -3,9 +3,10 @@
 Every formula has a float fast path and an exact ``Fraction`` path
 (``exact=True``); the float path never materializes the huge powers directly,
 so it stays finite out to arbitrary parameter sizes, while the exact path is
-one pass of plain int arithmetic per parameter and serves as a cross-check.
-Exact ``greedy_ratio`` takes about 0.03 s at p = 100 and 0.4 s at p = 200,
-exact ``ls_bound`` about 0.4 s at s = 1000 (2-vCPU Xeon, Python 3.11).
+one pass of plain int arithmetic (a few Fraction operations for ``ls_bound``)
+per parameter and serves as a cross-check.  Exact ``greedy_ratio`` takes
+about 0.03 s at p = 100 and 0.4 s at p = 200, exact ``ls_bound`` about
+2.5 ms at s = 1000 (2-vCPU Xeon, Python 3.11).
 """
 
 from __future__ import annotations
@@ -167,7 +168,8 @@ def ls_discrete_bound(s: int, t: int, exact: bool = False):
 
         (2 s y^2 - 2 t y - 2 s) / ((2 s - t) y - 2 s),   y = ((s+1)/s)^t.
 
-    The denominator is provably positive on the stated range and is asserted.
+    The denominator is provably positive on the stated range (``ls_bound``
+    has the proof) and is asserted.
     """
     if not 2 <= t <= s:
         raise ValueError("need 2 <= t <= s")
@@ -181,51 +183,42 @@ def ls_discrete_bound(s: int, t: int, exact: bool = False):
 
 def ls_bound(s: int, exact: bool = False):
     """Worst-case OPT/local-search bound for a matroid of rank s: the maximum
-    of ls_discrete_bound(s, t) over t in 2..s (scanned, not assumed at t=s)."""
-    t, value = ls_bound_argmax(s, exact)
-    return value
+    of ls_discrete_bound(s, t) over t in 2..s, which is attained at t = s.
 
+    Proof that the bound is strictly increasing in t.  Write
+    l = s ln(1 + 1/s), r = t/s, a = r l, z = e^a = ((s+1)/s)^t and
+    c = 1 + 2 l.  From u - u^2/2 < ln(1+u) < u at u = 1/s,
+    3/4 <= 1 - 1/(2s) < l < 1, and 0 < a <= l for t in 2..s.  Dividing
+    numerator and denominator by s gives ls_discrete_bound(s, t) = h(r) =
+    N / D, which is g_continuous(((s+1)/s)^s, r), with dz/dr = l z and
 
-def ls_bound_argmax(s: int, exact: bool = False):
-    """(argmax t, max value) of the discrete local-search bound over t in 2..s.
+        N = 2 z^2 - 2 r z - 2,    D = (2 - r) z - 2.
 
-    Scans ``ls_discrete_bound(s, t)`` with the growth factor (s+1)/s formed
-    once.  The exact scan keeps y = A / B with A = (s+1)^t and B = s^t as
-    ints, compares candidates by cross-multiplying, and builds one Fraction
-    for the winner.  The first t attaining the maximum wins.
+    D > 0 on (0, 1]: e^a > 1 + a + a^2/2 and 2 - r > 0 give
+    D > (2 - r)(1 + a + a^2/2) - 2 = r q(r), where
+    q(r) = (2l - 1) + r (l^2 - l) - r^2 l^2 / 2.  q is concave in r, so on
+    [0, 1] it is at least min(q(0), q(1)); q(0) = 2l - 1 > 1/2 and
+    q(1) = l^2/2 + l - 1 >= 9/32 + 3/4 - 1 > 0.
+
+    h is strictly increasing on (0, 1]: with ' = d/dr, N' = z (4 l z - 2 - 2a)
+    and D' = z (2l - 1 - a), and collecting powers of z,
+
+        N' D - N D' = 2z [(c - a) z^2 - 2c z + (c + a)]
+                    = 2z (z - 1) ((c - a) z - (c + a)).
+
+    As z > 1 and D^2 > 0, h' has the sign of (c - a) e^a - (c + a).  Since
+    c - a > 0 (a < 1 < c), e^a > 1 + a + a^2/2 gives
+
+        (c - a) e^a - (c + a) > a [(1 + a/2)(c - a) - 2].
+
+    (1 + a/2)(c - a) is concave in a, equal to c = 1 + 2l > 2 at a = 0 and
+    to (1 + l)(1 + l/2) >= (7/4)(11/8) > 2 at a = l, so it exceeds 2 on all
+    of [0, l] and h' > 0.  Hence the maximum over t in 2..s is at t = s,
+    strictly; as s grows it tends to g_continuous(e, 1) ~ 10.22.
     """
     if s < 2:
         raise ValueError("need s >= 2")
-    if exact:
-        best_t = None
-        upper, lower = (s + 1) ** 2, s * s
-        for t in range(2, s + 1):
-            # The bound's numerator and denominator, both times B^2 > 0.
-            den = (2 * s - t) * upper - 2 * s * lower
-            if not den > 0:
-                raise ArithmeticError(f"nonpositive denominator at s={s}, t={t}")
-            den *= lower
-            num = 2 * s * upper * upper - 2 * t * upper * lower - 2 * s * lower * lower
-            if best_t is None or num * best_den > best_num * den:
-                best_t, best_num, best_den = t, num, den
-            upper *= s + 1
-            lower *= s
-        return best_t, Fraction(best_num, best_den)
-    # Every value is finite, so -inf only seeds the scan.  2s as a float is
-    # the conversion int-float arithmetic would do per step.
-    best_t, best = None, -math.inf
-    x = (s + 1) / s
-    two_s = float(2 * s)
-    for t in range(2, s + 1):
-        y = x**t
-        num = two_s * y * y - 2 * t * y - two_s
-        den = (two_s - t) * y - two_s
-        if not den > 0:
-            raise ArithmeticError(f"nonpositive denominator at s={s}, t={t}")
-        v = num / den
-        if v > best:
-            best_t, best = t, v
-    return best_t, best
+    return ls_discrete_bound(s, s, exact)
 
 
 _X_LOWER = 2.25

@@ -250,4 +250,6 @@ def load_instance(path: str) -> Instance:
         doc = parse_json(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("instance JSON is nested too deeply") from exc
     return Instance(doc)

@@ -133,10 +133,11 @@ def local_search_matroid(
 
     Starting from ``init`` (extended to a basis; default: a greedy basis),
     repeatedly apply the first swap (u in, v out) in ascending (u, v) order
-    that keeps a basis and improves the value beyond (1 + epsilon) times the
-    current one.  With epsilon = 0 the result is a true local optimum;
-    epsilon > 0 trades the guarantee's tightness for a polynomial pass count
-    on large instances.
+    that keeps a basis and raises the value above the current one and above
+    (1 + epsilon) times it (which lies below a negative current value).  Every
+    accepted swap strictly improves, so the search ends.  With epsilon = 0 the
+    result is a true local optimum; epsilon > 0 trades the guarantee's
+    tightness for a polynomial pass count on large instances.
     """
     if f.ground != matroid.ground:
         raise ValueError("function and matroid must share a ground set")
@@ -152,7 +153,7 @@ def local_search_matroid(
     trace = [(0, None, current)]
     swaps = 0
     while max_iters is None or swaps < max_iters:
-        bar = current + epsilon * current
+        bar = max(current, current + epsilon * current)
         found = False
         for u in range(n):
             if mask >> u & 1:

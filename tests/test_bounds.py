@@ -18,7 +18,6 @@ from weaksub.bounds import (
     greedy_ratio,
     greedy_ratio_table,
     ls_bound,
-    ls_bound_argmax,
     ls_bound_table,
     ls_discrete_bound,
     rearrangement_check,
@@ -177,14 +176,16 @@ class TestLocalSearchBound:
             ls_discrete_bound(5, 6)
 
     def test_bound_is_max_over_t_at_t_equals_s(self):
-        for s in (2, 3, 6, 17, 60):
-            t, value = ls_bound_argmax(s)
-            assert t == s
-            assert value == ls_bound(s)
-        for s in range(2, 61):
+        # ls_bound evaluates only t = s; the maximum over every t is the
+        # reference, and the exact values must rise strictly in t as the
+        # proof in ls_bound's docstring claims.
+        for s in range(2, 301):
+            best = max(ls_discrete_bound(s, t) for t in range(2, s + 1))
+            assert ls_bound(s) == best == ls_discrete_bound(s, s), s
+        for s in range(2, 81):
             values = [ls_discrete_bound(s, t, exact=True) for t in range(2, s + 1)]
-            best = max(values)
-            assert ls_bound_argmax(s, exact=True) == (2 + values.index(best), best), s
+            assert all(a < b for a, b in zip(values, values[1:])), s
+            assert ls_bound(s, exact=True) == values[-1], s
 
     def test_float_values_pinned_to_the_bit(self):
         pinned = {

@@ -54,6 +54,14 @@ def star_instance(tmp_path):
     return str(path)
 
 
+def nested_complements(depth):
+    """Instance text whose function is ``depth`` nested complement specs."""
+    spec = '{"type": "linear", "params": {"weights": [1, 2, 3]}}'
+    for _ in range(depth):
+        spec = '{"type": "complement", "params": {"function": ' + spec + "}}"
+    return '{"function": ' + spec + "}"
+
+
 class TestCheckCommand:
     def test_pass_exits_zero(self, capsys, dispersion_instance):
         code, report = run_json(
@@ -78,6 +86,25 @@ class TestCheckCommand:
     def test_missing_file_exits_two(self, capsys):
         code, _ = run_cli(capsys, "check", "/nonexistent/instance.json")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"function": ' + "[" * 100_000,
+            nested_complements(600),
+        ],
+        ids=["brackets", "complements"],
+    )
+    def test_deeply_nested_json_exits_two(self, capsys, tmp_path, text):
+        # Too deep for the JSON decoder's recursion: a schema error, not a
+        # traceback under exit 1 ("property violated").
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code = main(["check", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     def test_sampled_mode_flags(self, capsys, dispersion_instance):
         code, report = run_json(

@@ -276,6 +276,28 @@ class TestLocalSearch:
         with pytest.raises(ValueError):
             local_search_matroid(f, Matroid.uniform(f.ground, 1), epsilon=-1)
 
+    @pytest.mark.parametrize(
+        "rank, epsilon, max_iters",
+        [
+            (4, Fraction(1, 2), None),
+            (4, 0.25, 1000),
+            (5, Fraction(1, 2), 1000),
+            (5, 0.25, 1000),
+            (6, Fraction(1, 2), 1000),
+            (6, 0.25, 1000),
+        ],
+    )
+    def test_epsilon_on_negative_values_stops(self, rank, epsilon, max_iters):
+        # Every basis has the same negative value, and (1 + epsilon) times a
+        # negative value lies below it: an equal-valued swap must not count
+        # as an improvement, or the search cycles until max_iters.
+        f = raw_cardinality_profile([0, 3, -1], 7)
+        res = local_search_matroid(
+            f, Matroid.uniform(f.ground, rank), epsilon=epsilon, max_iters=max_iters
+        )
+        assert res.iterations == 0
+        assert res.value == 3 * rank - rank * rank
+
     def test_determinism(self):
         f = segmentation(random_segmentation(8, 5, 61))
         m = random_partition_matroid(8, 3, 62)
