@@ -531,7 +531,7 @@ def _first_pair_violation_scalar(values: list[Value], sides) -> tuple[int, int] 
 
     Unordered pairs {S, T} in lexicographic bitmask order (T >= S); the
     definitions are symmetric so half the square suffices.  Float tables use
-    this path; the exact kernels must agree with it pair for pair.
+    this path; the exact lane kernel must agree with it pair for pair.
     """
     value = values.__getitem__
     total = len(values)
@@ -542,16 +542,107 @@ def _first_pair_violation_scalar(values: list[Value], sides) -> tuple[int, int] 
     return None
 
 
+def _first_pair_violation_lanes(table: list[int], weighted: bool) -> tuple[int, int] | None:
+    """The first (S, T), T >= S, in the scalar scan's order where an int table
+    breaks weak submodularity (``weighted``) or submodularity.
+
+    Row S holds every T at once: one int of W-bit lanes, one lane per set.
+    The table is shifted by its minimum first, so every lane is >= 0.  The
+    shift adds the same amount to both sides, c (|S| + |T|) for the weak
+    inequality because |S & T| + |S | T| = |S| + |T|, and 2c for the
+    submodular one.  W is a whole number of bytes above the largest side
+    (2n or 2 times the shifted maximum) and its top bit is a guard: in
+    (lhs + guards) - rhs no lane borrows from the next, and lane T's guard
+    is cleared exactly when lhs < rhs at (S, T).
+
+    X[T] = f(S | T) and Y[T] = f(S & T) copy lanes across each bit in S and
+    each bit outside it, one mask and one shift per bit.  Then
+    |S & T| X is the sum over b in S of X's lanes whose T holds b, and
+    |S | T| Y is |S| Y plus the same sum of Y over b outside S.  Both
+    inequalities are symmetric in S and T, so a cleared guard in a lane
+    below S would have ended the scan at that row: the lowest cleared guard
+    of the first row with one is the scalar scan's first pair.
+
+    A row needs no lane below the sets that share S's leading run of top
+    bits: every T >= S has them, and so do S | T and S & T.  Rows are taken
+    in blocks by that run, so half of them use half-length ints, a quarter
+    quarter-length ones, and so on (about 2/3 of the full-length work).
+    """
+    total = len(table)
+    n = total.bit_length() - 1
+    low = min(table)
+    reach = (max(table) - low) * (2 * n if weighted else 2)
+    size = reach.bit_length() // 8 + 1  # bytes per lane, the guard bit included
+    width = 8 * size
+    empty, full = bytes(size), b"\xff" * size
+
+    def pack(values) -> int:
+        return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in values]), "little")
+
+    def lanes(pattern: bytes, repeat: int) -> int:
+        return int.from_bytes(pattern * repeat, "little")
+
+    for k in range(n, -1, -1):
+        # Rows S from ``start`` to ``stop`` hold the n - k top bits and not
+        # bit k - 1.  They read only the last 2**k sets, set start + i in
+        # lane i, which differ in the k low bits alone.
+        start, stop = total - (1 << k), total - (1 << k) // 2
+        tab = pack([v - low for v in table[start:]])
+        guards = lanes(bytes(size - 1) + b"\x80", 1 << k)
+        holds = [lanes(empty * (1 << b) + full * (1 << b), 1 << k - b - 1) for b in range(k)]
+        lacks = [lanes(full, 1 << k) ^ m for m in holds]
+        shifts = [width << b for b in range(k)]
+        if weighted:
+            coef = pack([T.bit_count() for T in range(start, total)])
+            lifted = [c * tab + guards for c in range(n + 1)]
+        else:
+            coef = lanes(b"\x01" + bytes(size - 1), 1 << k)
+            lifted = [tab + guards] * (n + 1)
+        for S in range(start, stop):
+            X = Y = tab
+            for b in range(k):
+                if S >> b & 1:
+                    part = X & holds[b]
+                    X = part | part >> shifts[b]
+                else:
+                    part = Y & lacks[b]
+                    Y = part | part << shifts[b]
+            c = S.bit_count()
+            if weighted:
+                rhs = c * Y + (n - k) * X  # each top bit is in S & T
+                for b in range(k):
+                    rhs += (X if S >> b & 1 else Y) & holds[b]
+            else:
+                rhs = X + Y
+            diff = coef * (table[S] - low) + lifted[c] - rhs
+            bad = guards ^ diff & guards
+            if bad:
+                return S, start + ((bad & -bad).bit_length() - 1) // width
+    return None
+
+
 def _check_pairwise(
     f: SetFunction,
     kind: PropertyKind,
     sides,  # (value, S, T) -> (lhs, rhs)
-    kernel,  # int table -> first violating (S, T) | None
+    weighted: bool,  # weak submodularity's weights in the lane kernel
     mode: str,
     samples: int | None,
     seed: int | None,
     limits: CheckerLimits,
 ) -> CheckReport:
+    """Exhaustive or sampled scan of one symmetric pairwise inequality.
+
+    The exhaustive scan reads the full value table.  Exact tables (ints and
+    Fractions, scaled to ints) go through the lane kernel, which computes a
+    whole row S against every T in one big int of fixed-width lanes, after
+    shifting the table by its minimum so that no lane is negative.  The
+    shift is allowed because adding c to f adds the same to both sides:
+    2c for submodularity, and c (|S| + |T|) = c (|S & T| + |S | T|) for
+    weak submodularity.  Float tables take the scalar scan with
+    ``violates``.  Both report the first violating pair of the row-major
+    scan over T >= S.
+    """
     _require_mode(mode, samples, seed)
     n = f.ground.n
 
@@ -567,7 +658,7 @@ def _check_pairwise(
         if table is None:
             hit = _first_pair_violation_scalar(values, sides)
         else:
-            hit = kernel(table)
+            hit = _first_pair_violation_lanes(table, weighted)
         if hit is None:
             return CheckReport(kind, "exhaustive", total * (total + 1) // 2, True, None)
         S, T = hit
@@ -594,16 +685,6 @@ def _submodular_sides(value, S: int, T: int) -> tuple[Value, Value]:
     return value(S) + value(T), value(S | T) + value(S & T)
 
 
-def _submodular_kernel(table: list[int]) -> tuple[int, int] | None:
-    total = len(table)
-    for S in range(total):
-        fS = table[S]
-        for T in range(S, total):
-            if fS + table[T] < table[S | T] + table[S & T]:
-                return S, T
-    return None
-
-
 def check_submodular(
     f: SetFunction,
     mode: str = "exhaustive",
@@ -618,8 +699,7 @@ def check_submodular(
     ``jobs`` is accepted for compatibility and ignored.
     """
     return _check_pairwise(
-        f, PropertyKind.SUBMODULAR, _submodular_sides, _submodular_kernel,
-        mode, samples, seed, limits,
+        f, PropertyKind.SUBMODULAR, _submodular_sides, False, mode, samples, seed, limits
     )
 
 
@@ -628,18 +708,6 @@ def _weak_sides(value, S: int, T: int) -> tuple[Value, Value]:
     lhs = T.bit_count() * value(S) + S.bit_count() * value(T)
     rhs = inter.bit_count() * value(union) + union.bit_count() * value(inter)
     return lhs, rhs
-
-
-def _weak_kernel(table: list[int]) -> tuple[int, int] | None:
-    total = len(table)
-    pc = [m.bit_count() for m in range(total)]
-    for S in range(total):
-        fS, cS = table[S], pc[S]
-        for T in range(S, total):
-            U, I = S | T, S & T
-            if pc[T] * fS + cS * table[T] < pc[I] * table[U] + pc[U] * table[I]:
-                return S, T
-    return None
 
 
 def check_weakly_submodular(
@@ -661,8 +729,7 @@ def check_weakly_submodular(
     is accepted for compatibility and ignored.
     """
     return _check_pairwise(
-        f, PropertyKind.WEAKLY_SUBMODULAR, _weak_sides, _weak_kernel,
-        mode, samples, seed, limits,
+        f, PropertyKind.WEAKLY_SUBMODULAR, _weak_sides, True, mode, samples, seed, limits
     )
 
 

@@ -3,12 +3,14 @@
 Each builder returns a ``SetFunction`` whose ``claims`` record what the
 construction guarantees.  Integer inputs stay in integer arithmetic, so the
 classic counterexample values reproduce exactly.  The linear, coverage,
-dispersion, segmentation and combination builders also offer an incremental
-``extend`` state (see ``SetFunction``).  Linear and segmentation have no
-other definition: their evaluator folds their step over the set, so they
-offer ``extend`` for every input.  Dispersion and coverage evaluate a single
-set in another order, so they offer it only when all their numbers are
-exact; a combination offers it when every term does.
+dispersion, segmentation, threshold, max-cut and combination builders also
+offer an incremental ``extend`` state (see ``SetFunction``).  Linear and
+segmentation have no other definition: their evaluator folds their step over
+the set, so they offer ``extend`` for every input, and so does threshold,
+whose step only counts.  Dispersion and coverage evaluate a single set in
+another order, so they offer it only when all their numbers are exact;
+max-cut offers it only when every weight is an int; a combination offers it
+when every term does.
 """
 
 from __future__ import annotations
@@ -378,11 +380,18 @@ def threshold(k: int, bonus: Value, n: int) -> SetFunction:
         claims.add(SUBMODULAR)
     ground = GroundSet.of_size(n)
     zero = 0 * bonus  # matches the arithmetic type of bonus
+
+    # State: (value, size); the value is the evaluator's own bonus or zero.
+    def step(state, e: int):
+        size = state[1] + 1
+        return (bonus if size >= k else zero, size)
+
     return SetFunction(
         ground,
         lambda mask: bonus if mask.bit_count() >= k else zero,
         name=f"threshold(k={k})",
         claims=claims,
+        extend=((zero, 0), step),
     )
 
 
@@ -455,14 +464,39 @@ def zero_at_top(f: SetFunction) -> SetFunction:
 
 def max_cut(graph: Graph) -> SetFunction:
     """Total weight of edges crossing (S, V - S); an intentionally non-monotone
-    fixture, so it claims only normalization and nonnegativity."""
+    fixture, so it claims only normalization and nonnegativity.
+
+    ``extend`` is offered when every weight is an int: adding e gains its
+    edges to the outside and loses those to the set.  With a ``Fraction``
+    weight that step can end at ``Fraction(0)`` where the evaluator's sum is
+    the int 0, so there is no ``extend`` then.
+    """
     edges = graph.edges
     ground = GroundSet.of_size(graph.n_vertices)
 
     def ev(mask: int) -> Value:
         return sum(w for (u, v, w) in edges if (mask >> u & 1) != (mask >> v & 1))
 
-    return SetFunction(ground, ev, name="max_cut", claims={NORMALIZED, NONNEGATIVE})
+    # State: (value, mask of the set); ends[e] lists (bit of the other end, weight).
+    ends = [[] for _ in range(graph.n_vertices)]
+    for u, v, w in edges:
+        ends[u].append((1 << v, w))
+        ends[v].append((1 << u, w))
+
+    def step(state, e: int):
+        value, mask = state
+        for bit, w in ends[e]:
+            value += -w if mask & bit else w
+        return (value, mask | 1 << e)
+
+    exact = all(type(w) is int for _, _, w in edges)
+    return SetFunction(
+        ground,
+        ev,
+        name="max_cut",
+        claims={NORMALIZED, NONNEGATIVE},
+        extend=((0, 0), step) if exact else None,
+    )
 
 
 def star_counterexample(n: int) -> Graph:

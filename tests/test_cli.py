@@ -792,19 +792,24 @@ class TestReportStability:
         assert a["command"] == b["command"]
 
 
-def test_cli_import_stays_light():
+def test_cli_import_stays_light(dispersion_instance):
     # Importing numpy or scipy would add ~0.15 s and ~11 MB to every command,
     # and a thread pool behind `bench --jobs` gains nothing under the GIL.
+    # `check` on an int table runs the lane kernel, which is plain ints too.
     code = (
         "import contextlib, io, sys, weaksub.cli\n"
-        "heavy = sorted({'numpy', 'scipy'} & set(sys.modules))\n"
-        "argv = ['bench', 'dispersion', '--count', '3', '--n', '6', '--jobs', '2']\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    exit_code = weaksub.cli.main(argv)\n"
-        "print(heavy, exit_code, 'concurrent.futures' in sys.modules)"
+        "def heavy():\n"
+        "    return sorted({'numpy', 'scipy'} & set(sys.modules))\n"
+        "seen = [heavy()]\n"
+        "for argv in (['bench', 'dispersion', '--count', '3', '--n', '6', '--jobs', '2'],\n"
+        "             ['check', sys.argv[1], '--property', 'weakly_submodular']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        seen.append((weaksub.cli.main(argv), heavy()))\n"
+        "print(seen, 'concurrent.futures' in sys.modules)"
     )
     env = {"PYTHONPATH": str(Path(weaksub.__file__).parents[1])}
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, dispersion_instance],
+        env=env, capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == "[] 0 False"
+    assert out.strip() == "[[], (0, []), (0, [])] False"

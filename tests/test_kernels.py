@@ -355,6 +355,171 @@ def test_generated_quarter_metrics_pass(quarters):
     assert check_weakly_submodular(f).passed
 
 
+# -- the lane kernel -------------------------------------------------------
+
+
+def lane_hits(values):
+    """The lane kernel's first pairs (weak, submodular), each equal to the scalar scan's."""
+    table = core._exact_table(values)
+    hits = []
+    for weighted, sides in ((True, core._weak_sides), (False, core._submodular_sides)):
+        hit = core._first_pair_violation_lanes(table, weighted)
+        assert hit == core._first_pair_violation_scalar(values, sides), weighted
+        hits.append(hit)
+    return hits
+
+
+def assert_lanes_agree(values):
+    lane_hits(values)
+    assert_agree(table_function(values))
+
+
+SMALL = (0, 1, -1, 3, Fraction(1, 3), Fraction(-5, 2), 2**200, -(2**200))
+
+
+def test_lanes_on_empty_and_singleton_ground_sets():
+    for v in SMALL:
+        assert lane_hits([v]) == [None, None]
+        assert_lanes_agree([v])
+    for a in SMALL:
+        for b in SMALL:
+            assert lane_hits([a, b]) == [None, None]  # every pair of n = 1 is nested
+            assert_lanes_agree([a, b])
+
+
+def test_lanes_on_constant_tables():
+    # A constant meets both inequalities with equality on every pair.
+    for n in range(7):
+        for c in (0, 7, -5, 2**90, Fraction(-7, 3)):
+            values = [c] * (1 << n)
+            assert lane_hits(values) == [None, None]
+            if n <= 4:
+                assert_lanes_agree(values)
+
+
+def test_lanes_on_negative_tables():
+    rng = Random(12)
+    for n in range(1, 6):
+        for _ in range(6):
+            values = [rng.randint(-40, -1) for _ in range(1 << n)]
+            assert_lanes_agree(values)
+        assert_lanes_agree([-(m.bit_count() ** 2) - 1 for m in range(1 << n)])
+        assert_lanes_agree([-(2**100) + m for m in range(1 << n)])
+
+
+def test_one_huge_value_among_small_ones():
+    # 2**200 sets the lane width; the small values still decide the witness.
+    rng = Random(200)
+    for n in range(1, 6):
+        for spot in sorted({0, 1, (1 << n) - 1, rng.randrange(1 << n)}):
+            for huge in (2**200, -(2**200), 2**200 + 1):
+                small = [rng.randint(0, 9) for _ in range(1 << n)]
+                small[spot] = huge
+                assert_lanes_agree(small)
+                cardinal = [m.bit_count() for m in range(1 << n)]
+                cardinal[spot] = huge
+                assert_lanes_agree(cardinal)
+
+
+def test_lanes_on_mixed_int_fraction_tables():
+    rng = Random(34)
+    found = set()
+    for n in range(1, 6):
+        for _ in range(8):
+            values = [
+                rng.randint(-6, 6) if rng.random() < 0.5 else Fraction(rng.randint(-20, 20), 7)
+                for _ in range(1 << n)
+            ]
+            assert_lanes_agree(values)
+            found.add(tuple(hit is None for hit in lane_hits(values)))
+    assert (False, False) in found
+
+
+def planted(n, i, j, weighted, offset=0, scale=1):
+    """A table whose only violating pair is (full - {j}, full - {i}), i < j.
+
+    Weak: (n - 1) |S| with both sets lowered by 2; their pair has slack
+    2(n - 1) and loses 4(n - 1), any other pair loses at most its slack.
+    Submodular: 2 m (2n - m) at m = |S| with both lowered by 3; the slack
+    of an incomparable pair is 4 |S - T| |T - S|, so only theirs (4) is
+    less than the 6 it loses.  Any offset and positive scale keep that.
+    """
+    full = (1 << n) - 1
+    S0, T0 = full ^ 1 << j, full ^ 1 << i
+    if weighted:
+        values = [(n - 1) * m.bit_count() for m in range(1 << n)]
+        drop = 2
+    else:
+        values = [2 * m.bit_count() * (2 * n - m.bit_count()) for m in range(1 << n)]
+        drop = 3
+    values[S0] -= drop
+    values[T0] -= drop
+    return [scale * v + offset for v in values], (S0, T0)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_violations_planted_in_the_last_rows(seed):
+    rng = Random(seed)
+    n = rng.randint(2, 6)
+    i, j = sorted(rng.sample(range(n), 2)) if seed % 3 else (0, 1)
+    offset = rng.choice([0, rng.randint(-(2**70), 2**70), Fraction(rng.randint(-9, 9), 4)])
+    scale = rng.choice([1, rng.randint(2, 10**6), Fraction(rng.randint(1, 9), 5)])
+    for weighted, check in ((True, check_weakly_submodular), (False, check_submodular)):
+        values, pair = planted(n, i, j, weighted, offset, scale)
+        assert lane_hits(values)[0 if weighted else 1] == pair
+        report = check(table_function(values))
+        assert (report.witness.S.mask, report.witness.T.mask) == pair
+        assert report.pairs_checked == pair_position(*pair, 1 << n)
+        assert_lanes_agree(values)
+    if (i, j) == (0, 1):  # the pair in rows 2**n - 3 and 2**n - 2
+        assert pair == ((1 << n) - 3, (1 << n) - 2)
+
+
+def test_planted_violation_at_the_cap():
+    # n = 12: the pair is in the last three of 4096 rows.
+    for weighted in (True, False):
+        values, pair = planted(12, 0, 1, weighted, offset=-(2**40), scale=3)
+        assert core._first_pair_violation_lanes(values, weighted) == pair == (4093, 4094)
+
+
+def test_star_check_is_pinned():
+    f = max_cut(star_counterexample(8))
+    report = check_weakly_submodular(f)
+    w = report.witness
+    assert report.pairs_checked == 230910
+    assert (w.S.mask, w.T.mask, w.lhs, w.rhs) == (257, 894, 72, 74)
+    assert type(w.lhs) is int and type(w.rhs) is int
+    sub = check_submodular(f)
+    assert sub.passed and sub.pairs_checked == 1024 * 1025 // 2
+
+
+def _pair_outcomes(f):
+    """(passed, pairs_checked, S, T) of the weak and the submodular check."""
+    out = []
+    for check in (check_weakly_submodular, check_submodular):
+        r = check(f)
+        w = r.witness
+        out.append((r.passed, r.pairs_checked) + ((None,) if w is None else (w.S.mask, w.T.mask)))
+    return out
+
+
+EXACT = st.integers(-6, 9) | st.integers(-(2**80), 2**80) | st.fractions(-4, 4, max_denominator=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tables(EXACT),
+    st.integers(-(2**90), 2**90) | st.fractions(max_denominator=12),
+    st.integers(1, 10**6) | st.integers(1, 2**100),
+)
+def test_verdicts_survive_shift_and_scale(values, shift, scale):
+    # The lane kernel shifts every table by its minimum; the scaled int table
+    # multiplies it by the lcm of the denominators.
+    outcome = _pair_outcomes(table_function(values))
+    assert _pair_outcomes(table_function([v + shift for v in values])) == outcome
+    assert _pair_outcomes(table_function([scale * v for v in values])) == outcome
+
+
 # -- floats stay on the tolerance path -------------------------------------
 
 

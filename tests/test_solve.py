@@ -22,6 +22,7 @@ from weaksub.instances import _on_declared_ground
 from weaksub.matroid import Matroid, random_partition_matroid
 from weaksub.zoo import (
     DistanceMatrix,
+    Graph,
     SegmentationMatrix,
     cardinality_power,
     complement,
@@ -446,6 +447,12 @@ def _tied_segmentation():
     )
 
 
+def _cut_graph(weights):
+    """A graph on 6 vertices: a 6-cycle, then chords, one edge per weight."""
+    pairs = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4))
+    return Graph(6, tuple((u, v, w) for (u, v), w in zip(pairs, weights)))
+
+
 # Builders that offer ``extend``: int, Fraction and mixed inputs, several with ties.
 _EXTEND_BUILDERS = {
     "linear-int": lambda: linear((3, 1, 4, 1, 5, 9, 2)),
@@ -496,14 +503,22 @@ _EXTEND_BUILDERS = {
         )
     ),
     "combination-float-alpha": lambda: linear_combination([linear((1, 2, 3, 4, 5))], [0.5]),
+    "threshold": lambda: threshold(2, 3, 7),
+    "threshold-fraction": lambda: threshold(3, Fraction(5, 2), 6),
+    "threshold-float": lambda: threshold(1, 0.5, 5),
+    "max-cut-int": lambda: max_cut(_cut_graph((2, 0, 5, 1, 3, 3, 1, 4))),
+    "max-cut-star": lambda: max_cut(star_counterexample(4)),
 }
 
-# Builders without ``extend``: float dispersion and claim-free or cardinality-only functions.
+# Builders without ``extend``: float dispersion, max-cut with a Fraction or
+# float weight, and claim-free or cardinality-only functions.
 _GENERIC_BUILDERS = {
     "dispersion-float": lambda: metric_dispersion(
         DistanceMatrix(tuple(tuple(x / 2 for x in row) for row in random_metric(6, 14).d))
     ),
-    "threshold": lambda: threshold(2, 3, 7),
+    "max-cut-mixed": lambda: max_cut(_cut_graph((2, Fraction(1, 2), 0, Fraction(3), 1, 2, 1, 1))),
+    "max-cut-fraction": lambda: max_cut(_cut_graph(tuple(Fraction(w, 3) for w in (1, 3, 2, 0)))),
+    "max-cut-float": lambda: max_cut(_cut_graph((1.5, 2, 0.5, 1))),
     "cardinality-power": lambda: cardinality_power(2, 7),
     "cardinality-profile": lambda: raw_cardinality_profile([0, 3, -1], 7),
     "complement": lambda: complement(linear((1, 2, 3, 1, 2))),
@@ -544,7 +559,7 @@ class TestBruteForceCardinalityDifferential:
             assert state[0] == v and type(state[0]) is type(v), (mask, state[0], v)
 
     def test_generic_path_reads_through_the_memo(self):
-        f = threshold(2, 3, 5)
+        f = cardinality_power(2, 5)
         assert brute_force_cardinality(f, 2).enumerated == 16
         assert len(f._cache) == 16
 
