@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, count
+from itertools import compress, count, repeat
 from numbers import Rational
 from operator import lt
 from random import Random
@@ -353,6 +353,17 @@ def _require_mode(mode: str, samples, seed) -> None:
         raise ValueError(f"sampled mode needs samples >= 1, got {samples}")
 
 
+def _sampled(kind: PropertyKind, samples: int, seed: int, probes) -> CheckReport:
+    """The ``"sampled"`` report of ``probes``, which yield a witness or None
+    per probe: every probe up to the first witness is counted."""
+    checked, w = 0, None
+    for w in probes:
+        checked += 1
+        if w is not None:
+            break
+    return CheckReport(kind, "sampled", checked, w is None, w, samples=samples, seed=seed)
+
+
 def _exact_table(values: list[Value]) -> list[int] | None:
     """``values`` scaled to ints by the lcm of their denominators.
 
@@ -401,8 +412,7 @@ def check_normalized_nonnegative(
     n = f.ground.n
     kind = PropertyKind.NORMALIZED_NONNEGATIVE
 
-    def witness_for(mask: int) -> ViolationWitness | None:
-        v = f.value(mask)
+    def witness(mask: int, v: Value) -> ViolationWitness | None:
         if mask == 0:
             # Normalization: f(empty) must equal 0; orient the witness so lhs < rhs.
             zero = 0 if _is_exact(v) else 0.0
@@ -410,30 +420,30 @@ def check_normalized_nonnegative(
                 lo, hi = (v, zero) if v < zero else (zero, v)
                 return ViolationWitness(kind, Subset(f.ground, 0), None, lo, hi)
             return None
-        if violates(v, 0 if _is_exact(v) else 0.0):
+        if violates(v, 0):
             return ViolationWitness(kind, Subset(f.ground, mask), None, v, 0)
         return None
 
     if mode == "exhaustive":
         if n > limits.sign:
             raise CapExceeded(f"exhaustive sign check capped at n <= {limits.sign}")
-        # Each mask is read once, so a failing scan stops without filling 2^n values.
-        for mask in range(1 << n):
-            w = witness_for(mask)
-            if w is not None:
-                return CheckReport(kind, "exhaustive", mask + 1, False, w)
-        return CheckReport(kind, "exhaustive", 1 << n, True, None)
+        w = witness(0, f.value(0))  # a function that is not normalized fails on one read
+        if w is not None:
+            return CheckReport(kind, "exhaustive", 1, False, w)
+        values = f.all_values()
+        mask = next(compress(count(), map(violates, values, repeat(0))), None)
+        if mask is None:
+            return CheckReport(kind, "exhaustive", len(values), True, None)
+        return CheckReport(kind, "exhaustive", mask + 1, False, witness(mask, values[mask]))
 
-    rng = Random(seed)
-    w = witness_for(0)  # normalization is always part of the sampled check
-    checked = 1
-    if w is None:
+    def probes():
+        yield witness(0, f.value(0))  # normalization is always part of the sampled check
+        rng = Random(seed)
         for _ in range(samples):
-            checked += 1
-            w = witness_for(rng.getrandbits(n))
-            if w is not None:
-                break
-    return CheckReport(kind, "sampled", checked, w is None, w, samples=samples, seed=seed)
+            mask = rng.getrandbits(n)
+            yield witness(mask, f.value(mask))
+
+    return _sampled(kind, samples, seed, probes())
 
 
 def _first_monotone_violation(values: list[Value], n: int, less) -> tuple[int, int] | None:
@@ -506,24 +516,19 @@ def check_monotone(
         w = witness(S, S | bit, values[S | bit], values[S])
         return CheckReport(kind, "exhaustive", _adjacent_position(S, bit, n), False, w)
 
-    if n == 0:  # no adjacent pair exists, as the exhaustive scan reports
-        return CheckReport(kind, "sampled", 0, True, None, samples=samples, seed=seed)
-    rng = Random(seed)
-    full = f.ground.full_mask
-    w = None
-    checked = 0
-    for _ in range(samples):
-        mask = rng.getrandbits(n)
-        while mask == full:
+    def probes():
+        rng = Random(seed)
+        full = f.ground.full_mask
+        for _ in range(samples if n else 0):  # n = 0 has no adjacent pair to probe
             mask = rng.getrandbits(n)
-        e = rng.choice([i for i in range(n) if not mask >> i & 1])
-        checked += 1
-        bigger = mask | (1 << e)
-        lo, hi = f.value(bigger), f.value(mask)
-        if violates(lo, hi):
-            w = witness(mask, bigger, lo, hi)
-            break
-    return CheckReport(kind, "sampled", checked, w is None, w, samples=samples, seed=seed)
+            while mask == full:
+                mask = rng.getrandbits(n)
+            e = rng.choice([i for i in range(n) if not mask >> i & 1])
+            bigger = mask | (1 << e)
+            lo, hi = f.value(bigger), f.value(mask)
+            yield witness(mask, bigger, lo, hi) if violates(lo, hi) else None
+
+    return _sampled(kind, samples, seed, probes())
 
 
 def _first_pair_violation_scalar(values: list[Value], sides) -> tuple[int, int] | None:
@@ -634,14 +639,10 @@ def _check_pairwise(
     """Exhaustive or sampled scan of one symmetric pairwise inequality.
 
     The exhaustive scan reads the full value table.  Exact tables (ints and
-    Fractions, scaled to ints) go through the lane kernel, which computes a
-    whole row S against every T in one big int of fixed-width lanes, after
-    shifting the table by its minimum so that no lane is negative.  The
-    shift is allowed because adding c to f adds the same to both sides:
-    2c for submodularity, and c (|S| + |T|) = c (|S & T| + |S | T|) for
-    weak submodularity.  Float tables take the scalar scan with
-    ``violates``.  Both report the first violating pair of the row-major
-    scan over T >= S.
+    Fractions, scaled to ints) go through the lane kernel
+    (``_first_pair_violation_lanes``), float tables through the scalar scan
+    with ``violates``.  Both report the first violating pair of the
+    row-major scan over T >= S.
     """
     _require_mode(mode, samples, seed)
     n = f.ground.n
@@ -666,19 +667,14 @@ def _check_pairwise(
         w = witness(S, T, *sides(values.__getitem__, S, T))
         return CheckReport(kind, "exhaustive", _pair_position(S, T, total), False, w)
 
-    rng = Random(seed)
-    value = f.value
-    w = None
-    checked = 0
-    for _ in range(samples):
-        S = rng.getrandbits(n)
-        T = rng.getrandbits(n)
-        checked += 1
-        lhs, rhs = sides(value, S, T)
-        if violates(lhs, rhs):
-            w = witness(S, T, lhs, rhs)
-            break
-    return CheckReport(kind, "sampled", checked, w is None, w, samples=samples, seed=seed)
+    def probes():
+        rng = Random(seed)
+        for _ in range(samples):
+            S, T = rng.getrandbits(n), rng.getrandbits(n)
+            lhs, rhs = sides(f.value, S, T)
+            yield witness(S, T, lhs, rhs) if violates(lhs, rhs) else None
+
+    return _sampled(kind, samples, seed, probes())
 
 
 def _submodular_sides(value, S: int, T: int) -> tuple[Value, Value]:

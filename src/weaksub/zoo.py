@@ -3,14 +3,15 @@
 Each builder returns a ``SetFunction`` whose ``claims`` record what the
 construction guarantees.  Integer inputs stay in integer arithmetic, so the
 classic counterexample values reproduce exactly.  The linear, coverage,
-dispersion, segmentation, threshold, max-cut and combination builders also
+dispersion, segmentation, count-only, max-cut and combination builders also
 offer an incremental ``extend`` state (see ``SetFunction``).  Linear and
 segmentation have no other definition: their evaluator folds their step over
-the set, so they offer ``extend`` for every input, and so does threshold,
-whose step only counts.  Dispersion and coverage evaluate a single set in
-another order, so they offer it only when all their numbers are exact;
-max-cut offers it only when every weight is an int; a combination offers it
-when every term does.
+the set, so they offer ``extend`` for every input.  So do the count-only
+builders (cardinality power, polynomial and profile, and threshold), whose
+evaluator and step call one profile of |S|.
+Dispersion and coverage evaluate a single set in another order, so they
+offer it only when all their numbers are exact; max-cut offers it only when
+every weight is an int; a combination offers it when every term does.
 """
 
 from __future__ import annotations
@@ -323,11 +324,31 @@ def segmentation(matrix: SegmentationMatrix) -> SetFunction:
     )
 
 
+def _count_only(n: int, prof, name: str, claims) -> SetFunction:
+    """f(S) = prof(|S|) over n interchangeable elements.  The ``extend`` state
+    is (value, size); its step calls the same ``prof``, never a table of it,
+    so a huge ground set costs nothing up front."""
+
+    def step(state, e: int):
+        size = state[1] + 1
+        return (prof(size), size)
+
+    return SetFunction(
+        GroundSet.of_size(n),
+        lambda mask: prof(mask.bit_count()),
+        name=name,
+        claims=claims,
+        extend=((prof(0), 0), step),
+    )
+
+
 def cardinality_power(k: int, n: int) -> SetFunction:
     """f(S) = |S| ** k for k in 0..3; higher powers are refused by construction.
 
     Use ``raw_cardinality_profile`` to study what goes wrong for k >= 4.
     """
+    if type(k) is not int:
+        raise ValueError(f"cardinality_power k must be an integer, got {k!r}")
     if not 0 <= k <= 3:
         raise ValueError("cardinality_power allows only k in 0..3")
     claims = {NONNEGATIVE, MONOTONE, WEAKLY_SUBMODULAR}
@@ -335,8 +356,7 @@ def cardinality_power(k: int, n: int) -> SetFunction:
         claims.add(NORMALIZED)
     if k <= 1:
         claims.add(SUBMODULAR)
-    ground = GroundSet.of_size(n)
-    return SetFunction(ground, lambda mask: mask.bit_count() ** k, name=f"card^{k}", claims=claims)
+    return _count_only(n, cardinality_profile(k), f"card^{k}", claims)
 
 
 def cardinality_polynomial(coeffs: Sequence[Value], n: int) -> SetFunction:
@@ -349,19 +369,15 @@ def cardinality_polynomial(coeffs: Sequence[Value], n: int) -> SetFunction:
         raise ValueError("constant term must be zero (normalization)")
     if any(not c >= 0 for c in coeffs):
         raise ValueError("coefficients must be nonnegative")
-    prof = cardinality_profile(coeffs)
     claims = {NORMALIZED, NONNEGATIVE, MONOTONE, WEAKLY_SUBMODULAR}
     if all(c == 0 for c in coeffs[2:]):
         claims.add(SUBMODULAR)
-    ground = GroundSet.of_size(n)
-    return SetFunction(ground, lambda mask: prof(mask.bit_count()), name="card_poly", claims=claims)
+    return _count_only(n, cardinality_profile(coeffs), "card_poly", claims)
 
 
 def raw_cardinality_profile(k_or_coeffs, n: int) -> SetFunction:
     """Unchecked cardinality-only function for counterexample studies; claims nothing."""
-    prof = cardinality_profile(k_or_coeffs)
-    ground = GroundSet.of_size(n)
-    return SetFunction(ground, lambda mask: prof(mask.bit_count()), name="card_profile")
+    return _count_only(n, cardinality_profile(k_or_coeffs), "card_profile", ())
 
 
 def threshold(k: int, bonus: Value, n: int) -> SetFunction:
@@ -371,6 +387,8 @@ def threshold(k: int, bonus: Value, n: int) -> SetFunction:
         raise ValueError(f"threshold k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("threshold requires k >= 1")
+    if type(bonus) is bool:
+        raise ValueError(f"threshold bonus must be a number, got {bonus!r}")
     if not bonus > 0:
         raise ValueError("threshold bonus must be positive")
     claims = {NORMALIZED, NONNEGATIVE, MONOTONE}
@@ -378,21 +396,8 @@ def threshold(k: int, bonus: Value, n: int) -> SetFunction:
         claims.add(WEAKLY_SUBMODULAR)
     if k == 1:
         claims.add(SUBMODULAR)
-    ground = GroundSet.of_size(n)
     zero = 0 * bonus  # matches the arithmetic type of bonus
-
-    # State: (value, size); the value is the evaluator's own bonus or zero.
-    def step(state, e: int):
-        size = state[1] + 1
-        return (bonus if size >= k else zero, size)
-
-    return SetFunction(
-        ground,
-        lambda mask: bonus if mask.bit_count() >= k else zero,
-        name=f"threshold(k={k})",
-        claims=claims,
-        extend=((zero, 0), step),
-    )
+    return _count_only(n, lambda m: bonus if m >= k else zero, f"threshold(k={k})", claims)
 
 
 def linear_combination(fs: Sequence[SetFunction], alphas: Sequence[Value]) -> SetFunction:
@@ -515,6 +520,8 @@ def supermodular_pair(bonus: Value) -> SetFunction:
     The smallest function with one supermodular dependency; it already fails
     weak submodularity.
     """
+    if type(bonus) is bool:
+        raise ValueError(f"bonus must be a number, got {bonus!r}")
     if not bonus > 0:
         raise ValueError("bonus must be positive")
     ground = GroundSet(("a1", "a2", "b"))

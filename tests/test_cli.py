@@ -276,6 +276,30 @@ _MALFORMED = [
         {"ground_set": 4, "function": {"type": "threshold", "params": {"k": 2.5, "B": 1}}},
         ("check",),
     ),
+    (
+        "cardinality-k-fraction",
+        {"ground_set": 4, "function": {"type": "cardinality_poly", "params": {"k": 2.5}}},
+        ("check",),
+    ),
+    (
+        "cardinality-k-true",
+        {"ground_set": 4, "function": {"type": "cardinality_poly", "params": {"k": True}}},
+        ("check",),
+    ),
+    (
+        "threshold-bonus-true",
+        {
+            "ground_set": 4,
+            "function": {"type": "threshold", "params": {"k": 1, "B": True}},
+            "constraint": {"type": "cardinality", "p": 2},
+        },
+        _GREEDY,
+    ),
+    (
+        "supermodular-pair-bonus-true",
+        {"function": {"type": "supermodular_pair", "params": {"B": True}}},
+        ("check",),
+    ),
     ("samples-string", {"options": {**_SAMPLED, "samples": "10"}}, ("check",)),
     ("samples-fraction", {"options": {**_SAMPLED, "samples": 2.5}}, ("check",)),
     (

@@ -32,7 +32,9 @@ from weaksub.zoo import (
     linear,
     max_cut,
     metric_dispersion,
+    random_coverage,
     random_metric,
+    raw_cardinality_profile,
     segmentation,
     star_counterexample,
     threshold,
@@ -322,6 +324,101 @@ class TestSampledMode:
         f = metric_dispersion(random_metric(15, 8))
         assert check_monotone(f, "sampled", samples=200, seed=1).passed
         assert check_normalized_nonnegative(f, "sampled", samples=200, seed=1).passed
+
+
+def _quarters(dist):
+    return DistanceMatrix(tuple(tuple(Fraction(x, 4) for x in row) for row in dist.d))
+
+
+_LINEAR_FLOATS = (0.5, 1.5, 0.25, 1.5, 1.0, 2.0, 0.75, 3.0)
+
+# Sampled checks on fixed seeds: (checker, builder, samples, seed).
+_SAMPLED_CASES = {
+    "sign-linear-float-1": (check_normalized_nonnegative, lambda: linear(_LINEAR_FLOATS), 40, 1),
+    "sign-linear-float-2": (check_normalized_nonnegative, lambda: linear(_LINEAR_FLOATS), 40, 2),
+    "sign-profile-negative": (
+        check_normalized_nonnegative, lambda: raw_cardinality_profile([0, 3, -1], 9), 40, 3
+    ),
+    "sign-profile-float": (
+        check_normalized_nonnegative, lambda: raw_cardinality_profile([0.0, 1.5, -0.5], 9), 40, 5
+    ),
+    "sign-offset-at-empty": (check_normalized_nonnegative, lambda: cardinality_power(0, 6), 40, 1),
+    "sign-float-offset-at-empty": (
+        check_normalized_nonnegative,
+        lambda: SetFunction(GroundSet.of_size(4), lambda m: m.bit_count() - 0.5),
+        40,
+        1,
+    ),
+    "sign-huge-ground": (check_normalized_nonnegative, lambda: cardinality_power(3, 1000), 30, 4),
+    "monotone-empty-ground": (check_monotone, lambda: linear(()), 10, 0),
+    "monotone-star": (check_monotone, lambda: max_cut(star_counterexample(4)), 50, 1),
+    "monotone-dispersion": (check_monotone, lambda: metric_dispersion(random_metric(9, 2)), 50, 2),
+    "monotone-zero-at-top": (check_monotone, lambda: zero_at_top(linear((1, 2, 3))), 60, 3),
+    "monotone-float-profile": (
+        check_monotone, lambda: raw_cardinality_profile([0.0, 1.5, -0.5], 8), 60, 6
+    ),
+    "submodular-dispersion": (
+        check_submodular, lambda: metric_dispersion(random_metric(8, 7)), 50, 1
+    ),
+    "submodular-coverage": (check_submodular, lambda: random_coverage(9, 2), 60, 2),
+    "submodular-linear-float": (
+        check_submodular, lambda: linear((0.5, 1.5, 0.25, 1.5, 1.0)), 60, 3
+    ),
+    "weak-star": (check_weakly_submodular, lambda: max_cut(star_counterexample(5)), 200, 1),
+    "weak-threshold-fraction": (
+        check_weakly_submodular, lambda: threshold(3, Fraction(5, 2), 8), 100, 2
+    ),
+    "weak-dispersion-quarters": (
+        check_weakly_submodular, lambda: metric_dispersion(_quarters(random_metric(8, 5))), 80, 3
+    ),
+    "weak-quartic-float": (
+        check_weakly_submodular,
+        lambda: raw_cardinality_profile([0.0, 0.0, 0.0, 0.0, 1.5], 7),
+        200,
+        4,
+    ),
+    "weak-empty-ground": (check_weakly_submodular, lambda: linear(()), 5, 0),
+}
+
+# Reports recorded from the earlier per-checker sampled loops:
+# (pairs_checked, witness as (S mask, T mask, repr(lhs), repr(rhs)) or None).
+_SAMPLED_PINS = {
+    "sign-linear-float-1": (41, None),
+    "sign-linear-float-2": (41, None),
+    "sign-profile-negative": (2, (121, None, "-10", "0")),
+    "sign-profile-float": (2, (318, None, "-9.0", "0")),
+    "sign-offset-at-empty": (1, (0, None, "0", "1")),
+    "sign-float-offset-at-empty": (1, (0, None, "-0.5", "0.0")),
+    "sign-huge-ground": (31, None),
+    "monotone-empty-ground": (0, None),
+    "monotone-star": (2, (54, 55, "2", "4")),
+    "monotone-dispersion": (50, None),
+    "monotone-zero-at-top": (3, (5, 7, "0", "4")),
+    "monotone-float-profile": (1, (203, 235, "-9.0", "-5.0")),
+    "submodular-dispersion": (1, (34, 145, "7", "20")),
+    "submodular-coverage": (60, None),
+    "submodular-linear-float": (60, None),
+    "weak-star": (2, (108, 102, "48", "52")),
+    "weak-threshold-fraction": (32, (34, 130, "Fraction(0, 1)", "Fraction(5, 2)")),
+    "weak-dispersion-quarters": (80, None),
+    "weak-quartic-float": (1, (30, 38, "1638.0", "1995.0")),
+    "weak-empty-ground": (5, None),
+}
+
+
+class TestSampledReportsPinned:
+    @pytest.mark.parametrize("name", sorted(_SAMPLED_CASES))
+    def test_report_matches_the_recorded_one(self, name):
+        checker, build, samples, seed = _SAMPLED_CASES[name]
+        report = checker(build(), "sampled", samples=samples, seed=seed)
+        w = report.witness
+        got = (
+            report.pairs_checked,
+            w and (w.S.mask, w.T and w.T.mask, repr(w.lhs), repr(w.rhs)),
+        )
+        assert got == _SAMPLED_PINS[name]
+        assert (report.mode, report.samples, report.seed) == ("sampled", samples, seed)
+        assert report.passed == (w is None)
 
 
 class TestParallelScan:

@@ -9,6 +9,7 @@ import pytest
 
 from weaksub import (
     CapExceeded,
+    check_normalized_nonnegative,
     GroundSet,
     SetFunction,
     Subset,
@@ -18,12 +19,14 @@ from weaksub import (
     local_search_matroid,
 )
 from weaksub.bounds import greedy_ratio, ls_bound
+from weaksub.core import violates
 from weaksub.instances import _on_declared_ground
 from weaksub.matroid import Matroid, random_partition_matroid
 from weaksub.zoo import (
     DistanceMatrix,
     Graph,
     SegmentationMatrix,
+    cardinality_polynomial,
     cardinality_power,
     complement,
     coverage,
@@ -505,13 +508,24 @@ _EXTEND_BUILDERS = {
     "combination-float-alpha": lambda: linear_combination([linear((1, 2, 3, 4, 5))], [0.5]),
     "threshold": lambda: threshold(2, 3, 7),
     "threshold-fraction": lambda: threshold(3, Fraction(5, 2), 6),
+    "threshold-fraction-whole": lambda: threshold(1, Fraction(2), 6),
+    "threshold-above-n": lambda: threshold(9, 4, 6),
     "threshold-float": lambda: threshold(1, 0.5, 5),
+    "cardinality-power": lambda: cardinality_power(2, 7),
+    "cardinality-power-zero": lambda: cardinality_power(0, 5),
+    "cardinality-poly-int": lambda: cardinality_polynomial((0, 2, 1, 1), 7),
+    "cardinality-poly-fraction": lambda: cardinality_polynomial(
+        (0, Fraction(3, 2), Fraction(1, 4)), 6
+    ),
+    "cardinality-poly-float": lambda: cardinality_polynomial((0, 0.5, 0.25), 6),
+    "cardinality-poly-empty": lambda: cardinality_polynomial((), 5),
+    "cardinality-profile": lambda: raw_cardinality_profile([0, 3, -1], 7),
     "max-cut-int": lambda: max_cut(_cut_graph((2, 0, 5, 1, 3, 3, 1, 4))),
     "max-cut-star": lambda: max_cut(star_counterexample(4)),
 }
 
 # Builders without ``extend``: float dispersion, max-cut with a Fraction or
-# float weight, and claim-free or cardinality-only functions.
+# float weight, and complement and hand-built functions.
 _GENERIC_BUILDERS = {
     "dispersion-float": lambda: metric_dispersion(
         DistanceMatrix(tuple(tuple(x / 2 for x in row) for row in random_metric(6, 14).d))
@@ -519,8 +533,6 @@ _GENERIC_BUILDERS = {
     "max-cut-mixed": lambda: max_cut(_cut_graph((2, Fraction(1, 2), 0, Fraction(3), 1, 2, 1, 1))),
     "max-cut-fraction": lambda: max_cut(_cut_graph(tuple(Fraction(w, 3) for w in (1, 3, 2, 0)))),
     "max-cut-float": lambda: max_cut(_cut_graph((1.5, 2, 0.5, 1))),
-    "cardinality-power": lambda: cardinality_power(2, 7),
-    "cardinality-profile": lambda: raw_cardinality_profile([0, 3, -1], 7),
     "complement": lambda: complement(linear((1, 2, 3, 1, 2))),
     "two-tied-pairs": _two_tied_pairs,
 }
@@ -559,7 +571,7 @@ class TestBruteForceCardinalityDifferential:
             assert state[0] == v and type(state[0]) is type(v), (mask, state[0], v)
 
     def test_generic_path_reads_through_the_memo(self):
-        f = cardinality_power(2, 5)
+        f = complement(linear((1, 2, 3, 1, 2)))
         assert brute_force_cardinality(f, 2).enumerated == 16
         assert len(f._cache) == 16
 
@@ -626,6 +638,77 @@ class TestAllValuesWalk:
     def test_empty_ground_set(self):
         for f in (linear(()), threshold(1, 2, 0)):
             assert f.all_values() == [0]
+
+
+def _naive_sign_check(f):
+    """The sign check as an ascending scan of ``f.value``, one mask at a time:
+    (pairs checked, witness as (mask, repr(lhs), repr(rhs)) or None)."""
+    for mask in range(1 << f.ground.n):
+        v = f.value(mask)
+        zero = 0 if type(v) in (int, Fraction) else 0.0
+        if mask == 0 and (violates(v, zero) or violates(zero, v)):
+            lo, hi = (v, zero) if v < zero else (zero, v)
+            return 1, (0, repr(lo), repr(hi))
+        if mask and violates(v, zero):
+            return mask + 1, (mask, repr(v), repr(0))
+    return 1 << f.ground.n, None
+
+
+def _by_size(*values):
+    """The count-only function with value ``values[|S|]`` (it has ``extend``)."""
+    return raw_cardinality_profile(values.__getitem__, len(values) - 1)
+
+
+def _planted(n, mask, value):
+    """|S| everywhere except ``value`` at ``mask``; no ``extend``."""
+    return SetFunction(
+        GroundSet.of_size(n), lambda m: value if m == mask else m.bit_count(), name="planted"
+    )
+
+
+# Sign-check failures at the empty set, the first nonempty mask and the last
+# mask, with and without ``extend``; floats inside and outside the tolerance.
+_SIGN_CASES = {
+    "offset-int": lambda: _by_size(2, 3, 4, 5),
+    "offset-negative-fraction": lambda: _by_size(Fraction(-1, 3), 1, 2, 3),
+    "offset-float": lambda: _by_size(0.5, 1.0, 2.0, 3.0),
+    "offset-tiny-float": lambda: _by_size(1e-12, 1.0, 2.0, 3.0),
+    "first-mask": lambda: _by_size(0, -1, 5, 5, 5, 5),
+    "last-mask": lambda: _by_size(0, 4, 6, 6, 4, -2),
+    "last-mask-float": lambda: _by_size(0.0, 4.0, 6.0, 6.0, 4.0, -0.5),
+    "last-mask-inside-tolerance": lambda: _by_size(0, 1, 2, 3, -1e-12),
+    "planted-empty": lambda: _planted(5, 0, -1),
+    "planted-first-mask": lambda: _planted(5, 1, Fraction(-1, 2)),
+    "planted-last-mask": lambda: _planted(5, 31, -1.5),
+    "planted-nan": lambda: _planted(4, 6, float("nan")),
+}
+
+
+class TestSignCheckTable:
+    @pytest.mark.parametrize(
+        "build",
+        [pytest.param(b, id=k) for k, b in {**_EXTEND_BUILDERS, **_GENERIC_BUILDERS}.items()]
+        + [pytest.param(b, id=f"sign-{k}") for k, b in _SIGN_CASES.items()],
+    )
+    def test_matches_naive_per_mask_scan(self, build):
+        report = check_normalized_nonnegative(build())
+        w = report.witness
+        got = (report.pairs_checked, w and (w.S.mask, repr(w.lhs), repr(w.rhs)))
+        assert got == _naive_sign_check(build())
+        assert report.passed == (w is None)
+
+    def test_planted_cases_fail_where_planted(self):
+        pairs = {k: check_normalized_nonnegative(b()).pairs_checked for k, b in _SIGN_CASES.items()}
+        assert pairs["offset-int"] == pairs["planted-empty"] == 1
+        assert pairs["first-mask"] == pairs["planted-first-mask"] == 2
+        assert pairs["last-mask"] == pairs["planted-last-mask"] == 32
+        assert pairs["last-mask-inside-tolerance"] == 16  # passes
+
+    @pytest.mark.parametrize("name", sorted(_EXTEND_BUILDERS))
+    def test_extend_reads_only_the_empty_set(self, name):
+        f, calls = _counting(_EXTEND_BUILDERS[name]())
+        check_normalized_nonnegative(f)
+        assert calls == [0] and list(f._cache) == [0]
 
 
 def _mixed_number(rng, low=0):

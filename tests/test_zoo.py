@@ -276,6 +276,16 @@ class TestCardinalityFunctions:
         for k in (0, 1, 2, 3):
             assert check_weakly_submodular(cardinality_power(k, 7)).passed
 
+    @pytest.mark.parametrize("k", [2.5, Fraction(5, 2), 2.0, True, False, "2"])
+    def test_power_must_be_an_int(self, k):
+        with pytest.raises(ValueError, match="integer"):
+            cardinality_power(k, 4)
+
+    def test_huge_ground_set(self):
+        f = cardinality_power(2, 10**5)
+        assert f.value((1 << 10**5) - 1) == 10**10
+        assert f.extend[0] == (0, 0)
+
 
 class TestThreshold:
     def test_values_and_claims(self):
@@ -299,6 +309,11 @@ class TestThreshold:
     def test_k_must_be_an_int(self, k):
         with pytest.raises(ValueError, match="integer"):
             threshold(k, 1, 4)
+
+    @pytest.mark.parametrize("bonus", [True, False])
+    def test_bool_bonus_refused(self, bonus):
+        with pytest.raises(ValueError, match="number"):
+            threshold(2, bonus, 4)
 
 
 class TestLinearCombination:
@@ -445,6 +460,11 @@ class TestSupermodularPair:
         T = Subset.from_labels(f.ground, ("a2", "b"))
         assert weak_submodularity_sides(f, S, T) == (0, 5)
         assert not check_weakly_submodular(f).passed
+
+    @pytest.mark.parametrize("bonus", [True, False])
+    def test_bool_bonus_refused(self, bonus):
+        with pytest.raises(ValueError, match="number"):
+            supermodular_pair(bonus)
 
 
 class TestWelfareReduction:
