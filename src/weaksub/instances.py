@@ -56,17 +56,22 @@ def _params(spec: dict) -> dict:
     return params
 
 
+def _count(value, what: str) -> int:
+    """``value`` if it is a count, an int >= 0 that is not a bool."""
+    if type(value) is not int or value < 0:
+        raise SchemaError(f"{what} must be a nonnegative integer, got {value!r}")
+    return value
+
+
 def ground_from_spec(ground_spec) -> GroundSet | None:
     if ground_spec is None:
         return None
-    if type(ground_spec) is int and ground_spec >= 0:
-        return GroundSet.of_size(ground_spec)
     if isinstance(ground_spec, list):
         try:
             return GroundSet(tuple(ground_spec))
         except TypeError as exc:
             raise SchemaError(f"'ground_set' labels must be hashable: {exc}") from exc
-    raise SchemaError("'ground_set' must be a size or a list of labels")
+    return GroundSet.of_size(_count(ground_spec, "a 'ground_set' that is not a list of labels"))
 
 
 def function_from_spec(spec: dict, ground: GroundSet | None = None) -> SetFunction:
@@ -110,7 +115,7 @@ def _need_n(params: dict, ground: GroundSet | None, kind: str) -> int:
     if ground is not None:
         return ground.n
     if "n" in params:
-        return params["n"]
+        return _count(params["n"], f"{kind!r} param 'n'")
     raise SchemaError(f"{kind!r} needs an explicit ground_set (or an 'n' param)")
 
 
@@ -161,10 +166,9 @@ def _build_zero_at_top(params, ground):
 
 def _build_max_cut(params, ground):
     if "star_n" in params:
-        return zoo.max_cut(zoo.star_counterexample(params["star_n"]))
+        return zoo.max_cut(zoo.star_counterexample(_count(params["star_n"], "'star_n'")))
     n = params.get("vertices")
-    if n is None:
-        n = _need_n(params, ground, "max_cut")
+    n = _need_n(params, ground, "max_cut") if n is None else _count(n, "'vertices'")
     return zoo.max_cut(zoo.Graph(n, params["edges"]))
 
 

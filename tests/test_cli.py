@@ -300,6 +300,15 @@ _MALFORMED = [
         {"function": {"type": "supermodular_pair", "params": {"B": True}}},
         ("check",),
     ),
+    *(
+        (f"{key}-{label}", {"function": {"type": kind, "params": {**params, key: bad}}}, ("check",))
+        for key, kind, params in (
+            ("n", "threshold", {"k": 1, "B": 1}),
+            ("vertices", "max_cut", {"edges": []}),
+            ("star_n", "max_cut", {}),
+        )
+        for label, bad in (("true", True), ("negative", -1), ("fraction", 2.5))
+    ),
     ("samples-string", {"options": {**_SAMPLED, "samples": "10"}}, ("check",)),
     ("samples-fraction", {"options": {**_SAMPLED, "samples": 2.5}}, ("check",)),
     (

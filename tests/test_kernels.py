@@ -493,6 +493,203 @@ def test_star_check_is_pinned():
     assert sub.passed and sub.pairs_checked == 1024 * 1025 // 2
 
 
+# -- the lane kernel's walk order ------------------------------------------
+# Each block's rows are the leaves of a bit tree walked bit-clear child
+# first; a row reuses the copies of the node above its lowest set bit.
+
+
+def swap_partner(S, n):
+    """S with its lowest set bit traded for the lowest clear bit above it.
+
+    That T is above S and misses one element of S.  None when there is no
+    such bit: then every T >= S holds S, and S is the first row of a block.
+    """
+    low = S & -S
+    clear = ~S & (1 << n) - 1 & -(low << 1)
+    return None if not low or not clear else S ^ low ^ (clear & -clear)
+
+
+def swap_planted(n, pairs, weighted):
+    """A table where only a pair of two lowered sets can violate, and each
+    swap pair (S, T) in ``pairs``, with |S - T| = |T - S| = 1, does.
+
+    Weak: 2n |U|**2 leaves 2n (|S| + |T|) |S - T| |T - S| of slack on a
+    pair.  Lowering both sets of a swap pair by 2n + 1 costs it
+    (|S| + |T|) (2n + 1), more than that; a pair (S, T') with one lowered
+    set loses |T'| (2n + 1) on the left, no more than its slack since
+    |S| >= 1.  Submodular: 2m (2n - m) leaves 4 |S - T| |T - S|; lowering
+    by 3 costs a pair of lowered sets 6 and any other pair at most 3.  A
+    nested pair keeps its equality.
+    """
+    if weighted:
+        values, drop = [2 * n * m.bit_count() ** 2 for m in range(1 << n)], 2 * n + 1
+    else:
+        values, drop = [2 * m.bit_count() * (2 * n - m.bit_count()) for m in range(1 << n)], 3
+    for S in {S for pair in pairs for S in pair}:
+        values[S] -= drop
+    return values
+
+
+def assert_first_pair(values, weighted):
+    """Both paths and the naive oracle agree on ``values``; return the lane kernel's pair."""
+    sides = core._weak_sides if weighted else core._submodular_sides
+    hit = core._first_pair_violation_lanes(values, weighted)
+    assert hit == core._first_pair_violation_scalar(values, sides)
+    f = table_function(values)
+    if weighted:
+        assert report_outcome(check_weakly_submodular(f)) == naive_weak_outcome(f)
+    else:
+        assert report_outcome(check_submodular(f)) == naive_submodular_outcome(f)
+    return hit
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_walk_finds_a_violation_planted_in_any_row(n):
+    total = 1 << n
+    for weighted in (True, False):
+        assert assert_first_pair(swap_planted(n, [], weighted), weighted) is None
+        planted_rows = set()
+        for S in range(total):
+            T = swap_partner(S, n)
+            if T is None:
+                assert all(S & U == S for U in range(S, total))
+                continue
+            assert assert_first_pair(swap_planted(n, [(S, T)], weighted), weighted) == (S, T)
+            planted_rows.add(S)
+        # Every row but the first of each block; the first holds only
+        # supersets above it, so no pair in it can violate.
+        firsts = {total - (1 << k) for k in range(n + 1)}
+        assert planted_rows == set(range(total)) - firsts
+        for k in range(2, n + 1):
+            start = total - (1 << k)
+            # The second row of each block, and its row of all low bits, the
+            # deepest set-bit path.
+            assert {start + 1, start + (1 << k - 1) - 1} <= planted_rows
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_walk_takes_a_set_subtree_before_the_next_clear_one(n):
+    # S1 has bit b set under bit b + 1 clear; S2 = S1 + 2**b has bit b + 1
+    # set and bit b clear, the next subtree the walk enters.
+    cases = 0
+    for b in range(n - 1):
+        for S1 in range(1 << n):
+            if S1 >> b & 3 != 1:
+                continue
+            S2 = S1 + (1 << b)
+            T1, T2 = swap_partner(S1, n), swap_partner(S2, n)
+            if T1 is None or T2 is None:
+                continue
+            cases += 1
+            for weighted in (True, False):
+                assert assert_first_pair(swap_planted(n, [(S2, T2)], weighted), weighted) == (
+                    S2,
+                    T2,
+                )
+                hit = assert_first_pair(swap_planted(n, [(S1, T1), (S2, T2)], weighted), weighted)
+                assert hit[0] == S1
+    assert cases >= n - 1
+
+
+# -- the walk's weighted sums ----------------------------------------------
+
+
+def recomputed_sides(f, weighted, S, T):
+    """The sides of (S, T), read one value at a time through ``f.value``."""
+    v = f.value
+    if weighted:
+        lhs = T.bit_count() * v(S) + S.bit_count() * v(T)
+        return lhs, (S & T).bit_count() * v(S | T) + (S | T).bit_count() * v(S & T)
+    return v(S) + v(T), v(S | T) + v(S & T)
+
+
+def split_tables(rng, n, wide, count):
+    """``count`` tables of c |U|**2 plus a modular part plus a little noise.
+
+    A convex c > 0 fails submodularity, with nonnegative weights it passes
+    weak submodularity; c < 0 the other way round.  Fractions with mixed
+    prime denominators (``wide``) scale to ints of many bytes per lane.
+    """
+    for _ in range(count):
+        c = rng.choice([-1, 1]) * rng.randint(1, 5)
+        weights = [rng.randint(-2, 12) for _ in range(n)]
+        values = [
+            c * m.bit_count() ** 2 + sum(w for i, w in enumerate(weights) if m >> i & 1)
+            for m in range(1 << n)
+        ]
+        for _ in range(rng.randint(0, 2)):
+            # Some noise lands in the last block, which only later rows read.
+            values[rng.randrange(1 << n) | rng.choice([0, 3 << n - 2])] += rng.randint(-2, 2)
+        if wide:
+            big = 2**70
+            values = [
+                big * v + Fraction(rng.randint(0, 6), rng.choice([7, 11, 13, 17, 19]))
+                for v in values
+            ]
+        yield values
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_weighted_sums_split_the_two_verdicts(wide):
+    rng = Random(14 + wide)
+    verdicts = set()
+    for n in range(2, 9):
+        tables = list(split_tables(rng, n, wide, 6 if n <= 6 else 1))
+        tables.append(dispersion_values(rng, n, wide))
+        if n >= 5:
+            tables.append(raised_in_last_block(rng, n, wide))
+            weak = check_weakly_submodular(table_function(tables[-1]))
+            assert weak.witness.S.mask >= 3 << n - 2  # a block with n - k >= 2
+        for values in tables:
+            f = table_function(values)
+            verdict = []
+            for weighted, check, sides in (
+                (True, check_weakly_submodular, core._weak_sides),
+                (False, check_submodular, core._submodular_sides),
+            ):
+                report = check(f)
+                assert report_outcome(report) == scalar_pair_outcome(f, sides)
+                if report.witness is not None:
+                    w = report.witness
+                    lhs, rhs = recomputed_sides(f, weighted, w.S.mask, w.T.mask)
+                    assert (w.lhs, w.rhs) == (lhs, rhs) and lhs < rhs
+                verdict.append(report.passed)
+            verdicts.add(tuple(verdict))
+    # Passing one inequality and failing the other, both ways round.
+    assert {(True, False), (False, True)} <= verdicts
+
+
+def raised_in_last_block(rng, n, wide):
+    """2 |U|**2 with one set U of the last block raised by 4.
+
+    2 |U|**2 leaves 2 (|S| + |T|) |S - T| |T - S| of slack.  Raising U
+    gains |S | T| 4 on the right of pairs that meet in U, which breaks
+    those with |S - T| = |T - S| = 1 (4 |U| + 8 against 4 |U| + 4), and
+    |S & T| 4 on pairs that join to U, which breaks none.  So every
+    violation lies in a row that holds U, after the rows that lack its
+    top bits: only a walk that weighs those bits right finds it.
+    """
+    U = rng.randrange(1 << n) | 3 << n - 2
+    while U.bit_count() > n - 2:
+        U &= ~(1 << rng.randrange(n - 2))
+    scale = Fraction(2**70 + 1, 7) if wide else 1
+    return [scale * (2 * m.bit_count() ** 2 + 4 * (m == U)) for m in range(1 << n)]
+
+
+def dispersion_values(rng, n, wide):
+    """A metric dispersion table: weakly submodular and supermodular, so not
+    submodular.  Distances lie in [lo, 2 lo], so every triangle holds."""
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if wide:
+                d[i][j] = 2**64 + Fraction(rng.randint(0, 2**64 * 9), rng.choice([9, 10, 11]))
+            else:
+                d[i][j] = rng.randint(5, 10)
+            d[j][i] = d[i][j]
+    return metric_dispersion(DistanceMatrix(tuple(map(tuple, d)))).all_values()
+
+
 def _pair_outcomes(f):
     """(passed, pairs_checked, S, T) of the weak and the submodular check."""
     out = []
