@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -270,7 +271,10 @@ def _cmd_bench(args):
     return 0, {"instances": rows, "summary": summary}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every call;
+    parsing leaves it unchanged, and callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="weaksub",
         description="Check, maximize, and tabulate bounds for weakly submodular set functions.",
@@ -327,9 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; keep that contract
         return int(exc.code or 0)

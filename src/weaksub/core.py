@@ -182,9 +182,9 @@ class SetFunction:
 
     The evaluator receives a bitmask and must be pure; results are memoized
     in an unsynchronized dict.  ``claims`` records which properties the
-    builder asserts.  A full value table (``all_values``) is built from the
-    ``extend`` states below when the builder offers them, without the
-    evaluator or the memo.
+    builder asserts.  A full value table (``all_values``) comes from
+    ``table`` or from the ``extend`` states below when the builder offers
+    them, without the evaluator or the memo.
 
     ``extend``, when given, is a pair ``(start, step)`` for building a set
     one element at a time without the evaluator or the memo: ``start`` is
@@ -196,6 +196,12 @@ class SetFunction:
     sums in another order offers it only when every input number is an int
     or a ``Fraction``, so the order cannot change a value; otherwise
     ``extend`` is None.
+
+    ``table``, when given, is a zero-argument callable that returns the
+    values of all 2**n masks in mask order, each equal to ``value(mask)``
+    in value and type.  ``all_values`` calls it afresh each time, so the
+    table is never stored; a builder offers it under the same condition as
+    ``extend``.
     """
 
     def __init__(
@@ -206,6 +212,7 @@ class SetFunction:
         name: str = "f",
         claims: Iterable[str] = (),
         extend: tuple[Any, Callable[[Any, int], Any]] | None = None,
+        table: Callable[[], list[Value]] | None = None,
     ):
         self.ground = ground
         self.name = name
@@ -214,6 +221,7 @@ class SetFunction:
             raise ValueError(f"unknown claims: {sorted(self.claims - ALL_CLAIMS)}")
         self._evaluator = evaluator
         self.extend = extend
+        self.table = table
         self._cache: dict[int, Value] = {}
 
     def value(self, mask: int) -> Value:
@@ -241,11 +249,14 @@ class SetFunction:
     def all_values(self) -> list[Value]:
         """Values for every subset, indexed by mask.
 
-        One depth-first walk: each set's state is its prefix's (the set
-        minus its largest element) plus one ``step``.  With ``extend`` that
-        makes no evaluator call and no memo write; without it, each mask is
+        ``table()`` when the builder offers it.  Otherwise one depth-first
+        walk: each set's state is its prefix's (the set minus its largest
+        element) plus one ``step``.  With ``table`` or ``extend`` this makes
+        no evaluator call and no memo write; without either, each mask is
         evaluated once through ``value``.  The stack holds O(n**2) states.
         """
+        if self.table is not None:
+            return self.table()
         n = self.ground.n
         start, step = _prefix_steps(self)
         table = [start[0]] * (1 << n)

@@ -63,6 +63,18 @@ def _count(value, what: str) -> int:
     return value
 
 
+def _number(value, what: str):
+    """``value`` if it is a number, an int, ``Fraction`` or float that is not a bool."""
+    if type(value) not in (int, Fraction, float):
+        raise SchemaError(f"{what} must be a number, got {value!r}")
+    return value
+
+
+def _matrix(rows, what: str) -> list[list]:
+    """``rows`` as lists of numbers (see ``_number``)."""
+    return [[_number(x, what) for x in row] for row in rows]
+
+
 def ground_from_spec(ground_spec) -> GroundSet | None:
     if ground_spec is None:
         return None
@@ -106,9 +118,11 @@ def _on_declared_ground(f: SetFunction, ground: GroundSet | None, kind: str) -> 
             f"{kind!r} carries intrinsic labels {list(f.ground.elements)}, "
             f"which conflict with the declared ground_set"
         )
-    # The relabelled function shares the builder's evaluator and ``extend``,
-    # not its memo.
-    return SetFunction(ground, f._evaluator, name=f.name, claims=f.claims, extend=f.extend)
+    # The relabelled function shares the builder's evaluator, ``extend`` and
+    # ``table``, not its memo.
+    return SetFunction(
+        ground, f._evaluator, name=f.name, claims=f.claims, extend=f.extend, table=f.table
+    )
 
 
 def _need_n(params: dict, ground: GroundSet | None, kind: str) -> int:
@@ -120,25 +134,33 @@ def _need_n(params: dict, ground: GroundSet | None, kind: str) -> int:
 
 
 def _build_linear(params, ground):
-    return zoo.linear(params["weights"])
+    return zoo.linear([_number(w, "a 'linear' weight") for w in params["weights"]])
 
 
 def _build_coverage(params, ground):
-    return zoo.coverage(params["covers"], params.get("weights"))
+    weights = params.get("weights")
+    if weights is not None:
+        if not isinstance(weights, dict):
+            raise SchemaError(f"'coverage' weights must be an object, got {weights!r}")
+        weights = {x: _number(w, "a 'coverage' weight") for x, w in weights.items()}
+    return zoo.coverage(params["covers"], weights)
 
 
 def _build_dispersion(params, ground):
-    return zoo.metric_dispersion(zoo.DistanceMatrix(params["distances"]))
+    distances = _matrix(params["distances"], "a 'dispersion' distance")
+    return zoo.metric_dispersion(zoo.DistanceMatrix(distances))
 
 
 def _build_segmentation(params, ground):
-    return zoo.segmentation(zoo.SegmentationMatrix(params["matrix"]))
+    matrix = _matrix(params["matrix"], "a 'segmentation' matrix entry")
+    return zoo.segmentation(zoo.SegmentationMatrix(matrix))
 
 
 def _build_cardinality_poly(params, ground):
     n = _need_n(params, ground, "cardinality_poly")
     if "coeffs" in params:
-        return zoo.cardinality_polynomial(params["coeffs"], n)
+        coeffs = [_number(c, "a 'cardinality_poly' coeff") for c in params["coeffs"]]
+        return zoo.cardinality_polynomial(coeffs, n)
     return zoo.cardinality_power(params["k"], n)
 
 
@@ -152,7 +174,7 @@ def _build_combination(params, ground):
     if not terms:
         raise SchemaError("combination needs at least one term")
     fs = [function_from_spec(t["function"], ground) for t in terms]
-    alphas = [t.get("alpha", 1) for t in terms]
+    alphas = [_number(t.get("alpha", 1), "a combination 'alpha'") for t in terms]
     return zoo.linear_combination(fs, alphas)
 
 
@@ -169,7 +191,12 @@ def _build_max_cut(params, ground):
         return zoo.max_cut(zoo.star_counterexample(_count(params["star_n"], "'star_n'")))
     n = params.get("vertices")
     n = _need_n(params, ground, "max_cut") if n is None else _count(n, "'vertices'")
-    return zoo.max_cut(zoo.Graph(n, params["edges"]))
+    edges = [
+        (_count(u, "a max-cut endpoint"), _count(v, "a max-cut endpoint"),
+         _number(w, "a max-cut edge weight"))
+        for u, v, w in params["edges"]
+    ]
+    return zoo.max_cut(zoo.Graph(n, edges))
 
 
 def _build_supermodular_pair(params, ground):
@@ -232,8 +259,8 @@ class Instance:
         for key in ("samples", "seed"):
             if key in self.options and type(self.options[key]) is not int:
                 raise SchemaError(f"option {key!r} must be an integer")
-        if "epsilon" in self.options and type(self.options["epsilon"]) not in (int, Fraction, float):
-            raise SchemaError("option 'epsilon' must be a number")
+        if "epsilon" in self.options:
+            _number(self.options["epsilon"], "option 'epsilon'")
 
     @property
     def cardinality_p(self) -> int | None:

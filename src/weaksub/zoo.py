@@ -12,13 +12,22 @@ evaluator and step call one profile of |S|.
 Dispersion and coverage evaluate a single set in another order, so they
 offer it only when all their numbers are exact; max-cut offers it only when
 every weight is an int; a combination offers it when every term does.
+
+Dispersion and max-cut are pairwise-additive: f(S + e) = f(S) + lin[e] +
+the sum of pair terms above[e][i] over i in S.  They also offer a whole
+value ``table`` built by doubling (``_pairwise_table``), and so do the
+count-only builders, whose table holds one profile value per size.  Each
+table adds the same terms as its ``extend`` step, so it is offered under
+the same gate: exact numbers for dispersion, int weights for max-cut,
+every input for the count-only builders.  Linear, coverage, segmentation
+and combinations keep the ``extend`` walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import add, mul
 from random import Random
 from typing import Hashable, Iterable, Sequence
@@ -55,6 +64,26 @@ def _folded(start, step):
         return state[0]
 
     return ev
+
+
+def _pairwise_table(lin: Sequence[Value], above: Sequence[Sequence[Value]]) -> list:
+    """Values of f(S) = sum over e in S of (lin[e] + sum over i < e in S of
+    above[e][i]) for every mask, built by doubling.
+
+    The masks below bit e are the table so far; the ones with bit e are
+    those plus the column c_e(S) = lin[e] + above[e][i0] + above[e][i1] + ...
+    (S ascending), itself built by doubling over i < e.  So each value is
+    f(S) + c_e(S) with e the set's largest element, the same additions in
+    the same order as a step that adds e to S.  Each new list is built
+    whole before it extends the list it was read from.
+    """
+    table = [0]
+    for e, q in enumerate(lin):
+        col = [q]
+        for a in above[e]:
+            col += list(map(add, col, repeat(a)))
+        table += list(map(add, table, col))
+    return table
 
 
 @dataclass(frozen=True)
@@ -289,6 +318,7 @@ def metric_dispersion(dist: DistanceMatrix) -> SetFunction:
         name="dispersion",
         claims={NORMALIZED, NONNEGATIVE, MONOTONE, WEAKLY_SUBMODULAR},
         extend=((0, ()), step) if exact else None,
+        table=(lambda: _pairwise_table([0] * dist.n, above)) if exact else None,
     )
 
 
@@ -326,12 +356,18 @@ def segmentation(matrix: SegmentationMatrix) -> SetFunction:
 
 def _count_only(n: int, prof, name: str, claims) -> SetFunction:
     """f(S) = prof(|S|) over n interchangeable elements.  The ``extend`` state
-    is (value, size); its step calls the same ``prof``, never a table of it,
-    so a huge ground set costs nothing up front."""
+    is (value, size); its step calls the same ``prof``.  The ``table`` calls
+    ``prof`` once per size 0..n, only when the table is asked for, and
+    looks each mask's value up by its popcount, so a huge ground set costs
+    nothing up front."""
 
     def step(state, e: int):
         size = state[1] + 1
         return (prof(size), size)
+
+    def table():
+        vals = [prof(c) for c in range(n + 1)]
+        return [vals[m.bit_count()] for m in range(1 << n)]
 
     return SetFunction(
         GroundSet.of_size(n),
@@ -339,6 +375,7 @@ def _count_only(n: int, prof, name: str, claims) -> SetFunction:
         name=name,
         claims=claims,
         extend=((prof(0), 0), step),
+        table=table,
     )
 
 
@@ -471,10 +508,12 @@ def max_cut(graph: Graph) -> SetFunction:
     """Total weight of edges crossing (S, V - S); an intentionally non-monotone
     fixture, so it claims only normalization and nonnegativity.
 
-    ``extend`` is offered when every weight is an int: adding e gains its
-    edges to the outside and loses those to the set.  With a ``Fraction``
-    weight that step can end at ``Fraction(0)`` where the evaluator's sum is
-    the int 0, so there is no ``extend`` then.
+    ``extend`` and ``table`` are offered when every weight is an int:
+    adding e gains its edges to the outside and loses those to the set, so
+    the table's linear term is e's weighted degree and its pair term is
+    -2 w(i, e).  With a ``Fraction`` weight that step can end at
+    ``Fraction(0)`` where the evaluator's sum is the int 0, so there is
+    neither then.
     """
     edges = graph.edges
     ground = GroundSet.of_size(graph.n_vertices)
@@ -494,6 +533,16 @@ def max_cut(graph: Graph) -> SetFunction:
             value += -w if mask & bit else w
         return (value, mask | 1 << e)
 
+    def table():
+        n = graph.n_vertices
+        degree = [0] * n
+        above = [[0] * e for e in range(n)]
+        for u, v, w in edges:
+            degree[u] += w
+            degree[v] += w
+            above[max(u, v)][min(u, v)] -= 2 * w
+        return _pairwise_table(degree, above)
+
     exact = all(type(w) is int for _, _, w in edges)
     return SetFunction(
         ground,
@@ -501,6 +550,7 @@ def max_cut(graph: Graph) -> SetFunction:
         name="max_cut",
         claims={NORMALIZED, NONNEGATIVE},
         extend=((0, 0), step) if exact else None,
+        table=table if exact else None,
     )
 
 

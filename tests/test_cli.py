@@ -309,6 +309,24 @@ _MALFORMED = [
         )
         for label, bad in (("true", True), ("negative", -1), ("fraction", 2.5))
     ),
+    *(
+        (f"{name}-bool", {"ground_set": 2, "function": {"type": kind, "params": params}}, ("check",))
+        for name, kind, params in (
+            ("linear-weight", "linear", {"weights": [1, True]}),
+            ("coverage-weight", "coverage", {"covers": [["a"], ["a", "b"]], "weights": {"a": True, "b": 1}}),
+            ("dispersion-distance", "dispersion", {"distances": [[0, True], [True, 0]]}),
+            ("segmentation-entry", "segmentation", {"matrix": [[1, True], [0, 2]]}),
+            ("cardinality-coeff", "cardinality_poly", {"coeffs": [0, True]}),
+            ("combination-alpha", "combination", {"terms": [{"function": _THRESHOLD, "alpha": True}]}),
+            ("max-cut-weight", "max_cut", {"edges": [[0, 1, True]]}),
+            ("max-cut-endpoint", "max_cut", {"edges": [[False, True, 1]]}),
+        )
+    ),
+    (
+        "coverage-weights-list",
+        {"function": {"type": "coverage", "params": {"covers": [[1], [2]], "weights": [1, 2]}}},
+        ("check",),
+    ),
     ("samples-string", {"options": {**_SAMPLED, "samples": "10"}}, ("check",)),
     ("samples-fraction", {"options": {**_SAMPLED, "samples": 2.5}}, ("check",)),
     (
@@ -846,3 +864,39 @@ def test_cli_import_stays_light(dispersion_instance):
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "[[], (0, []), (0, [])] False"
+
+
+def test_interleaved_commands_match_solo_runs(capsys, dispersion_instance, star_instance):
+    # ``main`` reuses one parser; a usage error or ``--version`` before a
+    # command must not change that command's report.
+    commands = [
+        ["check", dispersion_instance, "--property", "monotone"],
+        ["check", star_instance],
+        ["bounds", "local", "--range", "2..6", "--exact"],
+        ["bench", "dispersion", "--count", "2", "--n", "6", "--seed", "3"],
+    ]
+    env = {"PYTHONPATH": str(Path(weaksub.__file__).parents[1])}
+
+    def report(out):
+        doc = json.loads(out)
+        del doc["wall_time_s"]
+        return doc
+
+    solo = []
+    for argv in commands:
+        done = subprocess.run(
+            [sys.executable, "-m", "weaksub", *argv], env=env, capture_output=True, text=True
+        )
+        solo.append((done.returncode, report(done.stdout)))
+
+    assert main(["check", dispersion_instance, "--property", "nonsense"]) == 2
+    assert capsys.readouterr().err.startswith("usage: ")
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out.strip() == weaksub.__version__
+    interleaved = []
+    for argv in commands:
+        code, out = run_cli(capsys, *argv)
+        interleaved.append((code, report(out)))
+    assert interleaved == solo
+    assert [code for code, _ in solo] == [0, 1, 0, 0]
+    assert cli.build_parser() is cli.build_parser()

@@ -640,6 +640,94 @@ class TestAllValuesWalk:
             assert f.all_values() == [0]
 
 
+def _exact_quarters(dist):
+    """Distances divided by 4: the integral ones stay ints, the rest are Fractions,
+    as an instance file's decimal quarters parse."""
+    return DistanceMatrix(
+        tuple(tuple(x // 4 if x % 4 == 0 else Fraction(x, 4) for x in row) for row in dist.d)
+    )
+
+
+# Builders that offer ``table``, beside the ``_EXTEND_BUILDERS`` entries that do.
+_TABLE_BUILDERS = {
+    "dispersion-quarters-mixed": lambda: metric_dispersion(
+        _exact_quarters(random_metric(8, 21, high=12))
+    ),
+    "dispersion-n0": lambda: metric_dispersion(DistanceMatrix(())),
+    "dispersion-n1": lambda: metric_dispersion(DistanceMatrix(((0,),))),
+    # Parallel edges in both orientations, a zero weight; 3, 5 and 6 are isolated.
+    "max-cut-parallel": lambda: max_cut(
+        Graph(7, ((0, 1, 2), (1, 0, 3), (0, 1, 1), (2, 4, 5), (4, 2, 1), (1, 4, 0)))
+    ),
+    "max-cut-star": lambda: max_cut(star_counterexample(5)),
+    "max-cut-n0": lambda: max_cut(Graph(0, ())),
+    "max-cut-n1": lambda: max_cut(Graph(1, ())),
+    "threshold-k3": lambda: threshold(3, 2, 8),
+    "threshold-n0": lambda: threshold(1, Fraction(1, 2), 0),
+    "card-cube": lambda: cardinality_power(3, 8),
+    "card-cube-n1": lambda: cardinality_power(3, 1),
+    "card-poly-fraction": lambda: cardinality_polynomial(
+        (0, Fraction(1, 2), Fraction(3, 4), Fraction(1, 6)), 7
+    ),
+    "card-profile-raw": lambda: raw_cardinality_profile([0, 3, -1], 7),
+}
+_ALL_TABLE_BUILDERS = {
+    **{k: b for k, b in _EXTEND_BUILDERS.items() if b().table is not None},
+    **_TABLE_BUILDERS,
+}
+# The builders that offer a table, by the name their functions carry.
+_TABLE_NAMES = ("dispersion", "max_cut", "threshold", "card")
+
+
+class TestValueTables:
+    @staticmethod
+    def _same(got, want):
+        assert len(got) == len(want)
+        for mask, (a, b) in enumerate(zip(got, want)):
+            assert type(a) is type(b) and repr(a) == repr(b), (mask, a, b)
+
+    @pytest.mark.parametrize("name", sorted(_ALL_TABLE_BUILDERS))
+    def test_table_matches_the_walk_and_the_evaluator(self, name):
+        f = _ALL_TABLE_BUILDERS[name]()
+        assert f.table is not None and f.extend is not None
+        table = f.all_values()
+        walked = SetFunction(f.ground, f._evaluator, extend=f.extend).all_values()
+        evaluated = [f._evaluator(mask) for mask in range(1 << f.ground.n)]
+        self._same(table, walked)
+        self._same(table, evaluated)
+
+    @pytest.mark.parametrize("name", sorted(_ALL_TABLE_BUILDERS))
+    def test_table_makes_no_evaluator_call_and_is_not_kept(self, name):
+        f, calls = _counting(_ALL_TABLE_BUILDERS[name]())
+        first = f.all_values()
+        assert calls == [] and f._cache == {}
+        assert f.all_values() == first and f.all_values() is not first
+
+    @pytest.mark.parametrize("name", sorted(_ALL_TABLE_BUILDERS))
+    def test_declared_ground_keeps_the_table(self, name):
+        f = _ALL_TABLE_BUILDERS[name]()
+        labels = GroundSet(tuple(f"e{i}" for i in range(f.ground.n)))
+        labelled, calls = _counting(_on_declared_ground(f, labels, f.name))
+        assert labelled.ground == labels and labelled.table is f.table
+        self._same(labelled.all_values(), f.all_values())
+        assert calls == [] and labelled._cache == {}
+
+    @pytest.mark.parametrize("name", sorted(_EXTEND_BUILDERS) + sorted(_GENERIC_BUILDERS))
+    def test_which_builders_offer_a_table(self, name):
+        f = (_EXTEND_BUILDERS.get(name) or _GENERIC_BUILDERS[name])()
+        offers = f.name.startswith(_TABLE_NAMES) and name in _EXTEND_BUILDERS
+        assert (f.table is not None) == offers
+
+    def test_inexact_dispersion_and_fraction_max_cut_offer_no_table(self):
+        for build in (
+            _GENERIC_BUILDERS["dispersion-float"],
+            _GENERIC_BUILDERS["max-cut-fraction"],
+            _GENERIC_BUILDERS["max-cut-mixed"],
+            _GENERIC_BUILDERS["max-cut-float"],
+        ):
+            assert build().table is None and build().extend is None
+
+
 def _naive_sign_check(f):
     """The sign check as an ascending scan of ``f.value``, one mask at a time:
     (pairs checked, witness as (mask, repr(lhs), repr(rhs)) or None)."""
