@@ -36,6 +36,7 @@ from .core import (
 )
 from .matroid import (
     ExchangeMap,
+    InconsistentOracle,
     Matroid,
     brualdi_bijection,
     extend_to_basis,
@@ -71,6 +72,7 @@ __all__ = [
     "evaluate",
     "weak_submodularity_sides",
     "ExchangeMap",
+    "InconsistentOracle",
     "Matroid",
     "brualdi_bijection",
     "extend_to_basis",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, count, repeat
+from itertools import compress, count, product, repeat
 from numbers import Rational
 from operator import lt
 from random import Random
@@ -80,10 +80,10 @@ class GroundSet:
         return len(self.elements)
 
     def index(self, label: Hashable) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise KeyError(f"{label!r} is not a ground-set element") from None
+        i = self._index.get(label)  # True == 1 and False == 0 in the dict, but not here
+        if i is None or isinstance(label, bool) != isinstance(self.elements[i], bool):
+            raise KeyError(f"{label!r} is not a ground-set element")
+        return i
 
     def label(self, i: int) -> Hashable:
         return self.elements[i]
@@ -737,6 +737,15 @@ def check_submodular(
 
 
 def _weak_sides(value, S: int, T: int) -> tuple[Value, Value]:
+    """The sides (lhs, rhs) of the weak-submodularity inequality at (S, T).
+
+    With A = S-T, B = T-S and C = S&T of sizes a, b and c, the marginal
+    f_C(X) = f(X | C) - f(C) and I = f(A | B | C) - f(A | C) - f(B | C) + f(C),
+    every set function has lhs - rhs = b f_C(A) + a f_C(B) - c I.  So nested
+    pairs (a = 0 or b = 0) have slack 0, disjoint pairs have slack
+    b (f(A) - f(0)) + a (f(B) - f(0)), and with f = g(|.|) the identity is the
+    count-only form that ``check_cardinality_family`` scans.
+    """
     union, inter = S | T, S & T
     lhs = T.bit_count() * value(S) + S.bit_count() * value(T)
     rhs = inter.bit_count() * value(union) + union.bit_count() * value(inter)
@@ -784,52 +793,37 @@ def cardinality_profile(k_or_coeffs) -> Callable[[int], Value]:
     return lambda m: sum(c * m**j for j, c in enumerate(coeffs))
 
 
-def cardinality_family_sides(
-    prof: Callable[[int], Value], a: int, b: int, c: int
-) -> tuple[Value, Value]:
-    """The sides (lhs, rhs) of the pair inequality for a cardinality-only profile.
-
-    With a = |S-T|, b = |T-S| and c = |S&T|:
-    lhs = (b+c) f(a+c) + (a+c) f(b+c) and rhs = c f(a+b+c) + (a+b+c) f(c).
-    """
-    lhs = (b + c) * prof(a + c) + (a + c) * prof(b + c)
-    rhs = c * prof(a + b + c) + (a + b + c) * prof(c)
-    return lhs, rhs
-
-
 def check_cardinality_family(
     k_or_coeffs,
     a_max: int,
     b_max: int,
     c_max: int,
 ) -> CheckReport:
-    """Check the weak-submodularity inequality for cardinality-only functions.
+    """Check the weak-submodularity inequality for f(S) = g(|S|), with g
+    from ``cardinality_profile(k_or_coeffs)``.
 
-    For f depending only on |S|, writing a = |S-T|, b = |T-S|, c = |S&T|,
-    the pair inequality reduces to
-
-        (b+c) f(a+c) + (a+c) f(b+c) >= c f(a+b+c) + (a+b+c) f(c)
-
-    scanned over 0 <= a <= a_max, 0 <= b <= b_max, 0 <= c <= c_max in
-    lexicographic order (see ``cardinality_family_sides``).
+    Both sides depend on (S, T) only through a = |S-T|, b = |T-S| and
+    c = |S&T|, so one pair per triple decides every pair.  The triples with
+    a <= a_max, b <= b_max and c <= c_max are scanned in lexicographic order,
+    each by ``_weak_sides`` at its canonical pair of lowest indices:
+    S-T = {0..a-1}, S&T = {a..a+c-1} and T-S = {a+c..a+b+c-1}.  A witness
+    carries its ``triple`` instead of subsets.
     """
     if min(a_max, b_max, c_max) < 1:
         raise ValueError("triple bounds must be >= 1")
     prof = cardinality_profile(k_or_coeffs)
-    checked = 0
-    for a in range(a_max + 1):
-        for b in range(b_max + 1):
-            for c in range(c_max + 1):
-                checked += 1
-                lhs, rhs = cardinality_family_sides(prof, a, b, c)
-                if violates(lhs, rhs):
-                    witness = ViolationWitness(
-                        PropertyKind.CARDINALITY_FAMILY, None, None, lhs, rhs, triple=(a, b, c)
-                    )
-                    return CheckReport(
-                        PropertyKind.CARDINALITY_FAMILY, "exhaustive", checked, False, witness
-                    )
-    return CheckReport(PropertyKind.CARDINALITY_FAMILY, "exhaustive", checked, True, None)
+
+    def value(mask: int) -> Value:
+        return prof(mask.bit_count())
+
+    kind = PropertyKind.CARDINALITY_FAMILY
+    triples = product(range(a_max + 1), range(b_max + 1), range(c_max + 1))
+    for checked, (a, b, c) in enumerate(triples, 1):
+        lhs, rhs = _weak_sides(value, (1 << a + c) - 1, (1 << b + c) - 1 << a)
+        if violates(lhs, rhs):
+            w = ViolationWitness(kind, None, None, lhs, rhs, triple=(a, b, c))
+            return CheckReport(kind, "exhaustive", checked, False, w)
+    return CheckReport(kind, "exhaustive", checked, True, None)
 
 
 CHECKERS = {

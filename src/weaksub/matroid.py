@@ -28,6 +28,10 @@ AXIOM_VALIDATION_CAP = 14
 BRUTE_FORCE_MATROID_CAP = 18
 
 
+class InconsistentOracle(ValueError):
+    """An unvalidated family broke a matroid axiom that an algorithm relies on."""
+
+
 class Matroid:
     """An independence oracle over a ground set, with rank and basis helpers."""
 
@@ -82,8 +86,8 @@ class Matroid:
         """Store an explicit independent-set family.
 
         ``independent_sets`` holds bitmasks or label iterables.  Validation
-        runs the matroid axioms exhaustively and is skipped above
-        ``AXIOM_VALIDATION_CAP`` elements.
+        refuses a family without the empty set at every size, and runs the
+        matroid axioms exhaustively up to ``AXIOM_VALIDATION_CAP`` elements.
         """
         if ground.n > EXPLICIT_STORAGE_CAP:
             raise CapExceeded(f"explicit matroids capped at n <= {EXPLICIT_STORAGE_CAP}")
@@ -93,7 +97,7 @@ class Matroid:
         )
         if any(not 0 <= m <= ground.full_mask for m in family):
             raise ValueError("independent set outside the ground set")
-        if not family:
+        if not family or validate and 0 not in family:
             raise ValueError("family must contain the empty set")
         rank = max(m.bit_count() for m in family)
         matroid = cls(ground, "explicit", family, rank)
@@ -181,7 +185,7 @@ def extend_to_basis(matroid: Matroid, subset: Subset) -> Subset:
                 mask |= 1 << e
                 break
         else:
-            raise RuntimeError("independence oracle inconsistent: no feasible extension")
+            raise InconsistentOracle("independence oracle inconsistent: no feasible extension")
     return Subset(matroid.ground, mask)
 
 
@@ -203,12 +207,10 @@ class ExchangeMap:
         if len(set(targets)) != len(targets):
             return False
         for x_label, y_label in self.mapping.items():
-            swapped = (xm & ~(1 << g.index(x_label))) | (1 << g.index(y_label))
-            if not (self.Y.mask >> g.index(y_label)) & 1:
+            x, y = g.index(x_label), g.index(y_label)
+            if not self.Y.mask >> y & 1 or xm >> y & 1:
                 return False
-            if (xm >> g.index(y_label)) & 1:
-                return False
-            if not matroid.is_independent_mask(swapped):
+            if not matroid.is_independent_mask(xm & ~(1 << x) | 1 << y):
                 return False
         return True
 
@@ -247,7 +249,7 @@ def brualdi_bijection(matroid: Matroid, X: Subset, Y: Subset) -> ExchangeMap:
     for x in left:
         augment(x, set())
     if len(match_of_right) != len(left):
-        raise RuntimeError("no perfect swap matching: independence oracle inconsistent")
+        raise InconsistentOracle("no perfect swap matching: independence oracle inconsistent")
 
     g = matroid.ground
     mapping = {g.label(x): g.label(y) for y, x in sorted(match_of_right.items())}

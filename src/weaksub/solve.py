@@ -30,7 +30,7 @@ from .core import (
     Value,
     _prefix_steps,
 )
-from .matroid import Matroid
+from .matroid import InconsistentOracle, Matroid
 
 BRUTE_FORCE_CARDINALITY_CAP = 22
 
@@ -115,7 +115,7 @@ def _greedy_basis(
             if best_gain is None or gain > best_gain:
                 best_gain, best_value, best_e = gain, value, e
         if best_e is None:
-            raise RuntimeError("independence oracle inconsistent: basis unreachable")
+            raise InconsistentOracle("independence oracle inconsistent: basis unreachable")
         mask |= 1 << best_e
         base = best_value
         trace.append((len(trace) + 1, f.ground.label(best_e), base))

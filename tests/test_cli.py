@@ -147,6 +147,25 @@ class TestCheckCommand:
     def test_usage_error_exits_two(self, capsys, dispersion_instance):
         assert main(["check", dispersion_instance, "--property", "bogus"]) == 2
 
+    def test_exhaustive_monotone_past_cap_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "linear15.json"
+        path.write_text(json.dumps({"function": {"type": "linear", "params": {"weights": [1] * 15}}}))
+        code = main(["check", str(path), "--property", "monotone"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "capped at n <= 14" in captured.err
+
+    def test_fractional_polynomial_coeffs_from_file(self, capsys, tmp_path):
+        # The decimal 0.5 is read as Fraction(1, 2).
+        path = tmp_path / "poly.json"
+        path.write_text(
+            '{"ground_set": 5, "function": {"type": "cardinality_poly",'
+            ' "params": {"coeffs": [0, 1, 0.5]}}}'
+        )
+        code, report = run_json(capsys, "check", str(path))
+        assert code == 0
+        assert report["result"]["passed"] is True
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_sampled_check_of_nothing_exits_two(self, capsys, tmp_path, samples):
         # The exhaustive scan fails this instance, so a sampled pass over no
@@ -181,6 +200,24 @@ class TestMaximizeCommand:
         )
         assert code == 0
         assert report["result"]["solve"]["certificate"]["algorithm"] == "local_search_matroid"
+
+    def test_greedy_compare_at_p_zero_reports_ratio_one(self, capsys, tmp_path):
+        path = tmp_path / "p0.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "function": {"type": "linear", "params": {"weights": [1, 2, 3]}},
+                    "constraint": {"type": "cardinality", "p": 0},
+                }
+            )
+        )
+        code, report = run_json(
+            capsys, "maximize", str(path), "--algorithm", "greedy", "--compare", "exact"
+        )
+        assert code == 0
+        assert report["result"]["solve"]["value"] == 0
+        assert report["result"]["compare"]["optimum"]["value"] == 0
+        assert report["result"]["compare"]["ratio"] == 1
 
     def test_exact(self, capsys, dispersion_instance):
         code, report = run_json(capsys, "maximize", dispersion_instance, "--algorithm", "exact")
@@ -334,6 +371,52 @@ _MALFORMED = [
         {"constraint": {"type": "uniform", "rank": 2}, "options": {"epsilon": "x"}},
         _LOCAL,
     ),
+    ("params-list", {"function": {"type": "linear", "params": []}}, ("check",)),
+    ("combination-no-terms", {"function": {"type": "combination", "params": {"terms": []}}}, ("check",)),
+    ("constraint-list", {"constraint": [1]}, _LOCAL),
+    ("options-list", {"options": []}, ("check",)),
+    ("rank-above-n", {"constraint": {"type": "uniform", "rank": 5}}, _LOCAL),
+    (
+        "caps-negative",
+        {"constraint": {"type": "partition", "blocks": [[0, 1], [2, 3]], "caps": [1, -1]}},
+        _LOCAL,
+    ),
+    (
+        "cardinality-degree-4",
+        {"ground_set": 4, "function": {"type": "cardinality_poly", "params": {"coeffs": [0, 1, 1, 1, 1]}}},
+        ("check",),
+    ),
+    # Past the axiom-validation cap of 14 elements: no reachable basis, no empty set.
+    *(
+        (
+            f"explicit-n15-{name}",
+            {
+                "ground_set": 15,
+                "function": {"type": "linear", "params": {"weights": [1] * 15}},
+                "constraint": {"type": "explicit", "independent_sets": sets},
+            },
+            _LOCAL,
+        )
+        for name, sets in (("unreachable-basis", [[], [0], [1, 2]]), ("no-empty-set", [[0], [1, 2]]))
+    ),
+    # On a positional ground, true and false are not the elements 1 and 0.
+    *(
+        (
+            f"{name}-bool-label",
+            {"function": {"type": "linear", "params": {"weights": [1, 2, 3]}}, "constraint": constraint},
+            _LOCAL,
+        )
+        for name, constraint in (
+            ("partition-block", {"type": "partition", "blocks": [[True, 0], [2]], "caps": [1, 1]}),
+            (
+                "explicit-set",
+                {
+                    "type": "explicit",
+                    "independent_sets": [[], [False], [True], [2], [False, 2], [True, 2]],
+                },
+            ),
+        )
+    ),
 ]
 
 
@@ -344,9 +427,40 @@ def test_malformed_field_exits_two(capsys, tmp_path, fields, argv):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps({"function": _LINEAR, **fields}))
     code = main([argv[0], str(path), *argv[1:]])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == 2
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_non_object_document_exits_two(capsys, tmp_path):
+    path = tmp_path / "instance.json"
+    path.write_text("[1]")
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: instance document must be a JSON object\n"
+
+
+@pytest.mark.parametrize(
+    "constraint, selected",
+    [
+        ({"type": "partition", "blocks": [[True, False]], "caps": [1]}, [False]),
+        ({"type": "explicit", "independent_sets": [[], [True]]}, [True]),
+    ],
+)
+def test_boolean_ground_labels_name_their_elements(capsys, tmp_path, constraint, selected):
+    doc = {
+        "ground_set": [True, False],
+        "function": {"type": "linear", "params": {"weights": [1, 2]}},
+        "constraint": constraint,
+    }
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "maximize", str(path), "--algorithm", "local")
+    assert code == 0
+    assert report["result"]["solve"]["selected"] == selected
 
 
 _NAN = float("nan")
@@ -436,6 +550,12 @@ class TestBoundsCommand:
         )
         assert code == 0
         assert "13/3" in out
+
+    def test_single_parameter_range(self, capsys):
+        _, single = run_json(capsys, "bounds", "local", "--range", "5")
+        _, span = run_json(capsys, "bounds", "local", "--range", "5..5")
+        assert single["result"] == span["result"]
+        assert [r["param"] for r in single["result"]["rows"]] == [5]
 
     def test_bad_range_exits_two(self, capsys):
         code, _ = run_cli(capsys, "bounds", "greedy", "--range", "5..2")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -6,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weaksub
 from weaksub import (
@@ -23,7 +26,7 @@ from weaksub import (
     evaluate,
     weak_submodularity_sides,
 )
-from weaksub.core import cardinality_family_sides
+from weaksub.core import _weak_sides, cardinality_profile, violates
 from weaksub.zoo import (
     DistanceMatrix,
     SegmentationMatrix,
@@ -59,6 +62,15 @@ class TestGroundSetAndSubset:
         assert g.label(2) == "z"
         with pytest.raises(KeyError):
             g.index("w")
+
+    def test_bool_and_int_labels_never_name_each_other(self):
+        # True == 1 and False == 0, so a dict lookup alone would mix them.
+        ints, bools = GroundSet.of_size(3), GroundSet((True, False))
+        for g, label in ((ints, True), (ints, False), (bools, 1), (bools, 0)):
+            with pytest.raises(KeyError, match="is not a ground-set element"):
+                g.index(label)
+        assert (bools.index(True), bools.index(False), ints.index(1)) == (0, 1, 1)
+        assert Subset.from_labels(bools, [False]).mask == 0b10
 
     def test_subset_operations(self):
         g = GroundSet.of_size(5)
@@ -464,7 +476,47 @@ class TestCardinalityFamily:
         lhs = (b + c) * prof(a + c) + (a + c) * prof(b + c)
         rhs = c * prof(a + b + c) + (a + b + c) * prof(c)
         assert (lhs, rhs) == (6250, 6570)
-        assert cardinality_family_sides(prof, a, b, c) == (6250, 6570)
+        # The canonical pair of (4, 4, 1): S - T = {0..3}, S & T = {4}, T - S = {5..8}.
+        f = raw_cardinality_profile(4, 9)
+        S, T = Subset.from_indices(f.ground, range(5)), Subset.from_indices(f.ground, range(4, 9))
+        assert weak_submodularity_sides(f, S, T) == (6250, 6570)
+
+    @pytest.mark.parametrize(
+        "k_or_coeffs, bounds",
+        [
+            *(pytest.param(k, (8, 8, 8), id=f"k{k}") for k in range(9)),
+            pytest.param(2, (16, 16, 16), id="k2-wide"),
+            pytest.param(3, (16, 16, 16), id="k3-wide"),
+            pytest.param([0, 2, 1, 1], (8, 8, 8), id="int-pass"),
+            pytest.param([0, 1, 0, 0, 1], (6, 6, 6), id="int-fail"),
+            pytest.param([0, Fraction(1, 3), Fraction(1, 2), Fraction(1, 7)], (8, 8, 8), id="fraction-pass"),
+            pytest.param([0, Fraction(1, 3), 0, 0, Fraction(1, 5)], (6, 6, 6), id="fraction-fail"),
+            pytest.param([0.0, 1.5, 0.25, 0.1], (8, 8, 8), id="float-pass"),
+            pytest.param([0.0, 0.5, 0.0, 0.0, 0.3], (6, 6, 6), id="float-fail"),
+            pytest.param(math.sqrt, (8, 8, 8), id="callable-sqrt"),
+            pytest.param(lambda m: 0.1 * m**4.5, (6, 6, 6), id="callable-power-4.5"),
+            pytest.param(lambda m: m / 3 + m * m / 7, (8, 8, 8), id="callable-quadratic"),
+        ],
+    )
+    def test_matches_the_reduced_formula(self, k_or_coeffs, bounds):
+        # The reduced integer-triple scan, written out: the checker evaluates
+        # each triple at a real pair and must agree with it in value, type and repr.
+        prof = cardinality_profile(k_or_coeffs)
+        checked, expected = 0, None
+        for a, b, c in itertools.product(*(range(m + 1) for m in bounds)):
+            checked += 1
+            lhs = (b + c) * prof(a + c) + (a + c) * prof(b + c)
+            rhs = c * prof(a + b + c) + (a + b + c) * prof(c)
+            if violates(lhs, rhs):
+                expected = (a, b, c), lhs, rhs
+                break
+        report = check_cardinality_family(k_or_coeffs, *bounds)
+        assert (report.pairs_checked, report.passed) == (checked, expected is None)
+        if expected is not None:
+            w = report.witness
+            assert w.triple == expected[0]
+            for got, want in zip((w.lhs, w.rhs), expected[1:]):
+                assert (got, type(got), repr(got)) == (want, type(want), repr(want))
 
     def test_coefficient_profiles(self):
         assert check_cardinality_family([0, 2, 1, 1], 8, 8, 8).passed
@@ -473,6 +525,32 @@ class TestCardinalityFamily:
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
             check_cardinality_family(2, 0, 8, 8)
+
+
+def _tables(values):
+    return st.integers(0, 6).flatmap(lambda n: st.lists(values, min_size=1 << n, max_size=1 << n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _tables(st.integers(-20, 20))
+    | _tables(st.fractions(min_value=-5, max_value=5, max_denominator=9))
+)
+def test_weak_slack_identity(values):
+    """lhs - rhs = b f_C(A) + a f_C(B) - c I on every pair (see ``_weak_sides``)."""
+    f = values.__getitem__
+    for S in range(len(values)):
+        for T in range(len(values)):
+            A, B, C = S & ~T, T & ~S, S & T
+            a, b, c = A.bit_count(), B.bit_count(), C.bit_count()
+            interaction = f(A | B | C) - f(A | C) - f(B | C) + f(C)
+            lhs, rhs = _weak_sides(f, S, T)
+            slack = lhs - rhs
+            assert slack == b * (f(A | C) - f(C)) + a * (f(B | C) - f(C)) - c * interaction
+            if a == 0 or b == 0:
+                assert slack == 0
+            if c == 0:
+                assert slack == b * (f(A) - f(0)) + a * (f(B) - f(0))
 
 
 class TestToleranceModel:

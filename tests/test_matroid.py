@@ -7,7 +7,9 @@ import pytest
 
 from weaksub import (
     CapExceeded,
+    ExchangeMap,
     GroundSet,
+    InconsistentOracle,
     Subset,
     brualdi_bijection,
     extend_to_basis,
@@ -15,6 +17,8 @@ from weaksub import (
     validate_exchange_axiom,
 )
 from weaksub.matroid import Matroid, random_matroid, random_partition_matroid
+from weaksub.solve import local_search_matroid
+from weaksub.zoo import linear
 
 
 def masks_of(ground, *index_tuples):
@@ -194,6 +198,30 @@ class TestBrualdiBijection:
         with pytest.raises(ValueError):
             brualdi_bijection(m, Subset.from_indices(g, (0,)), Subset.from_indices(g, (1, 2)))
 
+    @pytest.mark.parametrize(
+        "X, Y, mapping",
+        [
+            pytest.param((0, 2), (1, 3), {0: 1}, id="keys-not-X-minus-Y"),
+            pytest.param((0, 2), (1, 6), {0: 6, 2: 6}, id="not-injective"),
+            pytest.param((0, 2), (1, 3), {0: 4, 2: 3}, id="target-outside-Y"),
+            pytest.param((0, 2), (1, 2), {0: 2}, id="target-inside-X"),
+            pytest.param((0, 2), (1, 3), {0: 3, 2: 1}, id="dependent-swap"),
+        ],
+    )
+    def test_is_valid_rejections(self, X, Y, mapping):
+        # Every other check passes, so only the one named in the id rejects.
+        g = GroundSet.of_size(7)
+        m = Matroid.partition(g, [[0, 1, 4], [2, 3, 5], [6]], [1, 1, 1])
+        X, Y = Subset.from_indices(g, X), Subset.from_indices(g, Y)
+        assert not ExchangeMap(X, Y, mapping).is_valid(m)
+
+    def test_no_perfect_matching_raises_inconsistent_oracle(self):
+        # Two bases with no feasible single swap between them.
+        g = GroundSet.of_size(4)
+        m = Matroid.explicit(g, [0, 1, 2, 4, 8, 0b0011, 0b1100], validate=False)
+        with pytest.raises(InconsistentOracle):
+            brualdi_bijection(m, Subset(g, 0b0011), Subset(g, 0b1100))
+
     def test_exists_for_all_base_pairs_of_random_matroids(self):
         rng = Random(4)
         for trial in range(8):
@@ -236,6 +264,21 @@ class TestExchangeAxiom:
         g = GroundSet.of_size(2)
         m = Matroid.explicit(g, [0b01], validate=False)
         assert not validate_exchange_axiom(m).passed
+
+    @pytest.mark.parametrize("n", [3, 15])
+    def test_constructor_refuses_a_family_without_the_empty_set(self, n):
+        # Past the exchange-check cap of 14 elements too.
+        with pytest.raises(ValueError, match="must contain the empty set"):
+            Matroid.explicit(GroundSet.of_size(n), [0b001, 0b110])
+
+    def test_unchecked_family_past_cap_raises_inconsistent_oracle(self):
+        # n = 15 skips the exchange check; {0} is a maximal set below rank 2.
+        g = GroundSet.of_size(15)
+        m = Matroid.explicit(g, [0, 0b001, 0b110])
+        with pytest.raises(InconsistentOracle, match="basis unreachable"):
+            local_search_matroid(linear([1] * 15), m)
+        with pytest.raises(InconsistentOracle, match="no feasible extension"):
+            extend_to_basis(m, Subset(g, 0b001))
 
     def test_oracle_and_stored_family_give_the_same_report(self):
         rng = Random(5)
