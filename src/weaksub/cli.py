@@ -130,61 +130,53 @@ def _cmd_bounds(args):
 
 
 def _counterexample_fixtures():
-    """The fixed violation suite with its expected integer sides."""
+    """The fixed violation suite: (name, description, f, S, T, expected integer sides)."""
     cut = zoo.max_cut(zoo.star_counterexample(3))
-    g = cut.ground
-    spokes = Subset.from_indices(g, (0, 1, 2))
-    yield (
-        "max_cut_star_n3",
-        "two-hub unit gadget, around-the-hubs pair",
-        lambda: weak_submodularity_sides(
-            cut, spokes | Subset.from_indices(g, (3,)), spokes | Subset.from_indices(g, (4,))
-        ),
-        (24, 30),
-    )
-
     thr = zoo.threshold(3, 1, 5)
-    yield (
-        "threshold_k3",
-        "two below-threshold sets sharing one element",
-        lambda: weak_submodularity_sides(
-            thr,
-            Subset.from_indices(thr.ground, (0, 2)),
-            Subset.from_indices(thr.ground, (1, 2)),
-        ),
-        (0, 1),
-    )
-
     quartic = zoo.raw_cardinality_profile(4, 9)
-    yield (
-        "cardinality_power_4",
-        "|S|^4 profile at the split (4, 4, 1)",
-        lambda: weak_submodularity_sides(
-            quartic,
-            Subset.from_indices(quartic.ground, range(5)),
-            Subset.from_indices(quartic.ground, range(4, 9)),
-        ),
-        (6250, 6570),
-    )
-
     pair = zoo.supermodular_pair(1)
-    yield (
-        "supermodular_pair",
-        "both partners split across the pair",
-        lambda: weak_submodularity_sides(
-            pair,
-            Subset.from_labels(pair.ground, ("a1", "b")),
-            Subset.from_labels(pair.ground, ("a2", "b")),
+    subset = Subset.from_labels
+    return (
+        (
+            "max_cut_star_n3",
+            "two-hub unit gadget, around-the-hubs pair",
+            cut,
+            subset(cut.ground, (0, 1, 2, 3)),
+            subset(cut.ground, (0, 1, 2, 4)),
+            (24, 30),
         ),
-        (0, 1),
+        (
+            "threshold_k3",
+            "two below-threshold sets sharing one element",
+            thr,
+            subset(thr.ground, (0, 2)),
+            subset(thr.ground, (1, 2)),
+            (0, 1),
+        ),
+        (
+            "cardinality_power_4",
+            "|S|^4 profile at the split (4, 4, 1)",
+            quartic,
+            subset(quartic.ground, range(5)),
+            subset(quartic.ground, range(4, 9)),
+            (6250, 6570),
+        ),
+        (
+            "supermodular_pair",
+            "both partners split across the pair",
+            pair,
+            subset(pair.ground, ("a1", "b")),
+            subset(pair.ground, ("a2", "b")),
+            (0, 1),
+        ),
     )
 
 
 def _cmd_counterexamples(args):
     rows = []
     all_ok = True
-    for name, description, sides, expected in _counterexample_fixtures():
-        lhs, rhs = sides()
+    for name, description, f, S, T, expected in _counterexample_fixtures():
+        lhs, rhs = weak_submodularity_sides(f, S, T)
         ok = (lhs, rhs) == expected and lhs < rhs
         all_ok &= ok
         rows.append(

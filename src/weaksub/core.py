@@ -145,7 +145,11 @@ class Subset:
         return self.cardinality
 
     def __contains__(self, label: Hashable) -> bool:
-        return self.mask >> self.ground.index(label) & 1 == 1
+        """False for a label that is not a ground-set element (``GroundSet.index``)."""
+        try:
+            return self.mask >> self.ground.index(label) & 1 == 1
+        except KeyError:
+            return False
 
     def __iter__(self):
         return iter(self.labels())

@@ -85,16 +85,20 @@ class Matroid:
     ) -> "Matroid":
         """Store an explicit independent-set family.
 
-        ``independent_sets`` holds bitmasks or label iterables.  Validation
-        refuses a family without the empty set at every size, and runs the
-        matroid axioms exhaustively up to ``AXIOM_VALIDATION_CAP`` elements.
+        ``independent_sets`` holds bitmasks or label iterables; a bool is
+        neither and is refused.  Validation refuses a family without the empty
+        set at every size, and runs the matroid axioms exhaustively up to
+        ``AXIOM_VALIDATION_CAP`` elements.
         """
         if ground.n > EXPLICIT_STORAGE_CAP:
             raise CapExceeded(f"explicit matroids capped at n <= {EXPLICIT_STORAGE_CAP}")
-        family = frozenset(
-            s if isinstance(s, int) else Subset.from_labels(ground, s).mask
-            for s in independent_sets
-        )
+
+        def mask_of(s) -> int:
+            if isinstance(s, bool):
+                raise ValueError(f"independent set {s!r} is a bool, not a bitmask or labels")
+            return s if isinstance(s, int) else Subset.from_labels(ground, s).mask
+
+        family = frozenset(map(mask_of, independent_sets))
         if any(not 0 <= m <= ground.full_mask for m in family):
             raise ValueError("independent set outside the ground set")
         if not family or validate and 0 not in family:

@@ -6,23 +6,20 @@ classic counterexample values reproduce exactly.  The linear, coverage,
 dispersion, segmentation, count-only, max-cut and combination builders also
 offer an incremental ``extend`` state (see ``SetFunction``).  Linear and
 segmentation have no other definition: their evaluator folds their step over
-the set, so they offer ``extend`` for every input.  So do the count-only
-builders (cardinality power, polynomial and profile, and threshold), whose
-evaluator and step call one profile of |S|.
-Dispersion and coverage evaluate a single set in another order, so they
-offer it only when all their numbers are exact; max-cut offers it only when
-every weight is an int; a combination offers it when every term does.
+the set, so they offer ``extend`` for every input.  Coverage evaluates a
+single set in another order, so it offers it only when its weights are
+exact; a combination offers it when every term does.
 
-Dispersion and max-cut are pairwise-additive: f(S + e) = f(S) + lin[e] +
-the sum of pair terms above[e][i] over i in S.  They also offer a whole
-value ``table`` built by doubling (``_pairwise_table``), and so do the
-count-only builders, whose table holds one profile value per size.  Each
-table adds the same terms as its ``extend`` step, so it is offered under
-the same gate: exact numbers for dispersion, int weights for max-cut,
-every input for the count-only builders.  Linear, coverage, segmentation
-and combinations keep the ``extend`` walk.
+Two constructors supply ``extend`` and a whole value ``table`` for a family
+of builders.  ``_count_only`` takes a profile of |S| (cardinality power,
+polynomial and profile, and threshold) for every input.  ``_pairwise``
+takes a pairwise-additive f(S + e) = f(S) + lin[e] + the sum of pair terms
+above[e][i] over i in S (metric dispersion and max-cut); its step and its
+table (``_pairwise_table``, by doubling) make the same additions.  Their
+evaluators sum in another order, so ``_pairwise`` offers both under a gate:
+exact distances for dispersion, int weights for max-cut.  Linear,
+coverage, segmentation and combinations keep the ``extend`` walk.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -66,21 +63,22 @@ def _folded(start, step):
     return ev
 
 
-def _pairwise_table(lin: Sequence[Value], above: Sequence[Sequence[Value]]) -> list:
+def _pairwise_table(lin: Sequence[Value], above) -> list:
     """Values of f(S) = sum over e in S of (lin[e] + sum over i < e in S of
-    above[e][i]) for every mask, built by doubling.
+    above[e][i]) for every mask, built by doubling.  ``above[e]`` is indexed
+    by i in range(e): a tuple, or a sparse ``_SparseRow``.
 
     The masks below bit e are the table so far; the ones with bit e are
     those plus the column c_e(S) = lin[e] + above[e][i0] + above[e][i1] + ...
     (S ascending), itself built by doubling over i < e.  So each value is
     f(S) + c_e(S) with e the set's largest element, the same additions in
-    the same order as a step that adds e to S.  Each new list is built
-    whole before it extends the list it was read from.
+    the same order as ``_pairwise``'s step adding e to S.  Each new list is
+    built whole before it extends the list it was read from.
     """
     table = [0]
     for e, q in enumerate(lin):
         col = [q]
-        for a in above[e]:
+        for a in map(above[e].__getitem__, range(e)):
             col += list(map(add, col, repeat(a)))
         table += list(map(add, table, col))
     return table
@@ -257,17 +255,19 @@ def coverage(
     if ground.n != len(item_sets):
         raise ValueError("one cover set per ground element required")
 
-    def ev(mask: int) -> Value:
-        hit = set()
-        for i, c in enumerate(item_sets):
-            if mask >> i & 1:
-                hit |= c
-        return sum(weights[x] for x in hit)
-
-    # State: (value, mask of the covered items); item j is bit j of ``items``.
+    # Item j is bit j of ``items``; the ``extend`` state is (value, mask of
+    # the covered items).
     item_bit = {x: 1 << j for j, x in enumerate(items)}
     hits = [tuple((item_bit[x], weights[x]) for x in c) for c in item_sets]
     cover_masks = [sum(b for b, _ in h) for h in hits]
+    item_weights = [(1 << j, weights[x]) for j, x in enumerate(items)]
+
+    def ev(mask: int) -> Value:
+        covered = 0
+        for i, c in enumerate(cover_masks):
+            if mask >> i & 1:
+                covered |= c
+        return sum([w for b, w in item_weights if covered & b])
 
     def step(state, e: int):
         value, covered = state
@@ -297,29 +297,17 @@ def metric_dispersion(dist: DistanceMatrix) -> SetFunction:
     """Sum of pairwise distances within S; monotone and weakly submodular but
     supermodular, so no submodularity claim."""
     d = dist.d
-    ground = GroundSet.of_size(dist.n)
 
     def ev(mask: int) -> Value:
         idx = [i for i in range(dist.n) if mask >> i & 1]
         return sum(d[u][v] for u, v in combinations(idx, 2))
 
-    # State: (value, indices of the set).  above[e][i] is d[i][e] for i < e,
-    # the same upper-triangle entry the evaluator reads for the pair.
+    # above[e][i] is d[i][e] for i < e, the same upper-triangle entry the
+    # evaluator reads for the pair.
     above = [tuple(d[i][e] for i in range(e)) for e in range(dist.n)]
-
-    def step(state, e: int):
-        value, idx = state
-        return (value + sum(map(above[e].__getitem__, idx)), idx + (e,))
-
     exact = all(_all_exact(row) for row in d)
-    return SetFunction(
-        ground,
-        ev,
-        name="dispersion",
-        claims={NORMALIZED, NONNEGATIVE, MONOTONE, WEAKLY_SUBMODULAR},
-        extend=((0, ()), step) if exact else None,
-        table=(lambda: _pairwise_table([0] * dist.n, above)) if exact else None,
-    )
+    claims = {NORMALIZED, NONNEGATIVE, MONOTONE, WEAKLY_SUBMODULAR}
+    return _pairwise(ev, [0] * dist.n, above, exact, "dispersion", claims)
 
 
 def cross_dispersion(dist: DistanceMatrix, s_indices, t_indices) -> Value:
@@ -352,6 +340,35 @@ def segmentation(matrix: SegmentationMatrix) -> SetFunction:
         claims={NORMALIZED, NONNEGATIVE, MONOTONE, WEAKLY_SUBMODULAR},
         extend=((0, None), step),
     )
+
+
+def _pairwise(ev, lin: Sequence[Value], above, exact: bool, name: str, claims) -> SetFunction:
+    """f(S) = sum over e in S of (lin[e] + sum over i < e in S of above[e][i])
+    on len(lin) elements, evaluated by the builder's ``ev``.  The ``extend``
+    state is (value, indices of the set); adding e adds lin[e] + above[e][i0]
+    + above[e][i1] + ... (S ascending), the column of ``_pairwise_table``,
+    so the fold and the table make the same additions.  Both are offered
+    only when ``exact``, since ``ev`` sums in another order."""
+
+    def step(state, e: int):
+        value, idx = state
+        return (value + sum(map(above[e].__getitem__, idx), lin[e]), idx + (e,))
+
+    return SetFunction(
+        GroundSet.of_size(len(lin)),
+        ev,
+        name=name,
+        claims=claims,
+        extend=((0, ()), step) if exact else None,
+        table=(lambda: _pairwise_table(lin, above)) if exact else None,
+    )
+
+
+class _SparseRow(dict):
+    """Pair terms by index; a missing index reads 0 and stores nothing."""
+
+    def __missing__(self, i: int) -> int:
+        return 0
 
 
 def _count_only(n: int, prof, name: str, claims) -> SetFunction:
@@ -508,50 +525,27 @@ def max_cut(graph: Graph) -> SetFunction:
     """Total weight of edges crossing (S, V - S); an intentionally non-monotone
     fixture, so it claims only normalization and nonnegativity.
 
-    ``extend`` and ``table`` are offered when every weight is an int:
-    adding e gains its edges to the outside and loses those to the set, so
-    the table's linear term is e's weighted degree and its pair term is
-    -2 w(i, e).  With a ``Fraction`` weight that step can end at
-    ``Fraction(0)`` where the evaluator's sum is the int 0, so there is
-    neither then.
+    Max-cut is pairwise-additive: adding e gains its edges to the outside
+    and loses those to the set, so lin[e] is e's weighted degree and the
+    pair term above[e][i] is -2 w(i, e), summed over parallel edges.  The
+    rows are sparse, so building costs O(n + m) and a step O(|S|).
+    ``extend`` and ``table`` are offered when every weight is an int.  With
+    a ``Fraction`` weight the step can end at ``Fraction(0)`` where the
+    evaluator's sum is the int 0, so there is neither then.
     """
     edges = graph.edges
-    ground = GroundSet.of_size(graph.n_vertices)
 
     def ev(mask: int) -> Value:
         return sum(w for (u, v, w) in edges if (mask >> u & 1) != (mask >> v & 1))
 
-    # State: (value, mask of the set); ends[e] lists (bit of the other end, weight).
-    ends = [[] for _ in range(graph.n_vertices)]
+    degree = [0] * graph.n_vertices
+    above = [_SparseRow() for _ in range(graph.n_vertices)]
     for u, v, w in edges:
-        ends[u].append((1 << v, w))
-        ends[v].append((1 << u, w))
-
-    def step(state, e: int):
-        value, mask = state
-        for bit, w in ends[e]:
-            value += -w if mask & bit else w
-        return (value, mask | 1 << e)
-
-    def table():
-        n = graph.n_vertices
-        degree = [0] * n
-        above = [[0] * e for e in range(n)]
-        for u, v, w in edges:
-            degree[u] += w
-            degree[v] += w
-            above[max(u, v)][min(u, v)] -= 2 * w
-        return _pairwise_table(degree, above)
-
+        degree[u] += w
+        degree[v] += w
+        above[max(u, v)][min(u, v)] -= 2 * w
     exact = all(type(w) is int for _, _, w in edges)
-    return SetFunction(
-        ground,
-        ev,
-        name="max_cut",
-        claims={NORMALIZED, NONNEGATIVE},
-        extend=((0, 0), step) if exact else None,
-        table=table if exact else None,
-    )
+    return _pairwise(ev, degree, above, exact, "max_cut", {NORMALIZED, NONNEGATIVE})
 
 
 def star_counterexample(n: int) -> Graph:

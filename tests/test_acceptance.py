@@ -29,6 +29,7 @@ from weaksub import (
     check_weakly_submodular,
     greedy_cardinality,
     local_search_matroid,
+    weak_submodularity_sides,
 )
 from weaksub.bounds import (
     a_star,
@@ -144,8 +145,8 @@ def test_criterion_3_counterexample_integers():
     clauses = []
     print("\ncriterion 3: counterexample fixtures")
 
-    for name, _, sides, expected in _counterexample_fixtures():
-        lhs, rhs = sides()
+    for name, _, f, S, T, expected in _counterexample_fixtures():
+        lhs, rhs = weak_submodularity_sides(f, S, T)
         _clause(
             clauses,
             f"{name} reproduces {expected[0]} < {expected[1]}",

@@ -72,6 +72,13 @@ class TestGroundSetAndSubset:
         assert (bools.index(True), bools.index(False), ints.index(1)) == (0, 1, 1)
         assert Subset.from_labels(bools, [False]).mask == 0b10
 
+    def test_membership_of_a_non_element_is_false(self):
+        s = Subset.from_indices(GroundSet.of_size(3), [0])
+        assert "z" not in s and True not in s and False not in s and 3 not in s
+        assert 0 in s and 1 not in s
+        bools = Subset.from_labels(GroundSet((True, False)), [True])
+        assert True in bools and 1 not in bools and 0 not in bools
+
     def test_subset_operations(self):
         g = GroundSet.of_size(5)
         s = Subset.from_indices(g, (0, 2))

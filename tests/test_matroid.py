@@ -271,6 +271,13 @@ class TestExchangeAxiom:
         with pytest.raises(ValueError, match="must contain the empty set"):
             Matroid.explicit(GroundSet.of_size(n), [0b001, 0b110])
 
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_constructor_refuses_a_bool_set(self, validate):
+        # True would otherwise be stored as the mask of element 0.
+        for family in ([0, True], [0, 1, False]):
+            with pytest.raises(ValueError, match="is a bool"):
+                Matroid.explicit(GroundSet.of_size(2), family, validate=validate)
+
     def test_unchecked_family_past_cap_raises_inconsistent_oracle(self):
         # n = 15 skips the exchange check; {0} is a maximal set below rank 2.
         g = GroundSet.of_size(15)

@@ -1,4 +1,5 @@
 import heapq
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -26,6 +27,7 @@ from weaksub.zoo import (
     DistanceMatrix,
     Graph,
     SegmentationMatrix,
+    _SparseRow,
     cardinality_polynomial,
     cardinality_power,
     complement,
@@ -450,6 +452,14 @@ def _tied_segmentation():
     )
 
 
+def _exact_quarters(dist):
+    """Distances divided by 4: the integral ones stay ints, the rest are Fractions,
+    as an instance file's decimal quarters parse."""
+    return DistanceMatrix(
+        tuple(tuple(x // 4 if x % 4 == 0 else Fraction(x, 4) for x in row) for row in dist.d)
+    )
+
+
 def _cut_graph(weights):
     """A graph on 6 vertices: a 6-cycle, then chords, one edge per weight."""
     pairs = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4))
@@ -520,8 +530,15 @@ _EXTEND_BUILDERS = {
     "cardinality-poly-float": lambda: cardinality_polynomial((0, 0.5, 0.25), 6),
     "cardinality-poly-empty": lambda: cardinality_polynomial((), 5),
     "cardinality-profile": lambda: raw_cardinality_profile([0, 3, -1], 7),
+    "dispersion-quarters-mixed": lambda: metric_dispersion(
+        _exact_quarters(random_metric(8, 21, high=12))
+    ),
     "max-cut-int": lambda: max_cut(_cut_graph((2, 0, 5, 1, 3, 3, 1, 4))),
     "max-cut-star": lambda: max_cut(star_counterexample(4)),
+    # Parallel edges in both orientations, a zero weight; 3, 5 and 6 are isolated.
+    "max-cut-parallel": lambda: max_cut(
+        Graph(7, ((0, 1, 2), (1, 0, 3), (0, 1, 1), (2, 4, 5), (4, 2, 1), (1, 4, 0)))
+    ),
 }
 
 # Builders without ``extend``: float dispersion, max-cut with a Fraction or
@@ -640,25 +657,10 @@ class TestAllValuesWalk:
             assert f.all_values() == [0]
 
 
-def _exact_quarters(dist):
-    """Distances divided by 4: the integral ones stay ints, the rest are Fractions,
-    as an instance file's decimal quarters parse."""
-    return DistanceMatrix(
-        tuple(tuple(x // 4 if x % 4 == 0 else Fraction(x, 4) for x in row) for row in dist.d)
-    )
-
-
 # Builders that offer ``table``, beside the ``_EXTEND_BUILDERS`` entries that do.
 _TABLE_BUILDERS = {
-    "dispersion-quarters-mixed": lambda: metric_dispersion(
-        _exact_quarters(random_metric(8, 21, high=12))
-    ),
     "dispersion-n0": lambda: metric_dispersion(DistanceMatrix(())),
     "dispersion-n1": lambda: metric_dispersion(DistanceMatrix(((0,),))),
-    # Parallel edges in both orientations, a zero weight; 3, 5 and 6 are isolated.
-    "max-cut-parallel": lambda: max_cut(
-        Graph(7, ((0, 1, 2), (1, 0, 3), (0, 1, 1), (2, 4, 5), (4, 2, 1), (1, 4, 0)))
-    ),
     "max-cut-star": lambda: max_cut(star_counterexample(5)),
     "max-cut-n0": lambda: max_cut(Graph(0, ())),
     "max-cut-n1": lambda: max_cut(Graph(1, ())),
@@ -726,6 +728,27 @@ class TestValueTables:
             _GENERIC_BUILDERS["max-cut-float"],
         ):
             assert build().table is None and build().extend is None
+
+
+def test_max_cut_rows_stay_sparse():
+    # Dense pair rows take about 100 MB at 5,000 vertices.
+    graph = Graph(5_000, tuple((i, i + 1, 1) for i in range(4_999)))
+    tracemalloc.start()
+    try:
+        f = max_cut(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.extend is not None and peak < 20_000_000
+    # Reading a missing pair term stores nothing.
+    row = _SparseRow({1: -2})
+    assert (row[1], row[5]) == (-2, 0) and dict(row) == {1: -2}
+    # Of the path, {0, ..., 199} cuts only the edge 199-200.
+    start, step = f.extend
+    state = start
+    for e in range(200):
+        state = step(state, e)
+    assert state[0] == f.value((1 << 200) - 1) == 1
 
 
 def _naive_sign_check(f):

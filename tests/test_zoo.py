@@ -140,6 +140,19 @@ class TestCoverage:
         with pytest.raises(ValueError):
             coverage([["a", "b"]], {"a": 1})
 
+    def test_float_weights_sum_in_sorted_item_order(self):
+        # Float sums depend on the order of addition; the items' set order
+        # depends on the hash seed, their order sorted by repr does not.
+        items = [f"x{j}" for j in range(10)]
+        w = {x: round(0.13 * j + 0.1, 2) for j, x in enumerate(items)}
+        assert repr(sum(w[x] for x in items)) != repr(sum(w[x] for x in reversed(items)))
+        covers = [items[:7], items[5:], items[2:4] + items[8:]]
+        f = coverage(covers, w)
+        for mask in range(1 << len(covers)):
+            hit = {x for i, c in enumerate(covers) if mask >> i & 1 for x in c}
+            want = sum([w[x] for x in sorted(hit, key=repr)])
+            assert repr(f.value(mask)) == repr(want), mask
+
     def test_negative_weight_rejected(self):
         # Accepted, it would give the values [0, -5, -4, -4] under nonnegative claims.
         with pytest.raises(ValueError, match="nonnegative"):
