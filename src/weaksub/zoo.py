@@ -10,22 +10,25 @@ the set, so they offer ``extend`` for every input.  Coverage evaluates a
 single set in another order, so it offers it only when its weights are
 exact; a combination offers it when every term does.
 
-Two constructors supply ``extend`` and a whole value ``table`` for a family
-of builders.  ``_count_only`` takes a profile of |S| (cardinality power,
+Two constructors supply ``extend`` and a value ``table`` for a family of
+builders.  ``_count_only`` takes a profile of |S| (cardinality power,
 polynomial and profile, and threshold) for every input.  ``_pairwise``
 takes a pairwise-additive f(S + e) = f(S) + lin[e] + the sum of pair terms
 above[e][i] over i in S (metric dispersion and max-cut); its step and its
 table (``_pairwise_table``, by doubling) make the same additions.  Their
 evaluators sum in another order, so ``_pairwise`` offers both under a gate:
-exact distances for dispersion, int weights for max-cut.  Linear,
-coverage, segmentation and combinations keep the ``extend`` walk.
+exact distances for dispersion, int weights for max-cut.  Coverage offers
+a table under its ``extend`` gate, and a combination when every term does.
+Every table is bounded by a popcount p (see ``SetFunction.table``) and
+takes its doubling selection from ``_extenders``.  Linear and segmentation
+keep the ``extend`` walk.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
-from operator import add, mul
+from itertools import combinations, compress, repeat
+from operator import add, mul, or_
 from random import Random
 from typing import Hashable, Iterable, Sequence
 
@@ -38,6 +41,7 @@ from .core import (
     GroundSet,
     SetFunction,
     Value,
+    _by_size,
     cardinality_profile,
 )
 from .matroid import Matroid
@@ -63,24 +67,46 @@ def _folded(start, step):
     return ev
 
 
-def _pairwise_table(lin: Sequence[Value], above) -> list:
+def _extenders(n: int, p: int):
+    """The doubling selection of a table bounded by popcount p on n bits.
+
+    Returns ``extending(table, e)``: of ``table``, the values of the masks
+    below bit e of popcount <= p in ascending order, those whose masks take
+    bit e under the bound (popcount < p).  While e < p that is the whole
+    table and no selection runs.  From e = p on it is ``compress`` with one
+    selector over the masks below bit n - 1; the masks below bit e are its
+    first ones, and ``compress`` stops at the shorter input.  With p < 0
+    nothing extends.
+    """
+    if p >= n:
+        return lambda table, e: table
+    keep = _by_size(n - 1, p, [True] * p + [False]) if p >= 0 else []
+    return lambda table, e: table if e < p else compress(table, keep)
+
+
+def _pairwise_table(lin: Sequence[Value], above, p: int) -> list:
     """Values of f(S) = sum over e in S of (lin[e] + sum over i < e in S of
-    above[e][i]) for every mask, built by doubling.  ``above[e]`` is indexed
-    by i in range(e): a tuple, or a sparse ``_SparseRow``.
+    above[e][i]) for every mask of popcount <= p, built by doubling.
+    ``above[e]`` is indexed by i in range(e): a tuple, or a sparse
+    ``_SparseRow``.
 
     The masks below bit e are the table so far; the ones with bit e are
-    those plus the column c_e(S) = lin[e] + above[e][i0] + above[e][i1] + ...
-    (S ascending), itself built by doubling over i < e.  So each value is
-    f(S) + c_e(S) with e the set's largest element, the same additions in
-    the same order as ``_pairwise``'s step adding e to S.  Each new list is
-    built whole before it extends the list it was read from.
+    those of popcount < p plus the column c_e(S) = lin[e] + above[e][i0] +
+    above[e][i1] + ... (S ascending), itself built by doubling over i < e
+    under the bound p - 1.  So each value is f(S) + c_e(S) with e the set's
+    largest element, the same additions in the same order as
+    ``_pairwise``'s step adding e to S.  Each new list is built whole
+    before it extends the list it was read from.
     """
+    n = len(lin)
+    extending, col_extending = _extenders(n, p), _extenders(n - 1, p - 1)
     table = [0]
     for e, q in enumerate(lin):
+        row = above[e]
         col = [q]
-        for a in map(above[e].__getitem__, range(e)):
-            col += list(map(add, col, repeat(a)))
-        table += list(map(add, table, col))
+        for i in range(e):
+            col += list(map(add, col_extending(col, i), repeat(row[i])))
+        table += list(map(add, extending(table, e), col))
     return table
 
 
@@ -262,24 +288,39 @@ def coverage(
     cover_masks = [sum(b for b, _ in h) for h in hits]
     item_weights = [(1 << j, weights[x]) for j, x in enumerate(items)]
 
+    def weight(covered: int) -> Value:
+        return sum([w for b, w in item_weights if covered & b])
+
     def ev(mask: int) -> Value:
         covered = 0
         for i, c in enumerate(cover_masks):
             if mask >> i & 1:
                 covered |= c
-        return sum([w for b, w in item_weights if covered & b])
+        return weight(covered)
 
     def step(state, e: int):
         value, covered = state
         gain = sum([w for b, w in hits[e] if not covered & b])
         return (value + gain, covered | cover_masks[e])
 
+    def table(p: int) -> list:
+        # The covered-item masks by doubling with ``or_``, then one
+        # evaluator sum per distinct covered mask.
+        extending = _extenders(ground.n, p)
+        covered = [0]
+        for e, c in enumerate(cover_masks):
+            covered += list(map(or_, extending(covered, e), repeat(c)))
+        sums = {c: weight(c) for c in set(covered)}
+        return list(map(sums.__getitem__, covered))
+
+    exact = _all_exact(weights[x] for x in items)
     return SetFunction(
         ground,
         ev,
         name="coverage",
         claims={NORMALIZED, NONNEGATIVE, MONOTONE, SUBMODULAR, WEAKLY_SUBMODULAR},
-        extend=((0, 0), step) if _all_exact(weights[x] for x in items) else None,
+        extend=((0, 0), step) if exact else None,
+        table=table if exact else None,
     )
 
 
@@ -360,7 +401,7 @@ def _pairwise(ev, lin: Sequence[Value], above, exact: bool, name: str, claims) -
         name=name,
         claims=claims,
         extend=((0, ()), step) if exact else None,
-        table=(lambda: _pairwise_table(lin, above)) if exact else None,
+        table=(lambda p: _pairwise_table(lin, above, p)) if exact else None,
     )
 
 
@@ -373,18 +414,18 @@ class _SparseRow(dict):
 
 def _count_only(n: int, prof, name: str, claims) -> SetFunction:
     """f(S) = prof(|S|) over n interchangeable elements.  The ``extend`` state
-    is (value, size); its step calls the same ``prof``.  The ``table`` calls
-    ``prof`` once per size 0..n, only when the table is asked for, and
-    looks each mask's value up by its popcount, so a huge ground set costs
-    nothing up front."""
+    is (value, size); its step calls the same ``prof``.  ``table(p)`` calls
+    ``prof`` once per size 0..p, only when the table is asked for, and
+    ``_by_size`` places each size's value at the masks of that size, so a
+    huge ground set costs nothing up front."""
 
     def step(state, e: int):
         size = state[1] + 1
         return (prof(size), size)
 
-    def table():
-        vals = [prof(c) for c in range(n + 1)]
-        return [vals[m.bit_count()] for m in range(1 << n)]
+    def table(p: int) -> list:
+        p = min(p, n)
+        return _by_size(n, p, [prof(c) for c in range(p + 1)])
 
     return SetFunction(
         GroundSet.of_size(n),
@@ -459,8 +500,9 @@ def linear_combination(fs: Sequence[SetFunction], alphas: Sequence[Value]) -> Se
     claim shared by all inputs.
 
     The combination offers ``extend`` (a tuple of per-term states) when every
-    term offers one.  Its value sums ``alpha * value`` over the terms in order,
-    as the evaluator does, so any alpha keeps it equal to the evaluator.
+    term offers one, and ``table`` when every term offers one.  Both sum
+    ``alpha * value`` over the terms in order with ``sum``, as the evaluator
+    does, so any alpha keeps them equal to the evaluator.
     """
     fs = list(fs)
     alphas = list(alphas)
@@ -490,7 +532,14 @@ def linear_combination(fs: Sequence[SetFunction], alphas: Sequence[Value]) -> Se
 
         extend = (combine(tuple(f.extend[0] for f in fs)), step)
 
-    return SetFunction(ground, ev, name="combination", claims=claims, extend=extend)
+    table = None
+    if all(f.table is not None for f in fs):
+
+        def table(p: int) -> list:
+            terms = [map(mul, repeat(a), f.table(p)) for a, f in zip(alphas, fs)]
+            return list(map(sum, zip(*terms)))
+
+    return SetFunction(ground, ev, name="combination", claims=claims, extend=extend, table=table)
 
 
 def msd_objective(quality: SetFunction, dist: DistanceMatrix) -> SetFunction:

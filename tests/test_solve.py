@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from math import comb
 from operator import add
 from random import Random
 
@@ -19,6 +20,7 @@ from weaksub import (
     greedy_cardinality,
     local_search_matroid,
 )
+from weaksub import core
 from weaksub.bounds import greedy_ratio, ls_bound
 from weaksub.core import violates
 from weaksub.instances import _on_declared_ground
@@ -349,6 +351,18 @@ class TestBruteForceCardinality:
         f = _two_tied_pairs()
         assert brute_force_cardinality(f, 2).optimum.indices() == (0, 3)
 
+    @pytest.mark.parametrize("p", [2.5, 2.0, True, False, "2", None])
+    def test_p_must_be_an_int(self, p):
+        # A table (dispersion), an ``extend`` walk (linear) and the generic walk.
+        for f in (
+            metric_dispersion(DistanceMatrix.unit(6)),
+            linear((1, 2, 3, 4, 5, 6)),
+            complement(linear((1, 2, 3, 4, 5, 6))),
+        ):
+            for exact_size in (False, True):
+                with pytest.raises(ValueError, match="integer"):
+                    brute_force_cardinality(f, p, exact_size=exact_size)
+
 
 class TestBruteForceMatroid:
     def test_uniform_equals_exact_size_cardinality(self):
@@ -541,9 +555,12 @@ _EXTEND_BUILDERS = {
     ),
 }
 
-# Builders without ``extend``: float dispersion, max-cut with a Fraction or
-# float weight, and complement and hand-built functions.
+# Builders without ``extend``: float dispersion and coverage, max-cut with a
+# Fraction or float weight, and complement and hand-built functions.
 _GENERIC_BUILDERS = {
+    "coverage-float": lambda: coverage(
+        [[0, 1], [1, 2], [3], [0, 3], [2], [1]], {0: 0.5, 1: 1.25, 2: 0.1, 3: 2.0}
+    ),
     "dispersion-float": lambda: metric_dispersion(
         DistanceMatrix(tuple(tuple(x / 2 for x in row) for row in random_metric(6, 14).d))
     ),
@@ -672,13 +689,51 @@ _TABLE_BUILDERS = {
         (0, Fraction(1, 2), Fraction(3, 4), Fraction(1, 6)), 7
     ),
     "card-profile-raw": lambda: raw_cardinality_profile([0, 3, -1], 7),
+    "coverage-n0": lambda: coverage([]),
+    "coverage-n1": lambda: coverage([["a", "b"]], {"a": Fraction(1, 2), "b": 1}),
+    "coverage-zero-weights": lambda: coverage(
+        [[0], [1], [0, 1], [2], [], [1, 2]], dict.fromkeys(range(3), 0)
+    ),
+    "coverage-some-zero": lambda: coverage(
+        [[0], [1], [0, 1], [2], [], [1, 2], [0, 2]], {0: 0, 1: 2, 2: Fraction(0)}
+    ),
+    "combination-n0": lambda: linear_combination([metric_dispersion(DistanceMatrix(()))], [2]),
+    "combination-n1": lambda: linear_combination(
+        [threshold(1, 2, 1), cardinality_power(2, 1)], [Fraction(1, 2), 3]
+    ),
+    "combination-three-terms": lambda: linear_combination(
+        [
+            coverage(
+                [[0, 1], [1], [2], [0, 2], [1, 2], [3], []],
+                {0: 1, 1: Fraction(1, 2), 2: 2, 3: 0},
+            ),
+            metric_dispersion(DistanceMatrix.unit(7)),
+            threshold(2, 1, 7),
+        ],
+        [2, Fraction(1, 3), 1],
+    ),
+    # Every term is -0.0; ``sum`` starts at the int 0, so every value is 0.0,
+    # as the evaluator's, where -0.0 + -0.0 would be -0.0.
+    "combination-negative-zero-alpha": lambda: linear_combination(
+        [cardinality_power(1, 5), threshold(2, 0.5, 5)], [-0.0, -0.0]
+    ),
+    # d(0, 3) = d(1, 2) = 2: tied pairs whose mask order and index order disagree.
+    "dispersion-tied-pairs": lambda: metric_dispersion(
+        DistanceMatrix(((0, 1, 1, 2), (1, 0, 2, 1), (1, 2, 0, 1), (2, 1, 1, 0)))
+    ),
 }
 _ALL_TABLE_BUILDERS = {
     **{k: b for k, b in _EXTEND_BUILDERS.items() if b().table is not None},
     **_TABLE_BUILDERS,
 }
 # The builders that offer a table, by the name their functions carry.
-_TABLE_NAMES = ("dispersion", "max_cut", "threshold", "card")
+_TABLE_NAMES = ("dispersion", "max_cut", "threshold", "card", "coverage", "combination")
+# Combinations with a linear or segmentation term, which offers none.
+_COMBINATIONS_WITHOUT_TABLE = (
+    "combination-fraction",
+    "combination-mixed",
+    "combination-float-alpha",
+)
 
 
 class TestValueTables:
@@ -717,7 +772,11 @@ class TestValueTables:
     @pytest.mark.parametrize("name", sorted(_EXTEND_BUILDERS) + sorted(_GENERIC_BUILDERS))
     def test_which_builders_offer_a_table(self, name):
         f = (_EXTEND_BUILDERS.get(name) or _GENERIC_BUILDERS[name])()
-        offers = f.name.startswith(_TABLE_NAMES) and name in _EXTEND_BUILDERS
+        offers = (
+            f.name.startswith(_TABLE_NAMES)
+            and name in _EXTEND_BUILDERS
+            and name not in _COMBINATIONS_WITHOUT_TABLE
+        )
         assert (f.table is not None) == offers
 
     def test_inexact_dispersion_and_fraction_max_cut_offer_no_table(self):
@@ -726,8 +785,93 @@ class TestValueTables:
             _GENERIC_BUILDERS["max-cut-fraction"],
             _GENERIC_BUILDERS["max-cut-mixed"],
             _GENERIC_BUILDERS["max-cut-float"],
+            _GENERIC_BUILDERS["coverage-float"],
         ):
             assert build().table is None and build().extend is None
+        for name in _COMBINATIONS_WITHOUT_TABLE:
+            f = _EXTEND_BUILDERS[name]()
+            assert f.table is None and f.extend is not None
+
+    def test_by_size_lists_each_mask_at_its_popcount(self):
+        for n in range(8):
+            for p in range(n + 3):
+                masks = [m for m in range(1 << n) if m.bit_count() <= p]
+                at = [f"size {k}" for k in range(p + 1)]
+                assert core._by_size(n, p, at) == [at[m.bit_count()] for m in masks], (n, p)
+
+    @pytest.mark.parametrize("name", sorted(_ALL_TABLE_BUILDERS))
+    def test_bounded_table_is_the_full_table_up_to_size_p(self, name):
+        f = _ALL_TABLE_BUILDERS[name]()
+        n = f.ground.n
+        full = f.all_values()
+        labels = GroundSet(tuple(f"e{i}" for i in range(n)))
+        labelled = _on_declared_ground(_ALL_TABLE_BUILDERS[name](), labels, f.name)
+        for p in range(n + 1):
+            want = [v for mask, v in enumerate(full) if mask.bit_count() <= p]
+            self._same(f.table(p), want)
+            self._same(labelled.table(p), want)
+
+
+def _outcome(opt):
+    return opt.optimum.mask, opt.value, type(opt.value), opt.enumerated
+
+
+class TestTableBruteForce:
+    """Brute force over ``f.table(p)`` against the walk of the same function
+    rebuilt without its table, and against the naive scan."""
+
+    @pytest.mark.parametrize("name", sorted(_ALL_TABLE_BUILDERS))
+    def test_matches_the_walk_and_the_naive_scan(self, name):
+        build = _ALL_TABLE_BUILDERS[name]
+        n = build().ground.n
+        for p in range(n + 1):
+            for exact_size in (False, True):
+                f, calls = _counting(build())
+                g = build()
+                walked = SetFunction(g.ground, g._evaluator, extend=g.extend)
+                got = _outcome(brute_force_cardinality(f, p, exact_size=exact_size))
+                assert calls == [] and f._cache == {}
+                assert got == _outcome(brute_force_cardinality(walked, p, exact_size=exact_size))
+                assert got == _naive_brute_force(build(), p, exact_size), (p, exact_size)
+                low = p if exact_size else 0
+                assert got[3] == sum(comb(n, k) for k in range(low, p + 1))
+
+    @pytest.mark.parametrize(
+        "name, p, exact_size, indices",
+        [
+            ("dispersion-unit", 3, True, (0, 1, 2)),
+            ("dispersion-unit", 7, False, (0, 1, 2, 3, 4, 5, 6)),
+            ("dispersion-tied-pairs", 2, False, (0, 3)),
+            ("dispersion-tied-pairs", 2, True, (0, 3)),
+            ("threshold", 5, False, (0, 1)),
+            ("threshold", 5, True, (0, 1, 2, 3, 4)),
+            ("threshold-above-n", 6, False, ()),
+            ("cardinality-power-zero", 3, False, ()),
+            ("card-profile-raw", 7, False, (0,)),
+            ("coverage-zero-weights", 4, False, ()),
+            ("coverage-zero-weights", 2, True, (0, 1)),
+            ("coverage-some-zero", 3, False, (1,)),
+            ("max-cut-star", 3, False, (5, 6)),
+        ],
+    )
+    def test_ties_keep_the_least_size_then_the_first_index_tuple(
+        self, name, p, exact_size, indices
+    ):
+        f = _ALL_TABLE_BUILDERS[name]()
+        assert f.table is not None
+        opt = brute_force_cardinality(f, p, exact_size=exact_size)
+        assert opt.optimum.indices() == indices
+
+    def test_a_nan_first_value_is_kept_as_the_walk_keeps_it(self):
+        nan = float("nan")
+        for prof in ([nan, 1, 2, 3, 4], [0, 1, nan, nan, 4], [nan, 1, nan, 3, 0]):
+            for p in range(5):
+                for exact_size in (False, True):
+                    f = raw_cardinality_profile(prof, 4)
+                    walked = SetFunction(f.ground, f._evaluator, extend=f.extend)
+                    got = brute_force_cardinality(f, p, exact_size=exact_size)
+                    want = brute_force_cardinality(walked, p, exact_size=exact_size)
+                    assert got.optimum == want.optimum and repr(got.value) == repr(want.value)
 
 
 def test_max_cut_rows_stay_sparse():
