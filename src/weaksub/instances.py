@@ -119,9 +119,9 @@ def _on_declared_ground(f: SetFunction, ground: GroundSet | None, kind: str) -> 
             f"which conflict with the declared ground_set"
         )
     # The relabelled function shares the builder's evaluator, ``extend`` and
-    # ``table``, not its memo.
+    # table, not its memo.
     return SetFunction(
-        ground, f._evaluator, name=f.name, claims=f.claims, extend=f.extend, table=f.table
+        ground, f._evaluator, name=f.name, claims=f.claims, extend=f.extend, table=f._table
     )
 
 
@@ -143,7 +143,12 @@ def _build_coverage(params, ground):
         if not isinstance(weights, dict):
             raise SchemaError(f"'coverage' weights must be an object, got {weights!r}")
         weights = {x: _number(w, "a 'coverage' weight") for x, w in weights.items()}
-    return zoo.coverage(params["covers"], weights)
+    covers = params["covers"]
+    # A JSON true would be the same item as 1 in a set, and false as 0.
+    flag = next((x for c in covers for x in c if type(x) is bool), None)
+    if flag is not None:
+        raise SchemaError(f"a 'coverage' item must not be a boolean, got {flag!r}")
+    return zoo.coverage(covers, weights)
 
 
 def _build_dispersion(params, ground):

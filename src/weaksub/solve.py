@@ -9,12 +9,11 @@ enumeration provides exact optima for ground-truth comparison on small
 instances; both oracles keep the first maximizer in their enumeration order.
 
 The cardinality oracle takes one ``max`` over the function's value table
-of the sets of size <= p (``SetFunction.table``) when the builder offers
-one.  Otherwise it walks its sets depth-first, building each from its
-prefix with the function's ``extend`` step; with a table or ``extend``,
-brute force neither reads nor writes the memo.  Greedy and local search
-evaluate through ``f.value`` and keep the values they evaluate, so neither
-reads the oracle again for a set it has just evaluated.
+of the sets of size <= p (``SetFunction.table``), which every function
+has; when the builder offers a table or ``extend``, brute force neither
+reads nor writes the memo.  Greedy and local search evaluate through
+``f.value`` and keep the values they evaluate, so neither reads the oracle
+again for a set it has just evaluated.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .core import (
     Subset,
     Value,
     _by_size,
-    _prefix_steps,
 )
 from .matroid import InconsistentOracle, Matroid
 
@@ -148,6 +146,8 @@ def local_search_matroid(
         raise ValueError("function and matroid must share a ground set")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
+    if max_iters is not None and (type(max_iters) is not int or max_iters < 0):
+        raise ValueError(f"max_iters must be None or an integer >= 0, got {max_iters!r}")
     _check_solver_claims(f, "local search")
 
     if init is not None and not matroid.is_independent(init):
@@ -210,20 +210,16 @@ def brute_force_cardinality(
     For monotone functions the two modes agree at the optimum.  The first
     maximizer in size-then-lexicographic order of index tuples is kept.
 
-    With ``f.table``, one ``max`` runs over ``f.table(p)`` (restricted to
-    size p under ``exact_size``), and only the positions that tie with it
-    are turned back into masks.  The table holds C(n, 0) + ... + C(n, p)
-    values, where the walk below holds O(n**2) states.  At the cap, n = 22
-    and p = 11 (2.4M sets; 2 shared vCPUs, Python 3.11.7, peak RSS of the
-    whole process): int dispersion took 0.6 s and 86 MB by its table and
-    4.4 s and 16 MB by the walk; coverage plus dispersion 1.6 s and 110 MB
-    against 11.7 s and 16 MB.
-
-    Otherwise the sets are visited in one streaming preorder walk: each
-    set's state comes from its parent's by one ``step`` (``f.extend``, or a
-    generic step through ``f.value``).  Preorder lists each size in
-    lexicographic order, so keeping a greater value, or an equal value at a
-    smaller size, gives the size-major first maximizer.
+    One ``max`` runs over ``f.table(p)`` (restricted to size p under
+    ``exact_size``), and only the positions that tie with it are turned
+    back into masks: of those, the one of least size, then of the
+    lexicographically first index tuple.  The table holds C(n, 0) + ... +
+    C(n, p) values.  At the cap, n = 22 and p = 11 (2.4M sets; 2 shared
+    vCPUs, Python 3.11.7, peak RSS of the whole process): int dispersion
+    took 0.5 s and 75 MB by its builder's table, and coverage plus
+    dispersion 0.9 s and 92 MB.  Linear and segmentation, whose table is
+    the walk of ``SetFunction.table``, took 2.5 s and 186 MB, and 6-9 s
+    and 112 MB.
     """
     n = f.ground.n
     if type(p) is not int:
@@ -232,34 +228,6 @@ def brute_force_cardinality(
         raise ValueError(f"p must be in 0..{n}")
     if n > BRUTE_FORCE_CARDINALITY_CAP:
         raise CapExceeded(f"brute force capped at n <= {BRUTE_FORCE_CARDINALITY_CAP}")
-    if f.table is not None:
-        return _table_maximum(f, p, exact_size)
-    start, step = _prefix_steps(f)
-    low = p if exact_size else 0
-    best = best_mask = best_size = None
-    enumerated = 0
-    stack = [(start, 0, 0, 0)]  # (state, mask, size, smallest element to add)
-    while stack:
-        state, mask, size, first = stack.pop()
-        if size >= low:
-            enumerated += 1
-            v = state[0]
-            if best is None or v > best or (v == best and size < best_size):
-                best, best_mask, best_size = v, mask, size
-        if size < p:
-            # Children in descending order, so they pop in ascending order;
-            # an element past ``stop`` leaves too few to reach size ``low``.
-            stop = min(n, n - low + size + 1)
-            for e in range(stop - 1, first - 1, -1):
-                stack.append((step(state, e), mask | 1 << e, size + 1, e + 1))
-    return OptResult(Subset(f.ground, best_mask), best, enumerated)
-
-
-def _table_maximum(f: SetFunction, p: int, exact_size: bool) -> OptResult:
-    """``brute_force_cardinality`` over ``f.table(p)``: of the positions
-    that tie with the maximum, the one of least size, then of the
-    lexicographically first index tuple."""
-    n = f.ground.n
     table = f.table(p)
     values, positions = table, range(len(table))
     if exact_size:
@@ -267,8 +235,7 @@ def _table_maximum(f: SetFunction, p: int, exact_size: bool) -> OptResult:
         values, positions = list(compress(table, size_p)), list(compress(positions, size_p))
     best = max(values)
     # ``count`` and ``index`` match by identity or ==, so a NaN first value
-    # ties itself, and the first set, least in size and order, is kept, as
-    # the walk keeps it.
+    # ties itself, and the first set, least in size and order, is kept.
     tied, k = [], -1
     for _ in range(values.count(best)):
         k = values.index(best, k + 1)

@@ -2,26 +2,26 @@
 
 Each builder returns a ``SetFunction`` whose ``claims`` record what the
 construction guarantees.  Integer inputs stay in integer arithmetic, so the
-classic counterexample values reproduce exactly.  The linear, coverage,
-dispersion, segmentation, count-only, max-cut and combination builders also
-offer an incremental ``extend`` state (see ``SetFunction``).  Linear and
-segmentation have no other definition: their evaluator folds their step over
-the set, so they offer ``extend`` for every input.  Coverage evaluates a
-single set in another order, so it offers it only when its weights are
-exact; a combination offers it when every term does.
+classic counterexample values reproduce exactly.
 
-Two constructors supply ``extend`` and a value ``table`` for a family of
-builders.  ``_count_only`` takes a profile of |S| (cardinality power,
-polynomial and profile, and threshold) for every input.  ``_pairwise``
-takes a pairwise-additive f(S + e) = f(S) + lin[e] + the sum of pair terms
-above[e][i] over i in S (metric dispersion and max-cut); its step and its
-table (``_pairwise_table``, by doubling) make the same additions.  Their
-evaluators sum in another order, so ``_pairwise`` offers both under a gate:
-exact distances for dispersion, int weights for max-cut.  Coverage offers
-a table under its ``extend`` gate, and a combination when every term does.
-Every table is bounded by a popcount p (see ``SetFunction.table``) and
-takes its doubling selection from ``_extenders``.  Linear and segmentation
-keep the ``extend`` walk.
+Every function has a value table (``SetFunction.table``).  Most builders
+pass their own, bounded by a popcount p and built by doubling with the
+selection of ``_extenders``.  ``_count_only`` takes a profile of |S|
+(cardinality power, polynomial and profile, and threshold) and places one
+value per size, for every input.  ``_pairwise`` takes a pairwise-additive
+f(S + e) = f(S) + lin[e] + the sum of pair terms above[e][i] over i in S
+(metric dispersion and max-cut) and doubles those terms
+(``_pairwise_table``).  Coverage doubles its covered-item masks.  Those
+evaluators sum in another order, so ``_pairwise`` and coverage offer a
+table only when the order cannot change a value: exact distances for
+dispersion, int weights for max-cut, exact weights for coverage.  A
+combination sums its terms' tables, so it always has one.
+
+Linear and segmentation pass no table but an incremental ``extend`` step
+instead: their evaluator is that step folded over the set (``_folded``),
+so the table's walk makes the same additions for every input.  The other
+functions without a table of their own (complements, zero-at-top, welfare
+and the inexact builders above) are walked through their memoized oracle.
 """
 from __future__ import annotations
 
@@ -94,9 +94,8 @@ def _pairwise_table(lin: Sequence[Value], above, p: int) -> list:
     those of popcount < p plus the column c_e(S) = lin[e] + above[e][i0] +
     above[e][i1] + ... (S ascending), itself built by doubling over i < e
     under the bound p - 1.  So each value is f(S) + c_e(S) with e the set's
-    largest element, the same additions in the same order as
-    ``_pairwise``'s step adding e to S.  Each new list is built whole
-    before it extends the list it was read from.
+    largest element.  Each new list is built whole before it extends the
+    list it was read from.
     """
     n = len(lin)
     extending, col_extending = _extenders(n, p), _extenders(n - 1, p - 1)
@@ -281,11 +280,9 @@ def coverage(
     if ground.n != len(item_sets):
         raise ValueError("one cover set per ground element required")
 
-    # Item j is bit j of ``items``; the ``extend`` state is (value, mask of
-    # the covered items).
+    # Item j is bit j of ``items``.
     item_bit = {x: 1 << j for j, x in enumerate(items)}
-    hits = [tuple((item_bit[x], weights[x]) for x in c) for c in item_sets]
-    cover_masks = [sum(b for b, _ in h) for h in hits]
+    cover_masks = [sum(map(item_bit.__getitem__, c)) for c in item_sets]
     item_weights = [(1 << j, weights[x]) for j, x in enumerate(items)]
 
     def weight(covered: int) -> Value:
@@ -297,11 +294,6 @@ def coverage(
             if mask >> i & 1:
                 covered |= c
         return weight(covered)
-
-    def step(state, e: int):
-        value, covered = state
-        gain = sum([w for b, w in hits[e] if not covered & b])
-        return (value + gain, covered | cover_masks[e])
 
     def table(p: int) -> list:
         # The covered-item masks by doubling with ``or_``, then one
@@ -319,7 +311,6 @@ def coverage(
         ev,
         name="coverage",
         claims={NORMALIZED, NONNEGATIVE, MONOTONE, SUBMODULAR, WEAKLY_SUBMODULAR},
-        extend=((0, 0), step) if exact else None,
         table=table if exact else None,
     )
 
@@ -385,22 +376,14 @@ def segmentation(matrix: SegmentationMatrix) -> SetFunction:
 
 def _pairwise(ev, lin: Sequence[Value], above, exact: bool, name: str, claims) -> SetFunction:
     """f(S) = sum over e in S of (lin[e] + sum over i < e in S of above[e][i])
-    on len(lin) elements, evaluated by the builder's ``ev``.  The ``extend``
-    state is (value, indices of the set); adding e adds lin[e] + above[e][i0]
-    + above[e][i1] + ... (S ascending), the column of ``_pairwise_table``,
-    so the fold and the table make the same additions.  Both are offered
-    only when ``exact``, since ``ev`` sums in another order."""
-
-    def step(state, e: int):
-        value, idx = state
-        return (value + sum(map(above[e].__getitem__, idx), lin[e]), idx + (e,))
-
+    on len(lin) elements, evaluated by the builder's ``ev``.  Its table is
+    ``_pairwise_table``, offered only when ``exact``, since ``ev`` sums in
+    another order."""
     return SetFunction(
         GroundSet.of_size(len(lin)),
         ev,
         name=name,
         claims=claims,
-        extend=((0, ()), step) if exact else None,
         table=(lambda p: _pairwise_table(lin, above, p)) if exact else None,
     )
 
@@ -413,15 +396,10 @@ class _SparseRow(dict):
 
 
 def _count_only(n: int, prof, name: str, claims) -> SetFunction:
-    """f(S) = prof(|S|) over n interchangeable elements.  The ``extend`` state
-    is (value, size); its step calls the same ``prof``.  ``table(p)`` calls
+    """f(S) = prof(|S|) over n interchangeable elements.  ``table(p)`` calls
     ``prof`` once per size 0..p, only when the table is asked for, and
     ``_by_size`` places each size's value at the masks of that size, so a
     huge ground set costs nothing up front."""
-
-    def step(state, e: int):
-        size = state[1] + 1
-        return (prof(size), size)
 
     def table(p: int) -> list:
         p = min(p, n)
@@ -432,7 +410,6 @@ def _count_only(n: int, prof, name: str, claims) -> SetFunction:
         lambda mask: prof(mask.bit_count()),
         name=name,
         claims=claims,
-        extend=((prof(0), 0), step),
         table=table,
     )
 
@@ -499,10 +476,9 @@ def linear_combination(fs: Sequence[SetFunction], alphas: Sequence[Value]) -> Se
     """g(S) = sum alpha_i * f_i(S).  Nonnegative combinations preserve every
     claim shared by all inputs.
 
-    The combination offers ``extend`` (a tuple of per-term states) when every
-    term offers one, and ``table`` when every term offers one.  Both sum
-    ``alpha * value`` over the terms in order with ``sum``, as the evaluator
-    does, so any alpha keeps them equal to the evaluator.
+    Its table sums ``alpha * value`` over the terms' tables in order with
+    ``sum``, as the evaluator does, so any alpha keeps it equal to the
+    evaluator.
     """
     fs = list(fs)
     alphas = list(alphas)
@@ -520,26 +496,11 @@ def linear_combination(fs: Sequence[SetFunction], alphas: Sequence[Value]) -> Se
     def ev(mask: int) -> Value:
         return sum(a * f.value(mask) for a, f in zip(alphas, fs))
 
-    extend = None
-    if all(f.extend is not None for f in fs):
-        steps = [f.extend[1] for f in fs]
+    def table(p: int) -> list:
+        terms = [map(mul, repeat(a), f.table(p)) for a, f in zip(alphas, fs)]
+        return list(map(sum, zip(*terms)))
 
-        def combine(states: tuple):
-            return (sum(map(mul, alphas, [s[0] for s in states])), states)
-
-        def step(state, e: int):
-            return combine(tuple([st(s, e) for st, s in zip(steps, state[1])]))
-
-        extend = (combine(tuple(f.extend[0] for f in fs)), step)
-
-    table = None
-    if all(f.table is not None for f in fs):
-
-        def table(p: int) -> list:
-            terms = [map(mul, repeat(a), f.table(p)) for a, f in zip(alphas, fs)]
-            return list(map(sum, zip(*terms)))
-
-    return SetFunction(ground, ev, name="combination", claims=claims, extend=extend, table=table)
+    return SetFunction(ground, ev, name="combination", claims=claims, table=table)
 
 
 def msd_objective(quality: SetFunction, dist: DistanceMatrix) -> SetFunction:
@@ -577,10 +538,10 @@ def max_cut(graph: Graph) -> SetFunction:
     Max-cut is pairwise-additive: adding e gains its edges to the outside
     and loses those to the set, so lin[e] is e's weighted degree and the
     pair term above[e][i] is -2 w(i, e), summed over parallel edges.  The
-    rows are sparse, so building costs O(n + m) and a step O(|S|).
-    ``extend`` and ``table`` are offered when every weight is an int.  With
-    a ``Fraction`` weight the step can end at ``Fraction(0)`` where the
-    evaluator's sum is the int 0, so there is neither then.
+    rows are sparse, so building costs O(n + m).  ``_pairwise``'s table is
+    offered when every weight is an int.  With a ``Fraction`` weight a
+    table sum can end at ``Fraction(0)`` where the evaluator's sum is the
+    int 0, so the table then walks ``value`` instead.
     """
     edges = graph.edges
 

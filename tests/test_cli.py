@@ -359,6 +359,14 @@ _MALFORMED = [
             ("max-cut-endpoint", "max_cut", {"edges": [[False, True, 1]]}),
         )
     ),
+    *(
+        (
+            f"coverage-item-{name}",
+            {"ground_set": 2, "function": {"type": "coverage", "params": {"covers": covers}}},
+            ("check",),
+        )
+        for name, covers in (("true", [[1], [True]]), ("false", [[0, "a"], ["b", False]]))
+    ),
     (
         "coverage-weights-list",
         {"function": {"type": "coverage", "params": {"covers": [[1], [2]], "weights": [1, 2]}}},
@@ -441,6 +449,20 @@ def test_non_object_document_exits_two(capsys, tmp_path):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: instance document must be a JSON object\n"
+
+
+def test_boolean_coverage_item_exits_two(capsys, tmp_path):
+    # true would cover the same item as 1; "1" is another item.
+    path = tmp_path / "instance.json"
+    constraint = '"constraint": {"type": "cardinality", "p": 2}'
+    path.write_text('{"function": {"type": "coverage", "params": {"covers": [[1], [true]]}}, %s}' % constraint)
+    code = main(["maximize", str(path), "--algorithm", "exact"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: a 'coverage' item must not be a boolean, got True\n"
+    path.write_text('{"function": {"type": "coverage", "params": {"covers": [[1], ["1"]]}}, %s}' % constraint)
+    code, report = run_json(capsys, "maximize", str(path), "--algorithm", "exact")
+    assert code == 0 and report["result"]["optimum"]["value"] == 2
 
 
 @pytest.mark.parametrize(

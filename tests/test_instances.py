@@ -205,11 +205,13 @@ class TestInstanceDocuments:
         ],
         ids=["linear", "dispersion"],
     )
-    def test_declared_labels_keep_extend(self, function):
+    def test_declared_labels_keep_the_table(self, function):
+        # Linear's table walks its ``extend``; dispersion passes its own.
         plain = build({"function": function}).function
         labelled = build({"ground_set": list("abcde"), "function": function}).function
         assert labelled.ground.elements == tuple("abcde")
-        assert plain.extend is not None and labelled.extend is not None
+        for f in (plain, labelled):
+            assert (f.extend is not None) == (function["type"] == "linear") != (f._table is not None)
         ours, reference = brute_force_cardinality(labelled, 2), brute_force_cardinality(plain, 2)
         assert labelled._cache == {}
         assert (ours.optimum.mask, ours.value, ours.enumerated) == (

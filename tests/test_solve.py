@@ -46,6 +46,7 @@ from weaksub.zoo import (
     segmentation,
     star_counterexample,
     threshold,
+    zero_at_top,
 )
 
 
@@ -257,6 +258,19 @@ class TestLocalSearch:
         m = Matroid.uniform(f.ground, 3)
         res = local_search_matroid(f, m, init=Subset.empty(f.ground), max_iters=1)
         assert res.iterations <= 1
+
+    def test_zero_max_iters_keeps_the_greedy_basis(self):
+        f = metric_dispersion(random_metric(8, 1))  # greedy's basis is not a local optimum
+        m = Matroid.uniform(f.ground, 3)
+        res = local_search_matroid(f, m, max_iters=0)
+        assert res.iterations == 0 and local_search_matroid(f, m).iterations > 0
+        assert res.selected == greedy_cardinality(f, 3).selected
+
+    @pytest.mark.parametrize("max_iters", [-1, 0.5, 1.0, Fraction(1), True, False, "1"])
+    def test_max_iters_must_be_none_or_a_count(self, max_iters):
+        f = metric_dispersion(random_metric(8, 6))
+        with pytest.raises(ValueError, match="max_iters"):
+            local_search_matroid(f, Matroid.uniform(f.ground, 3), max_iters=max_iters)
 
     def test_dependent_init_rejected(self):
         f = metric_dispersion(random_metric(6, 7))
@@ -480,8 +494,10 @@ def _cut_graph(weights):
     return Graph(6, tuple((u, v, w) for (u, v), w in zip(pairs, weights)))
 
 
-# Builders that offer ``extend``: int, Fraction and mixed inputs, several with ties.
-_EXTEND_BUILDERS = {
+# Builders whose table makes no evaluator call: their own table, or the walk
+# over linear's and segmentation's ``extend``.  Int, Fraction and mixed
+# inputs, several with ties.
+_DIRECT_BUILDERS = {
     "linear-int": lambda: linear((3, 1, 4, 1, 5, 9, 2)),
     "linear-int-zeros": lambda: linear((3, 0, 3, 0, 0, 2)),
     "linear-fraction": lambda: linear(tuple(Fraction(k, 3) for k in (2, 5, 1, 5, 4, 0))),
@@ -555,8 +571,9 @@ _EXTEND_BUILDERS = {
     ),
 }
 
-# Builders without ``extend``: float dispersion and coverage, max-cut with a
-# Fraction or float weight, and complement and hand-built functions.
+# Builders whose table walks ``value``: float dispersion and coverage, max-cut
+# with a Fraction or float weight, complement, zero-at-top and hand-built
+# functions.
 _GENERIC_BUILDERS = {
     "coverage-float": lambda: coverage(
         [[0, 1], [1, 2], [3], [0, 3], [2], [1]], {0: 0.5, 1: 1.25, 2: 0.1, 3: 2.0}
@@ -568,31 +585,36 @@ _GENERIC_BUILDERS = {
     "max-cut-fraction": lambda: max_cut(_cut_graph(tuple(Fraction(w, 3) for w in (1, 3, 2, 0)))),
     "max-cut-float": lambda: max_cut(_cut_graph((1.5, 2, 0.5, 1))),
     "complement": lambda: complement(linear((1, 2, 3, 1, 2))),
+    "zero-at-top": lambda: zero_at_top(metric_dispersion(random_metric(6, 16))),
     "two-tied-pairs": _two_tied_pairs,
 }
+_ALL_BUILDERS = {**_DIRECT_BUILDERS, **_GENERIC_BUILDERS}
 
 
 class TestBruteForceCardinalityDifferential:
-    @pytest.mark.parametrize("name", sorted(_EXTEND_BUILDERS) + sorted(_GENERIC_BUILDERS))
+    @pytest.mark.parametrize("name", sorted(_ALL_BUILDERS))
     def test_matches_naive_first_maximizer(self, name):
-        build = _EXTEND_BUILDERS.get(name) or _GENERIC_BUILDERS[name]
-        assert (build().extend is not None) == (name in _EXTEND_BUILDERS)
+        build = _ALL_BUILDERS[name]
         n = build().ground.n
         for p in sorted({0, 1, 3, n}):
             for exact_size in (False, True):
-                opt = brute_force_cardinality(build(), p, exact_size=exact_size)
+                f, calls = _counting(build())
+                opt = brute_force_cardinality(f, p, exact_size=exact_size)
                 got = (opt.optimum.mask, opt.value, type(opt.value), opt.enumerated)
                 assert got == _naive_brute_force(build(), p, exact_size), (p, exact_size)
+                assert (calls == []) == (name in _DIRECT_BUILDERS)
 
-    @pytest.mark.parametrize("name", sorted(_EXTEND_BUILDERS))
+    @pytest.mark.parametrize("name", sorted(_DIRECT_BUILDERS))
     def test_extend_leaves_the_memo_empty(self, name):
-        f = _EXTEND_BUILDERS[name]()
+        f = _DIRECT_BUILDERS[name]()
         brute_force_cardinality(f, f.ground.n)
         assert f._cache == {}
 
-    @pytest.mark.parametrize("name", sorted(_EXTEND_BUILDERS))
+    @pytest.mark.parametrize(
+        "name", sorted(k for k, b in _DIRECT_BUILDERS.items() if b().extend is not None)
+    )
     def test_folding_steps_equals_value(self, name):
-        f = _EXTEND_BUILDERS[name]()
+        f = _DIRECT_BUILDERS[name]()
         start, step = f.extend
         n = f.ground.n
         assert n <= 8
@@ -610,7 +632,7 @@ class TestBruteForceCardinalityDifferential:
         assert len(f._cache) == 16
 
     def test_ties_across_sizes_keep_the_smaller_set(self):
-        # {0, 2} and {0, 1, 2} are both 6; preorder reaches {0, 1, 2} first.
+        # {0, 2} and {0, 1, 2} are both 6; (0, 1, 2) comes first in index order.
         opt = brute_force_cardinality(linear((3, 0, 3, 0)), 4)
         assert opt.optimum.indices() == (0, 2) and opt.value == 6
         unit = metric_dispersion(DistanceMatrix.unit(6))
@@ -631,9 +653,9 @@ def _counting(f):
 
 
 class TestAllValuesWalk:
-    @pytest.mark.parametrize("name", sorted(_EXTEND_BUILDERS) + sorted(_GENERIC_BUILDERS))
+    @pytest.mark.parametrize("name", sorted(_ALL_BUILDERS))
     def test_table_equals_value_per_mask(self, name):
-        build = _EXTEND_BUILDERS.get(name) or _GENERIC_BUILDERS[name]
+        build = _ALL_BUILDERS[name]
         f = build()
         n = f.ground.n
         assert n <= 8
@@ -642,9 +664,9 @@ class TestAllValuesWalk:
         assert table == reference
         assert [type(v) for v in table] == [type(v) for v in reference]
 
-    @pytest.mark.parametrize("name", sorted(_EXTEND_BUILDERS))
+    @pytest.mark.parametrize("name", sorted(_DIRECT_BUILDERS))
     def test_extend_walk_never_calls_the_evaluator(self, name):
-        f, calls = _counting(_EXTEND_BUILDERS[name]())
+        f, calls = _counting(_DIRECT_BUILDERS[name]())
         f.all_values()
         assert calls == [] and f._cache == {}
 
@@ -657,9 +679,9 @@ class TestAllValuesWalk:
         f.all_values()  # a second table reads the memo
         assert len(calls) == 1 << f.ground.n
 
-    @pytest.mark.parametrize("name", sorted(_EXTEND_BUILDERS) + sorted(_GENERIC_BUILDERS))
+    @pytest.mark.parametrize("name", sorted(_ALL_BUILDERS))
     def test_labelled_ground_gives_the_same_table(self, name):
-        build = _EXTEND_BUILDERS.get(name) or _GENERIC_BUILDERS[name]
+        build = _ALL_BUILDERS[name]
         plain = build()
         labels = GroundSet(tuple(f"e{i}" for i in range(plain.ground.n)))
         labelled = _on_declared_ground(build(), labels, plain.name)
@@ -674,7 +696,8 @@ class TestAllValuesWalk:
             assert f.all_values() == [0]
 
 
-# Builders that offer ``table``, beside the ``_EXTEND_BUILDERS`` entries that do.
+# Builders that pass their own ``table``, beside the ``_DIRECT_BUILDERS``
+# entries that do.
 _TABLE_BUILDERS = {
     "dispersion-n0": lambda: metric_dispersion(DistanceMatrix(())),
     "dispersion-n1": lambda: metric_dispersion(DistanceMatrix(((0,),))),
@@ -721,15 +744,21 @@ _TABLE_BUILDERS = {
     "dispersion-tied-pairs": lambda: metric_dispersion(
         DistanceMatrix(((0, 1, 1, 2), (1, 0, 2, 1), (1, 2, 0, 1), (2, 1, 1, 0)))
     ),
+    # Terms whose tables walk ``value``: the combination's own evaluator is
+    # not called, its terms' are.
+    "combination-walked-terms": lambda: linear_combination(
+        [complement(linear((1, 2, 3, 1, 2, 2))), _GENERIC_BUILDERS["dispersion-float"]()],
+        [1, 0.5],
+    ),
 }
 _ALL_TABLE_BUILDERS = {
-    **{k: b for k, b in _EXTEND_BUILDERS.items() if b().table is not None},
+    **{k: b for k, b in _DIRECT_BUILDERS.items() if b()._table is not None},
     **_TABLE_BUILDERS,
 }
-# The builders that offer a table, by the name their functions carry.
+# The builders that pass their own table, by the name their functions carry.
 _TABLE_NAMES = ("dispersion", "max_cut", "threshold", "card", "coverage", "combination")
-# Combinations with a linear or segmentation term, which offers none.
-_COMBINATIONS_WITHOUT_TABLE = (
+# Combinations with a linear or segmentation term, whose table walks ``extend``.
+_COMBINATIONS_WITH_A_WALKED_TERM = (
     "combination-fraction",
     "combination-mixed",
     "combination-float-alpha",
@@ -746,9 +775,9 @@ class TestValueTables:
     @pytest.mark.parametrize("name", sorted(_ALL_TABLE_BUILDERS))
     def test_table_matches_the_walk_and_the_evaluator(self, name):
         f = _ALL_TABLE_BUILDERS[name]()
-        assert f.table is not None and f.extend is not None
+        assert f._table is not None and f.extend is None
         table = f.all_values()
-        walked = SetFunction(f.ground, f._evaluator, extend=f.extend).all_values()
+        walked = SetFunction(f.ground, f._evaluator).all_values()
         evaluated = [f._evaluator(mask) for mask in range(1 << f.ground.n)]
         self._same(table, walked)
         self._same(table, evaluated)
@@ -760,24 +789,24 @@ class TestValueTables:
         assert calls == [] and f._cache == {}
         assert f.all_values() == first and f.all_values() is not first
 
-    @pytest.mark.parametrize("name", sorted(_ALL_TABLE_BUILDERS))
+    @pytest.mark.parametrize("name", sorted({**_ALL_BUILDERS, **_TABLE_BUILDERS}))
     def test_declared_ground_keeps_the_table(self, name):
-        f = _ALL_TABLE_BUILDERS[name]()
-        labels = GroundSet(tuple(f"e{i}" for i in range(f.ground.n)))
+        build = {**_ALL_BUILDERS, **_TABLE_BUILDERS}[name]
+        f = build()
+        n = f.ground.n
+        labels = GroundSet(tuple(f"e{i}" for i in range(n)))
         labelled, calls = _counting(_on_declared_ground(f, labels, f.name))
-        assert labelled.ground == labels and labelled.table is f.table
-        self._same(labelled.all_values(), f.all_values())
-        assert calls == [] and labelled._cache == {}
+        assert labelled.ground == labels
+        assert labelled._table is f._table and labelled.extend is f.extend
+        self._same(labelled.all_values(), [build().value(mask) for mask in range(1 << n)])
+        assert (calls == [] and labelled._cache == {}) == (name not in _GENERIC_BUILDERS)
 
-    @pytest.mark.parametrize("name", sorted(_EXTEND_BUILDERS) + sorted(_GENERIC_BUILDERS))
+    @pytest.mark.parametrize("name", sorted(_ALL_BUILDERS))
     def test_which_builders_offer_a_table(self, name):
-        f = (_EXTEND_BUILDERS.get(name) or _GENERIC_BUILDERS[name])()
-        offers = (
-            f.name.startswith(_TABLE_NAMES)
-            and name in _EXTEND_BUILDERS
-            and name not in _COMBINATIONS_WITHOUT_TABLE
-        )
-        assert (f.table is not None) == offers
+        f = _ALL_BUILDERS[name]()
+        offers = f.name.startswith(_TABLE_NAMES) and name in _DIRECT_BUILDERS
+        assert (f._table is not None) == offers
+        assert (f.extend is not None) == (f.name in ("linear", "segmentation"))
 
     def test_inexact_dispersion_and_fraction_max_cut_offer_no_table(self):
         for build in (
@@ -787,10 +816,10 @@ class TestValueTables:
             _GENERIC_BUILDERS["max-cut-float"],
             _GENERIC_BUILDERS["coverage-float"],
         ):
-            assert build().table is None and build().extend is None
-        for name in _COMBINATIONS_WITHOUT_TABLE:
-            f = _EXTEND_BUILDERS[name]()
-            assert f.table is None and f.extend is not None
+            assert build()._table is None and build().extend is None
+        for name in _COMBINATIONS_WITH_A_WALKED_TERM:
+            f = _DIRECT_BUILDERS[name]()
+            assert f._table is not None and f.extend is None
 
     def test_by_size_lists_each_mask_at_its_popcount(self):
         for n in range(8):
@@ -799,13 +828,14 @@ class TestValueTables:
                 at = [f"size {k}" for k in range(p + 1)]
                 assert core._by_size(n, p, at) == [at[m.bit_count()] for m in masks], (n, p)
 
-    @pytest.mark.parametrize("name", sorted(_ALL_TABLE_BUILDERS))
+    @pytest.mark.parametrize("name", sorted({**_ALL_BUILDERS, **_TABLE_BUILDERS}))
     def test_bounded_table_is_the_full_table_up_to_size_p(self, name):
-        f = _ALL_TABLE_BUILDERS[name]()
+        build = {**_ALL_BUILDERS, **_TABLE_BUILDERS}[name]
+        f = build()
         n = f.ground.n
-        full = f.all_values()
+        full = [build().value(mask) for mask in range(1 << n)]
         labels = GroundSet(tuple(f"e{i}" for i in range(n)))
-        labelled = _on_declared_ground(_ALL_TABLE_BUILDERS[name](), labels, f.name)
+        labelled = _on_declared_ground(build(), labels, f.name)
         for p in range(n + 1):
             want = [v for mask, v in enumerate(full) if mask.bit_count() <= p]
             self._same(f.table(p), want)
@@ -828,7 +858,7 @@ class TestTableBruteForce:
             for exact_size in (False, True):
                 f, calls = _counting(build())
                 g = build()
-                walked = SetFunction(g.ground, g._evaluator, extend=g.extend)
+                walked = SetFunction(g.ground, g._evaluator)
                 got = _outcome(brute_force_cardinality(f, p, exact_size=exact_size))
                 assert calls == [] and f._cache == {}
                 assert got == _outcome(brute_force_cardinality(walked, p, exact_size=exact_size))
@@ -858,7 +888,7 @@ class TestTableBruteForce:
         self, name, p, exact_size, indices
     ):
         f = _ALL_TABLE_BUILDERS[name]()
-        assert f.table is not None
+        assert f._table is not None
         opt = brute_force_cardinality(f, p, exact_size=exact_size)
         assert opt.optimum.indices() == indices
 
@@ -868,10 +898,12 @@ class TestTableBruteForce:
             for p in range(5):
                 for exact_size in (False, True):
                     f = raw_cardinality_profile(prof, 4)
-                    walked = SetFunction(f.ground, f._evaluator, extend=f.extend)
+                    walked = SetFunction(f.ground, f._evaluator)
                     got = brute_force_cardinality(f, p, exact_size=exact_size)
                     want = brute_force_cardinality(walked, p, exact_size=exact_size)
                     assert got.optimum == want.optimum and repr(got.value) == repr(want.value)
+                    naive = _naive_brute_force(f, p, exact_size)
+                    assert (got.optimum.mask, repr(got.value)) == (naive[0], repr(naive[1]))
 
 
 def test_max_cut_rows_stay_sparse():
@@ -883,16 +915,15 @@ def test_max_cut_rows_stay_sparse():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert f.extend is not None and peak < 20_000_000
+    assert f._table is not None and peak < 20_000_000
     # Reading a missing pair term stores nothing.
     row = _SparseRow({1: -2})
     assert (row[1], row[5]) == (-2, 0) and dict(row) == {1: -2}
     # Of the path, {0, ..., 199} cuts only the edge 199-200.
-    start, step = f.extend
-    state = start
-    for e in range(200):
-        state = step(state, e)
-    assert state[0] == f.value((1 << 200) - 1) == 1
+    assert f.value((1 << 200) - 1) == 1
+    # The table reads its pair terms from the same sparse rows.
+    short = max_cut(Graph(12, tuple((i, i + 1, 1) for i in range(11))))
+    assert short.all_values() == [short._evaluator(mask) for mask in range(1 << 12)]
 
 
 def _naive_sign_check(f):
@@ -942,7 +973,7 @@ _SIGN_CASES = {
 class TestSignCheckTable:
     @pytest.mark.parametrize(
         "build",
-        [pytest.param(b, id=k) for k, b in {**_EXTEND_BUILDERS, **_GENERIC_BUILDERS}.items()]
+        [pytest.param(b, id=k) for k, b in {**_DIRECT_BUILDERS, **_GENERIC_BUILDERS}.items()]
         + [pytest.param(b, id=f"sign-{k}") for k, b in _SIGN_CASES.items()],
     )
     def test_matches_naive_per_mask_scan(self, build):
@@ -959,9 +990,9 @@ class TestSignCheckTable:
         assert pairs["last-mask"] == pairs["planted-last-mask"] == 32
         assert pairs["last-mask-inside-tolerance"] == 16  # passes
 
-    @pytest.mark.parametrize("name", sorted(_EXTEND_BUILDERS))
+    @pytest.mark.parametrize("name", sorted(_DIRECT_BUILDERS))
     def test_extend_reads_only_the_empty_set(self, name):
-        f, calls = _counting(_EXTEND_BUILDERS[name]())
+        f, calls = _counting(_DIRECT_BUILDERS[name]())
         check_normalized_nonnegative(f)
         assert calls == [0] and list(f._cache) == [0]
 

@@ -297,7 +297,7 @@ class TestCardinalityFunctions:
     def test_huge_ground_set(self):
         f = cardinality_power(2, 10**5)
         assert f.value((1 << 10**5) - 1) == 10**10
-        assert f.extend[0] == (0, 0)
+        assert f.table(1) == [0] + [1] * 10**5
 
 
 class TestThreshold:
