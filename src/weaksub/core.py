@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count, product, repeat
 from numbers import Rational
-from operator import lt
+from operator import lt, or_
 from random import Random
 from typing import Any, Callable, Hashable, Iterable
 
@@ -191,25 +191,17 @@ class SetFunction:
     order, each equal to ``value(mask)`` in value and type.  The exhaustive
     checks read ``all_values()``, which is ``table(n)``, and brute force
     reads ``table(p)``.  Each call builds a new list, so no table is
-    stored.  It holds C(n, 0) + ... + C(n, p) values: about 2.4M at n = 22
-    and p = 11.
+    stored.
 
     ``table=``, when given, is the builder's own callable with that
-    contract, stored as ``_table``.  Builders make it by doubling
-    (``zoo._extenders``): the masks with largest element e are those below
-    bit e of popcount < p, each plus e, and follow every mask below bit e.
-    A builder whose evaluator sums in another order offers it only when
-    every input number is an int or a ``Fraction``, so the order cannot
-    change a value.
-
-    Without it, ``table(p)`` walks the sets depth-first.  ``extend``, when
-    given, is a pair ``(start, step)`` for that walk: ``start`` is the state
-    of the empty set, ``step(state, e)`` returns the state of the set plus
-    element ``e`` (``e`` above every element already in it), and
-    ``state[0]`` is the set's value, equal to ``value(mask)`` in value and
-    type.  Only a builder whose evaluator folds ``step`` over the set's
-    elements in ascending order offers it (linear and segmentation), so it
-    holds for every input.  Otherwise the walk's step reads ``value``.
+    contract, stored as ``_table``.  Every table, the builder's and the
+    generic one of ``table(p)``, is built by doubling in the order of
+    ``_extenders``: the masks with largest element e are those below bit e
+    of popcount < p, each plus e, and follow every mask below bit e.  A
+    builder offers a table only when it equals the evaluator for every
+    input: its sums run in the evaluator's order (linear, segmentation,
+    combinations), or every input number is an int or a ``Fraction``, so
+    the order cannot change a value.
     """
 
     def __init__(
@@ -219,7 +211,6 @@ class SetFunction:
         *,
         name: str = "f",
         claims: Iterable[str] = (),
-        extend: tuple[Any, Callable[[Any, int], Any]] | None = None,
         table: Callable[[int], list[Value]] | None = None,
     ):
         self.ground = ground
@@ -228,7 +219,6 @@ class SetFunction:
         if not self.claims <= ALL_CLAIMS:
             raise ValueError(f"unknown claims: {sorted(self.claims - ALL_CLAIMS)}")
         self._evaluator = evaluator
-        self.extend = extend
         self._table = table
         self._cache: dict[int, Value] = {}
 
@@ -257,35 +247,20 @@ class SetFunction:
     def table(self, p: int) -> list[Value]:
         """Values of every mask of popcount <= p, in ascending mask order.
 
-        The builder's ``table`` when it passed one.  Otherwise one
-        depth-first walk, stopped at size p: each set's state is its
-        prefix's (the set minus its largest element) plus one ``step``.  It
-        writes each value at its mask in a list over all 2**n masks, and
-        when p < n one ``compress`` by popcount keeps the sets of size <= p.
-        With ``table`` or ``extend`` this makes no evaluator call and no
-        memo write; without either, each mask of popcount <= p is evaluated
-        once through ``value``.  The stack holds O(n**2) states, but the
-        list holds 2**n values, and the selector as many: at n = 22 and
-        p = 11 (2 shared vCPUs, Python 3.11.7, peak RSS of the whole
-        process) a segmentation table took 112 MB and a linear one 186 MB,
-        against 75 MB for dispersion's own table.
+        The builder's ``table`` when it passed one: no evaluator call and
+        no memo write.  Otherwise the masks of popcount <= p, built by
+        doubling, each evaluated once through ``value``.  Either way the
+        list holds C(n, 0) + ... + C(n, p) values (2,449,868 at n = 22 and
+        p = 11, and n + 1 at p = 1), and nothing of size 2**n is built
+        when p < n.  A negative p is refused.
         """
+        if p < 0:
+            raise ValueError(f"table size bound must be >= 0, got {p}")
         if self._table is not None:
             return self._table(p)
         n = self.ground.n
-        start, step = _prefix_steps(self)
-        values = [start[0]] * (1 << n)
-        stack = [(start, 0, 0)]  # (state, mask, smallest element to add)
-        while stack:
-            state, mask, first = stack.pop()
-            if mask.bit_count() < p:
-                for e in range(first, n):
-                    child = step(state, e)
-                    values[mask | 1 << e] = child[0]
-                    stack.append((child, mask | 1 << e, e + 1))
-        if p < n:
-            values = list(compress(values, _by_size(n, n, [True] * (p + 1) + [False] * (n - p))))
-        return values
+        masks = _doubled(or_, 0, [1 << e for e in range(n)], _extenders(n, p))
+        return list(map(self.value, masks))
 
     def all_values(self) -> list[Value]:
         """Values for every subset, indexed by mask: ``table(n)``."""
@@ -313,17 +288,33 @@ def _by_size(n: int, p: int, at) -> list:
     return cells[p]
 
 
-def _prefix_steps(f: SetFunction):
-    """``f.extend``, or a ``(start, step)`` pair whose states are (value, mask)."""
-    if f.extend is not None:
-        return f.extend
-    value = f.value
+def _extenders(n: int, p: int):
+    """The doubling selection of a table bounded by popcount p on n bits.
 
-    def step(state, e: int):
-        mask = state[1] | 1 << e
-        return (value(mask), mask)
+    Returns ``extending(table, e)``: of ``table``, the values of the masks
+    below bit e of popcount <= p in ascending order, those whose masks take
+    bit e under the bound (popcount < p).  While e < p that is the whole
+    table and no selection runs.  From e = p on it is ``compress`` with one
+    selector over the masks below bit n - 1; the masks below bit e are its
+    first ones, and ``compress`` stops at the shorter input.  With p < 0
+    nothing extends.
+    """
+    if p >= n:
+        return lambda table, e: table
+    keep = _by_size(n - 1, p, [True] * p + [False]) if p >= 0 else []
+    return lambda table, e: table if e < p else compress(table, keep)
 
-    return (value(0), 0), step
+
+def _doubled(op, start, items, extending) -> list:
+    """The table of ``start`` folded with ``op`` over each set's items in
+    ascending order, by doubling under the selection ``extending`` (of
+    ``_extenders``): the sets with largest element e take ``op(v, items[e])``
+    for each value v that ``extending(table, e)`` selects.  Each new part
+    is built whole before it is appended to the table it was read from."""
+    table = [start]
+    for e, x in enumerate(items):
+        table += list(map(op, extending(table, e), repeat(x)))
+    return table
 
 
 def evaluate(f: SetFunction, subset: Subset) -> Value:

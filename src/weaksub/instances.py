@@ -70,6 +70,14 @@ def _number(value, what: str):
     return value
 
 
+def _arrays(value, what: str) -> list[list]:
+    """``value`` if it is an array of arrays, so no string or object is
+    read as its characters or keys."""
+    if type(value) is not list or any(type(x) is not list for x in value):
+        raise SchemaError(f"{what} must be an array of arrays, got {value!r}")
+    return value
+
+
 def _matrix(rows, what: str) -> list[list]:
     """``rows`` as lists of numbers (see ``_number``)."""
     return [[_number(x, what) for x in row] for row in rows]
@@ -118,11 +126,8 @@ def _on_declared_ground(f: SetFunction, ground: GroundSet | None, kind: str) -> 
             f"{kind!r} carries intrinsic labels {list(f.ground.elements)}, "
             f"which conflict with the declared ground_set"
         )
-    # The relabelled function shares the builder's evaluator, ``extend`` and
-    # table, not its memo.
-    return SetFunction(
-        ground, f._evaluator, name=f.name, claims=f.claims, extend=f.extend, table=f._table
-    )
+    # The relabelled function shares the builder's evaluator and table, not its memo.
+    return SetFunction(ground, f._evaluator, name=f.name, claims=f.claims, table=f._table)
 
 
 def _need_n(params: dict, ground: GroundSet | None, kind: str) -> int:
@@ -143,7 +148,7 @@ def _build_coverage(params, ground):
         if not isinstance(weights, dict):
             raise SchemaError(f"'coverage' weights must be an object, got {weights!r}")
         weights = {x: _number(w, "a 'coverage' weight") for x, w in weights.items()}
-    covers = params["covers"]
+    covers = _arrays(params["covers"], "'coverage' covers")
     # A JSON true would be the same item as 1 in a set, and false as 0.
     flag = next((x for c in covers for x in c if type(x) is bool), None)
     if flag is not None:
@@ -232,9 +237,11 @@ def matroid_from_spec(spec: dict, ground: GroundSet) -> Matroid:
         if kind == "uniform":
             return Matroid.uniform(ground, spec["rank"])
         if kind == "partition":
-            return Matroid.partition(ground, spec["blocks"], spec["caps"])
+            blocks = _arrays(spec["blocks"], "partition 'blocks'")
+            return Matroid.partition(ground, blocks, spec["caps"])
         if kind == "explicit":
-            return Matroid.explicit(ground, [tuple(s) for s in spec["independent_sets"]])
+            sets = _arrays(spec["independent_sets"], "explicit 'independent_sets'")
+            return Matroid.explicit(ground, [tuple(s) for s in sets])
         if kind == "cardinality":
             return Matroid.uniform(ground, spec["p"])
     except (TypeError, KeyError) as exc:

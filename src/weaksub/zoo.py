@@ -4,30 +4,32 @@ Each builder returns a ``SetFunction`` whose ``claims`` record what the
 construction guarantees.  Integer inputs stay in integer arithmetic, so the
 classic counterexample values reproduce exactly.
 
-Every function has a value table (``SetFunction.table``).  Most builders
-pass their own, bounded by a popcount p and built by doubling with the
-selection of ``_extenders``.  ``_count_only`` takes a profile of |S|
-(cardinality power, polynomial and profile, and threshold) and places one
-value per size, for every input.  ``_pairwise`` takes a pairwise-additive
-f(S + e) = f(S) + lin[e] + the sum of pair terms above[e][i] over i in S
-(metric dispersion and max-cut) and doubles those terms
-(``_pairwise_table``).  Coverage doubles its covered-item masks.  Those
-evaluators sum in another order, so ``_pairwise`` and coverage offer a
-table only when the order cannot change a value: exact distances for
-dispersion, int weights for max-cut, exact weights for coverage.  A
-combination sums its terms' tables, so it always has one.
-
-Linear and segmentation pass no table but an incremental ``extend`` step
-instead: their evaluator is that step folded over the set (``_folded``),
-so the table's walk makes the same additions for every input.  The other
-functions without a table of their own (complements, zero-at-top, welfare
-and the inexact builders above) are walked through their memoized oracle.
+Every function has a value table (``SetFunction.table``), bounded by a
+popcount p and built by doubling with the selection of ``core._extenders``.
+Most builders pass their own.  Linear and segmentation evaluate by folding
+one step over the set in ascending order (``_folded``), and their tables
+double in that order, so they make the same additions for every input:
+linear adds each weight, and segmentation doubles each column's maxima.
+``_count_only`` takes a profile of |S| (cardinality power, polynomial and
+profile, and threshold) and places one value per size, for every input.
+``_pairwise`` takes a pairwise-additive f(S + e) = f(S) + lin[e] + the sum
+of pair terms above[e][i] over i in S (metric dispersion and max-cut) and
+doubles those terms (``_pairwise_table``).  Coverage doubles its
+covered-item masks.  Those evaluators sum in another order, so
+``_pairwise`` and coverage offer a table only when the order cannot change
+a value: exact distances for dispersion, int weights for max-cut, exact
+weights for coverage.  A combination sums its terms' tables, so it always
+has one.  The functions without a table of their own (complements,
+zero-at-top, welfare and the inexact builders above) get the generic one,
+which evaluates each mask of the table once through the memoized oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress, repeat
+from functools import reduce
+from itertools import combinations, repeat
+from math import inf
 from operator import add, mul, or_
 from random import Random
 from typing import Hashable, Iterable, Sequence
@@ -42,6 +44,8 @@ from .core import (
     SetFunction,
     Value,
     _by_size,
+    _doubled,
+    _extenders,
     cardinality_profile,
 )
 from .matroid import Matroid
@@ -53,8 +57,8 @@ def _all_exact(values: Iterable) -> bool:
 
 
 def _folded(start, step):
-    """The evaluator that applies ``step`` from ``start`` over a mask's elements
-    in ascending index order and returns the final ``state[0]``."""
+    """The function that applies ``step`` from ``start`` over a mask's elements
+    in ascending index order and returns the final state."""
 
     def ev(mask: int) -> Value:
         state = start
@@ -62,26 +66,9 @@ def _folded(start, step):
             low = mask & -mask
             state = step(state, low.bit_length() - 1)
             mask ^= low
-        return state[0]
+        return state
 
     return ev
-
-
-def _extenders(n: int, p: int):
-    """The doubling selection of a table bounded by popcount p on n bits.
-
-    Returns ``extending(table, e)``: of ``table``, the values of the masks
-    below bit e of popcount <= p in ascending order, those whose masks take
-    bit e under the bound (popcount < p).  While e < p that is the whole
-    table and no selection runs.  From e = p on it is ``compress`` with one
-    selector over the masks below bit n - 1; the masks below bit e are its
-    first ones, and ``compress`` stops at the shorter input.  With p < 0
-    nothing extends.
-    """
-    if p >= n:
-        return lambda table, e: table
-    keep = _by_size(n - 1, p, [True] * p + [False]) if p >= 0 else []
-    return lambda table, e: table if e < p else compress(table, keep)
 
 
 def _pairwise_table(lin: Sequence[Value], above, p: int) -> list:
@@ -101,10 +88,7 @@ def _pairwise_table(lin: Sequence[Value], above, p: int) -> list:
     extending, col_extending = _extenders(n, p), _extenders(n - 1, p - 1)
     table = [0]
     for e, q in enumerate(lin):
-        row = above[e]
-        col = [q]
-        for i in range(e):
-            col += list(map(add, col_extending(col, i), repeat(row[i])))
+        col = _doubled(add, q, map(above[e].__getitem__, range(e)), col_extending)
         table += list(map(add, extending(table, e), col))
     return table
 
@@ -234,23 +218,26 @@ class Graph:
 
 
 def linear(weights: Sequence[Value], labels: Sequence[Hashable] | None = None) -> SetFunction:
-    """f(S) = sum of per-element weights; modular, hence in every class here."""
+    """f(S) = sum of per-element weights; modular, hence in every class here.
+
+    The evaluator adds the weights from the int 0 in ascending element
+    order (``_folded``).  The table adds w[e] to the value of each set
+    below bit e that takes e, so every value is the same chain of
+    additions, and equals the evaluator's for every input, floats and
+    -0.0 included.
+    """
     weights = tuple(weights)
     if any(not w >= 0 for w in weights):
         raise ValueError("linear weights must be nonnegative")
     ground = GroundSet(tuple(labels) if labels is not None else tuple(range(len(weights))))
     if ground.n != len(weights):
         raise ValueError("one weight per ground element required")
-
-    def step(state, e: int):
-        return (state[0] + weights[e],)
-
     return SetFunction(
         ground,
-        _folded((0,), step),
+        _folded(0, lambda total, e: total + weights[e]),
         name="linear",
         claims={NORMALIZED, NONNEGATIVE, MONOTONE, SUBMODULAR, WEAKLY_SUBMODULAR},
-        extend=((0,), step),
+        table=lambda p: _doubled(add, 0, weights, _extenders(ground.n, p)),
     )
 
 
@@ -298,10 +285,7 @@ def coverage(
     def table(p: int) -> list:
         # The covered-item masks by doubling with ``or_``, then one
         # evaluator sum per distinct covered mask.
-        extending = _extenders(ground.n, p)
-        covered = [0]
-        for e, c in enumerate(cover_masks):
-            covered += list(map(or_, extending(covered, e), repeat(c)))
+        covered = _doubled(or_, 0, cover_masks, _extenders(ground.n, p))
         sums = {c: weight(c) for c in set(covered)}
         return list(map(sums.__getitem__, covered))
 
@@ -352,25 +336,49 @@ def cross_dispersion(dist: DistanceMatrix, s_indices, t_indices) -> Value:
 
 
 def segmentation(matrix: SegmentationMatrix) -> SetFunction:
-    """Column-wise best-row sum over the chosen rows, with value 0 on the empty set."""
+    """Column-wise best-row sum over the chosen rows, with value 0 on the empty set.
+
+    The evaluator folds the column maxima over the rows in ascending index
+    order (``_folded``), and the table doubles each column's maxima in that
+    order, so both make the same comparisons.  A tie keeps the earlier
+    row's entry, as ``max`` over the rows in index order does.  In the
+    table a column's slot for the empty set holds -inf, which every entry
+    replaces (a row holding -inf sums to -inf or NaN and is refused).
+    Both add the maxima in column order from the int 0, so the table
+    equals the evaluator for every input.  ``sum`` would not do: from
+    Python 3.12 it compensates float rounding, which the table's additions
+    column by column cannot.
+    """
     m = matrix.m
     ground = GroundSet.of_size(matrix.rows)
 
-    # State: (value, column maxima), None for the empty set.  A tie keeps the
-    # earlier row's entry, as ``max`` over the rows in index order does.
-    def step(state, e: int):
-        top = state[1]
+    # Column maxima, None for the empty set.
+    def step(top, e: int):
         row = m[e]
-        if top is not None:
-            row = [a if a >= b else b for a, b in zip(top, row)]
-        return (sum(row), row)
+        return row if top is None else [a if a >= b else b for a, b in zip(top, row)]
+
+    maxima = _folded(None, step)
+
+    def ev(mask: int) -> Value:
+        return reduce(add, maxima(mask), 0) if mask else 0
+
+    def table(p: int) -> list:
+        extending = _extenders(ground.n, p)
+        values = _by_size(ground.n, p, [0] * (p + 1))
+        for column in zip(*m):
+            top = [-inf]
+            for e, b in enumerate(column):
+                top += [a if a >= b else b for a in extending(top, e)]
+            values = list(map(add, values, top))
+        values[0] = 0  # the empty set, whose slots held -inf
+        return values
 
     return SetFunction(
         ground,
-        _folded((0, None), step),
+        ev,
         name="segmentation",
         claims={NORMALIZED, NONNEGATIVE, MONOTONE, WEAKLY_SUBMODULAR},
-        extend=((0, None), step),
+        table=table,
     )
 
 
@@ -541,7 +549,7 @@ def max_cut(graph: Graph) -> SetFunction:
     rows are sparse, so building costs O(n + m).  ``_pairwise``'s table is
     offered when every weight is an int.  With a ``Fraction`` weight a
     table sum can end at ``Fraction(0)`` where the evaluator's sum is the
-    int 0, so the table then walks ``value`` instead.
+    int 0, so it then takes the generic table through ``value``.
     """
     edges = graph.edges
 

@@ -407,6 +407,29 @@ _MALFORMED = [
         )
         for name, sets in (("unreachable-basis", [[], [0], [1, 2]]), ("no-empty-set", [[0], [1, 2]]))
     ),
+    # A string or an object where an array of labels belongs is refused, not
+    # read as its characters or keys.
+    *(
+        (
+            f"coverage-covers-{name}",
+            {"ground_set": 2, "function": {"type": "coverage", "params": {"covers": covers}}},
+            ("check",),
+        )
+        for name, covers in (
+            ("string-entry", ["ab", ["b"]]),
+            ("string", "ab"),
+            ("object", {"a": ["x"], "b": ["y"]}),
+        )
+    ),
+    *(
+        (f"{name}-string", {"ground_set": list("abcd"), "constraint": constraint}, _LOCAL)
+        for name, constraint in (
+            ("partition-block", {"type": "partition", "blocks": ["ab", "cd"], "caps": [1, 1]}),
+            ("partition-blocks", {"type": "partition", "blocks": "abcd", "caps": [1, 1, 1, 1]}),
+            ("explicit-set", {"type": "explicit", "independent_sets": ["", "a", "b"]}),
+            ("explicit-sets", {"type": "explicit", "independent_sets": "ab"}),
+        )
+    ),
     # On a positional ground, true and false are not the elements 1 and 0.
     *(
         (

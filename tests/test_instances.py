@@ -206,12 +206,11 @@ class TestInstanceDocuments:
         ids=["linear", "dispersion"],
     )
     def test_declared_labels_keep_the_table(self, function):
-        # Linear's table walks its ``extend``; dispersion passes its own.
+        # Linear and dispersion pass their own table.
         plain = build({"function": function}).function
         labelled = build({"ground_set": list("abcde"), "function": function}).function
         assert labelled.ground.elements == tuple("abcde")
-        for f in (plain, labelled):
-            assert (f.extend is not None) == (function["type"] == "linear") != (f._table is not None)
+        assert plain._table is not None and labelled._table is not None
         ours, reference = brute_force_cardinality(labelled, 2), brute_force_cardinality(plain, 2)
         assert labelled._cache == {}
         assert (ours.optimum.mask, ours.value, ours.enumerated) == (

@@ -94,6 +94,11 @@ class TestGreedy:
         with pytest.raises(ValueError):
             greedy_cardinality(f, -1)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, True, False, "2", None])
+    def test_p_must_be_an_int(self, p):
+        with pytest.raises(ValueError, match="p must be an integer"):
+            greedy_cardinality(linear((1, 2, 3, 4)), p)
+
     def test_claims_are_enforced_when_present(self):
         cut = max_cut(star_counterexample(2))  # not monotone, claims say so
         with pytest.raises(ValueError):
@@ -367,7 +372,7 @@ class TestBruteForceCardinality:
 
     @pytest.mark.parametrize("p", [2.5, 2.0, True, False, "2", None])
     def test_p_must_be_an_int(self, p):
-        # A table (dispersion), an ``extend`` walk (linear) and the generic walk.
+        # Builder tables (dispersion, linear) and the generic table.
         for f in (
             metric_dispersion(DistanceMatrix.unit(6)),
             linear((1, 2, 3, 4, 5, 6)),
@@ -494,9 +499,8 @@ def _cut_graph(weights):
     return Graph(6, tuple((u, v, w) for (u, v), w in zip(pairs, weights)))
 
 
-# Builders whose table makes no evaluator call: their own table, or the walk
-# over linear's and segmentation's ``extend``.  Int, Fraction and mixed
-# inputs, several with ties.
+# Builders that pass their own table, which makes no evaluator call.  Int,
+# Fraction, float and mixed inputs, several with ties.
 _DIRECT_BUILDERS = {
     "linear-int": lambda: linear((3, 1, 4, 1, 5, 9, 2)),
     "linear-int-zeros": lambda: linear((3, 0, 3, 0, 0, 2)),
@@ -571,9 +575,9 @@ _DIRECT_BUILDERS = {
     ),
 }
 
-# Builders whose table walks ``value``: float dispersion and coverage, max-cut
-# with a Fraction or float weight, complement, zero-at-top and hand-built
-# functions.
+# Builders whose table is the generic one through ``value``: float
+# dispersion and coverage, max-cut with a Fraction or float weight,
+# complement, zero-at-top and hand-built functions.
 _GENERIC_BUILDERS = {
     "coverage-float": lambda: coverage(
         [[0, 1], [1, 2], [3], [0, 3], [2], [1]], {0: 0.5, 1: 1.25, 2: 0.1, 3: 2.0}
@@ -606,25 +610,10 @@ class TestBruteForceCardinalityDifferential:
 
     @pytest.mark.parametrize("name", sorted(_DIRECT_BUILDERS))
     def test_extend_leaves_the_memo_empty(self, name):
+        # A builder table leaves the memo empty.
         f = _DIRECT_BUILDERS[name]()
         brute_force_cardinality(f, f.ground.n)
         assert f._cache == {}
-
-    @pytest.mark.parametrize(
-        "name", sorted(k for k, b in _DIRECT_BUILDERS.items() if b().extend is not None)
-    )
-    def test_folding_steps_equals_value(self, name):
-        f = _DIRECT_BUILDERS[name]()
-        start, step = f.extend
-        n = f.ground.n
-        assert n <= 8
-        for mask in range(1 << n):
-            state = start
-            for i in range(n):
-                if mask >> i & 1:
-                    state = step(state, i)
-            v = f.value(mask)
-            assert state[0] == v and type(state[0]) is type(v), (mask, state[0], v)
 
     def test_generic_path_reads_through_the_memo(self):
         f = complement(linear((1, 2, 3, 1, 2)))
@@ -666,6 +655,7 @@ class TestAllValuesWalk:
 
     @pytest.mark.parametrize("name", sorted(_DIRECT_BUILDERS))
     def test_extend_walk_never_calls_the_evaluator(self, name):
+        # A builder table makes no evaluator call.
         f, calls = _counting(_DIRECT_BUILDERS[name]())
         f.all_values()
         assert calls == [] and f._cache == {}
@@ -686,7 +676,7 @@ class TestAllValuesWalk:
         labels = GroundSet(tuple(f"e{i}" for i in range(plain.ground.n)))
         labelled = _on_declared_ground(build(), labels, plain.name)
         assert labelled.ground == labels
-        assert (labelled.extend is None) == (plain.extend is None)
+        assert (labelled._table is None) == (plain._table is None)
         ours, reference = labelled.all_values(), plain.all_values()
         assert ours == reference
         assert [type(v) for v in ours] == [type(v) for v in reference]
@@ -694,11 +684,17 @@ class TestAllValuesWalk:
     def test_empty_ground_set(self):
         for f in (linear(()), threshold(1, 2, 0)):
             assert f.all_values() == [0]
+            assert f.table(0) == [0] and f.table(3) == [0]
 
 
-# Builders that pass their own ``table``, beside the ``_DIRECT_BUILDERS``
-# entries that do.
+# More builders that pass their own ``table``, beside ``_DIRECT_BUILDERS``.
 _TABLE_BUILDERS = {
+    "linear-n0": lambda: linear(()),
+    "linear-n1": lambda: linear((Fraction(1, 2),)),
+    "linear-n1-negative-zero": lambda: linear((-0.0,)),
+    "segmentation-n1": lambda: segmentation(SegmentationMatrix(((3, -1, Fraction(1, 2)),))),
+    # No column: every value is the int 0, the sum of no maxima.
+    "segmentation-zero-columns": lambda: segmentation(SegmentationMatrix(((), (), ()))),
     "dispersion-n0": lambda: metric_dispersion(DistanceMatrix(())),
     "dispersion-n1": lambda: metric_dispersion(DistanceMatrix(((0,),))),
     "max-cut-star": lambda: max_cut(star_counterexample(5)),
@@ -744,24 +740,24 @@ _TABLE_BUILDERS = {
     "dispersion-tied-pairs": lambda: metric_dispersion(
         DistanceMatrix(((0, 1, 1, 2), (1, 0, 2, 1), (1, 2, 0, 1), (2, 1, 1, 0)))
     ),
-    # Terms whose tables walk ``value``: the combination's own evaluator is
-    # not called, its terms' are.
+    # Terms with the generic table through ``value``: the combination's own
+    # evaluator is not called, its terms' are.
     "combination-walked-terms": lambda: linear_combination(
         [complement(linear((1, 2, 3, 1, 2, 2))), _GENERIC_BUILDERS["dispersion-float"]()],
         [1, 0.5],
     ),
 }
-_ALL_TABLE_BUILDERS = {
-    **{k: b for k, b in _DIRECT_BUILDERS.items() if b()._table is not None},
-    **_TABLE_BUILDERS,
-}
+_ALL_TABLE_BUILDERS = {**_DIRECT_BUILDERS, **_TABLE_BUILDERS}
 # The builders that pass their own table, by the name their functions carry.
-_TABLE_NAMES = ("dispersion", "max_cut", "threshold", "card", "coverage", "combination")
-# Combinations with a linear or segmentation term, whose table walks ``extend``.
-_COMBINATIONS_WITH_A_WALKED_TERM = (
-    "combination-fraction",
-    "combination-mixed",
-    "combination-float-alpha",
+_TABLE_NAMES = (
+    "linear",
+    "segmentation",
+    "dispersion",
+    "max_cut",
+    "threshold",
+    "card",
+    "coverage",
+    "combination",
 )
 
 
@@ -775,7 +771,7 @@ class TestValueTables:
     @pytest.mark.parametrize("name", sorted(_ALL_TABLE_BUILDERS))
     def test_table_matches_the_walk_and_the_evaluator(self, name):
         f = _ALL_TABLE_BUILDERS[name]()
-        assert f._table is not None and f.extend is None
+        assert f._table is not None
         table = f.all_values()
         walked = SetFunction(f.ground, f._evaluator).all_values()
         evaluated = [f._evaluator(mask) for mask in range(1 << f.ground.n)]
@@ -797,7 +793,7 @@ class TestValueTables:
         labels = GroundSet(tuple(f"e{i}" for i in range(n)))
         labelled, calls = _counting(_on_declared_ground(f, labels, f.name))
         assert labelled.ground == labels
-        assert labelled._table is f._table and labelled.extend is f.extend
+        assert labelled._table is f._table
         self._same(labelled.all_values(), [build().value(mask) for mask in range(1 << n)])
         assert (calls == [] and labelled._cache == {}) == (name not in _GENERIC_BUILDERS)
 
@@ -806,7 +802,7 @@ class TestValueTables:
         f = _ALL_BUILDERS[name]()
         offers = f.name.startswith(_TABLE_NAMES) and name in _DIRECT_BUILDERS
         assert (f._table is not None) == offers
-        assert (f.extend is not None) == (f.name in ("linear", "segmentation"))
+        assert not hasattr(f, "extend")
 
     def test_inexact_dispersion_and_fraction_max_cut_offer_no_table(self):
         for build in (
@@ -816,10 +812,19 @@ class TestValueTables:
             _GENERIC_BUILDERS["max-cut-float"],
             _GENERIC_BUILDERS["coverage-float"],
         ):
-            assert build()._table is None and build().extend is None
-        for name in _COMBINATIONS_WITH_A_WALKED_TERM:
-            f = _DIRECT_BUILDERS[name]()
-            assert f._table is not None and f.extend is None
+            assert build()._table is None
+
+    @pytest.mark.parametrize("name", sorted({**_ALL_BUILDERS, **_TABLE_BUILDERS}))
+    def test_negative_p_is_refused(self, name):
+        with pytest.raises(ValueError, match=">= 0"):
+            {**_ALL_BUILDERS, **_TABLE_BUILDERS}[name]().table(-1)
+
+    def test_zero_column_segmentation_is_the_int_zero(self):
+        f = _TABLE_BUILDERS["segmentation-zero-columns"]()
+        for p in range(4):
+            size = sum(comb(3, k) for k in range(p + 1))
+            assert [(type(v), v) for v in f.table(p)] == [(int, 0)] * size
+        assert [(type(f.value(m)), f.value(m)) for m in range(8)] == [(int, 0)] * 8
 
     def test_by_size_lists_each_mask_at_its_popcount(self):
         for n in range(8):
@@ -847,8 +852,8 @@ def _outcome(opt):
 
 
 class TestTableBruteForce:
-    """Brute force over ``f.table(p)`` against the walk of the same function
-    rebuilt without its table, and against the naive scan."""
+    """Brute force over ``f.table(p)`` against the generic table of the same
+    function rebuilt without its builder table, and against the naive scan."""
 
     @pytest.mark.parametrize("name", sorted(_ALL_TABLE_BUILDERS))
     def test_matches_the_walk_and_the_naive_scan(self, name):
@@ -926,6 +931,28 @@ def test_max_cut_rows_stay_sparse():
     assert short.all_values() == [short._evaluator(mask) for mask in range(1 << 12)]
 
 
+def test_small_p_tables_cost_no_power_of_two():
+    # At n = 22 and p = 1 a table holds 23 values; a list over all 2**22
+    # masks would take more than 30 MB.
+    weights = tuple(range(1, 23))
+    rows = tuple(tuple((i * 7 + j * 3) % 11 - 3 for j in range(8)) for i in range(22))
+    for build in (
+        lambda: linear(weights),
+        lambda: segmentation(SegmentationMatrix(rows)),
+        lambda: complement(linear(weights)),
+    ):
+        f, calls = _counting(build())
+        tracemalloc.start()
+        try:
+            table = f.table(1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000, (f.name, peak)
+        assert table == [build().value(mask) for mask in [0] + [1 << e for e in range(22)]]
+        assert len(calls) == (23 if f.name.startswith("complement") else 0)
+
+
 def _naive_sign_check(f):
     """The sign check as an ascending scan of ``f.value``, one mask at a time:
     (pairs checked, witness as (mask, repr(lhs), repr(rhs)) or None)."""
@@ -941,19 +968,19 @@ def _naive_sign_check(f):
 
 
 def _by_size(*values):
-    """The count-only function with value ``values[|S|]`` (it has ``extend``)."""
+    """The count-only function with value ``values[|S|]`` (it has a table)."""
     return raw_cardinality_profile(values.__getitem__, len(values) - 1)
 
 
 def _planted(n, mask, value):
-    """|S| everywhere except ``value`` at ``mask``; no ``extend``."""
+    """|S| everywhere except ``value`` at ``mask``; no table of its own."""
     return SetFunction(
         GroundSet.of_size(n), lambda m: value if m == mask else m.bit_count(), name="planted"
     )
 
 
 # Sign-check failures at the empty set, the first nonempty mask and the last
-# mask, with and without ``extend``; floats inside and outside the tolerance.
+# mask, with and without a builder table; floats inside and outside the tolerance.
 _SIGN_CASES = {
     "offset-int": lambda: _by_size(2, 3, 4, 5),
     "offset-negative-fraction": lambda: _by_size(Fraction(-1, 3), 1, 2, 3),
@@ -992,6 +1019,7 @@ class TestSignCheckTable:
 
     @pytest.mark.parametrize("name", sorted(_DIRECT_BUILDERS))
     def test_extend_reads_only_the_empty_set(self, name):
+        # With a builder table the check reads only the empty set's value.
         f, calls = _counting(_DIRECT_BUILDERS[name]())
         check_normalized_nonnegative(f)
         assert calls == [0] and list(f._cache) == [0]
@@ -1010,16 +1038,23 @@ def _mixed_number(rng, low=0):
 
 
 class TestFoldedBuildersDifferential:
-    """Linear and segmentation evaluate by folding their step; an independent
-    reference fixes each value and its type on mixed int/float/Fraction inputs."""
+    """Linear and segmentation evaluate by folding their step and build their
+    table by doubling; an independent reference fixes each value and its type
+    on mixed int/float/Fraction inputs, for the evaluator and every ``table(p)``."""
 
     @staticmethod
     def _assert_matches(f, reference):
-        table = f.all_values()
-        for mask in range(1 << f.ground.n):
-            want = reference(mask)
-            for got in (f.value(mask), table[mask]):
-                assert type(got) is type(want) and repr(got) == repr(want), (mask, got, want)
+        n = f.ground.n
+        for p in range(n + 2):
+            masks = [mask for mask in range(1 << n) if mask.bit_count() <= p]
+            table = f.table(p)
+            assert len(table) == len(masks)
+            for mask, got in zip(masks, table):
+                want = reference(mask)
+                assert type(got) is type(want) and repr(got) == repr(want), (p, mask, got, want)
+        for mask in range(1 << n):
+            got, want = f.value(mask), reference(mask)
+            assert type(got) is type(want) and repr(got) == repr(want), (mask, got, want)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_linear_is_a_left_to_right_sum(self, seed):
@@ -1045,6 +1080,6 @@ class TestFoldedBuildersDifferential:
             chosen = [row for i, row in enumerate(rows) if mask >> i & 1]
             if not chosen:
                 return 0
-            return sum(max(row[j] for row in chosen) for j in range(cols))
+            return reduce(add, [max(row[j] for row in chosen) for j in range(cols)], 0)
 
         self._assert_matches(segmentation(SegmentationMatrix(tuple(rows))), reference)
