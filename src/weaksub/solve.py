@@ -272,8 +272,11 @@ def _unrank(positions, n: int, p: int):
 def brute_force_matroid(f: SetFunction, matroid: Matroid) -> OptResult:
     """Exact maximum of f over the bases of a matroid (ascending mask order).
 
-    The first basis of greatest value is kept.  ``Matroid.bases`` raises
-    ``CapExceeded`` past its enumeration cap.
+    Tie rule: of the bases of greatest value, the least mask is kept.  That
+    differs from ``brute_force_cardinality``'s first index tuple: on a
+    uniform matroid of rank 2, {1, 2} (mask 6) comes before {0, 3} (mask 9)
+    here and after it there.  ``Matroid.bases`` raises ``CapExceeded`` past
+    its enumeration cap.
     """
     if f.ground != matroid.ground:
         raise ValueError("function and matroid must share a ground set")

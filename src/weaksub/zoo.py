@@ -386,7 +386,24 @@ def _pairwise(ev, lin: Sequence[Value], above, exact: bool, name: str, claims) -
     """f(S) = sum over e in S of (lin[e] + sum over i < e in S of above[e][i])
     on len(lin) elements, evaluated by the builder's ``ev``.  Its table is
     ``_pairwise_table``, offered only when ``exact``, since ``ev`` sums in
-    another order."""
+    another order.
+
+    The weak inequality's slack at (S, T), lhs - rhs of ``_weak_sides``,
+    has a closed form for such f.  Write w_xy = w_yx = above[max][min],
+    A = S - T, B = T - S and C = S & T, of sizes a, b and c.  Then
+
+        slack(S, T) = b f(A) + a f(B) + sum over x in A, y in B, z in C
+                      of (w_xz + w_zy - w_xy).
+
+    Proof: with W(X) the pair sum inside X and W(X, Y) the one across, the
+    linear terms leave b lin(A) + a lin(B), the W(C) terms cancel, and the
+    rest is b W(A) + a W(B) + b W(A, C) + a W(B, C) - c W(A, B); the triple
+    sum is b W(A, C) + a W(C, B) - c W(A, B).  So with lin = 0 and w >= 0
+    (dispersion), f is weakly submodular exactly when w is a metric: the
+    triangle inequality makes every term >= 0, and a = b = c = 1, where
+    f(A) = f(B) = 0, leaves slack = w_xz + w_zy - w_xy.  That proves
+    ``metric_dispersion``'s ``WEAKLY_SUBMODULAR`` claim.
+    """
     return SetFunction(
         GroundSet.of_size(len(lin)),
         ev,

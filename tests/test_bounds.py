@@ -15,6 +15,7 @@ from weaksub.bounds import (
     g_continuous,
     g_stationary,
     geometric_identity,
+    greedy_limit,
     greedy_ratio,
     greedy_ratio_table,
     ls_bound,
@@ -154,6 +155,26 @@ class TestGreedyRatio:
         for exact in (False, True):
             with pytest.raises(ValueError, match="need p >= 2"):
                 greedy_ratio_table([3, 1, 2], exact=exact)
+
+
+class TestGreedyLimit:
+    # K and L at 30 digits (mpmath, from both integrals of the docstring).
+    K = "0.183814626989928311445261990643"
+    L = "5.95557273402108069737490555137"
+
+    def test_matches_the_30_digit_constant(self):
+        assert abs(greedy_limit() - float(self.L)) < 1e-12
+        assert abs(-math.log1p(-1 / greedy_limit()) - float(self.K)) < 1e-12
+
+    def test_every_row_lies_below_the_limit(self):
+        limit = greedy_limit()
+        floats = greedy_ratio_table(range(2, 2001))
+        assert all(bound < limit for _, bound, _ in floats.rows)
+        assert all(greedy_ratio(p, exact=True) < limit for p in range(2, 101))
+
+    def test_the_gap_closes_like_one_over_p(self):
+        p = 10**4
+        assert abs(p * (greedy_limit() - greedy_ratio(p)) - 6.056) < 1e-3
 
 
 class TestLocalSearchBound:

@@ -906,3 +906,184 @@ def test_adjacent_position_closed_form():
             naive = n * S - ones_below + (~S & (2 * bit - 1)).bit_count()
             assert core._adjacent_position(S, bit, n) == naive, (S, bit)
         ones_below += S.bit_count()
+
+
+# -- the guard-bit lane passes ---------------------------------------------
+
+
+def test_packed_lanes_hold_the_shifted_table():
+    # Bytes per lane: the span times the range, plus the guard bit.  Lanes
+    # of 1, 2, 4 and 8 bytes go through ``array``, others through ``to_bytes``.
+    for span, reach, size in (
+        (1, 127, 1), (1, 128, 2), (1, 2**15 - 1, 2), (1, 2**15, 3), (1, 2**31 - 1, 4),
+        (1, 2**31, 5), (1, 2**63 - 1, 8), (1, 2**63, 9), (1, 2 * 10**30, 13),
+        (2, 63, 1), (2, 64, 2), (2, 2**62 - 1, 8), (2, 2**62, 9), (2, 10**30, 13),
+    ):
+        for low in (3, -(10**30)):
+            table = [low + reach, low, low + reach // 2, low + 1]
+            assert core._lane_layout(table, span) == (low, size)
+            packed, guards = core._packed(table, low, size)
+            width = 8 * size
+            lane = (1 << width) - 1
+            assert [packed >> width * S & lane for S in range(4)] == [v - low for v in table]
+            assert guards == sum(1 << width * S + width - 1 for S in range(4))
+
+
+def test_lacking_marks_the_lanes_without_each_bit():
+    for n in range(5):
+        total = 1 << n
+        for width in (8, 16, 24):
+            guards = sum(1 << width * S + width - 1 for S in range(total))
+            found = dict(core._lacking(guards, width, total))
+            assert sorted(found) == list(range(n))
+            for e, lacks in found.items():
+                want = [S for S in range(total) if not S >> e & 1]
+                assert lacks == sum(1 << width * S + width - 1 for S in want)
+
+
+def test_monotone_lanes_leave_wide_tables_to_the_slice_scan(monkeypatch):
+    calls = []
+    monkeypatch.setattr(core, "_first_monotone_violation", lambda *args: calls.append(args))
+    assert core._first_monotone_violation_lanes([0, 2**63 - 1]) is None  # 8-byte lanes
+    assert calls == []
+    core._first_monotone_violation_lanes([1, 2**63 + 1])  # 9 bytes
+    assert calls == [([1, 2**63 + 1], 1, lt)]
+
+
+def modular_table(rng, n, top=4):
+    weights = [rng.randint(1, top) for _ in range(n)]
+    return [sum(w for i, w in enumerate(weights) if m >> i & 1) for m in range(1 << n)]
+
+
+# The number kinds of the lane tests: ints shifted below zero, Fractions,
+# 3-byte lanes, which ``_packed`` fills by ``to_bytes``, and ints past 8
+# bytes either side of zero, which the monotone pass leaves to the slice
+# scan and the submodular pass packs by ``to_bytes``.
+LANE_KINDS = {
+    "int": lambda q: q,
+    "negative": lambda q: q - 50,
+    "fraction": lambda q: Fraction(q, 7),
+    "three_bytes": lambda q: q << 14,
+    "huge": lambda q: q * 10**30,
+    "huge_negative": lambda q: q * 10**30 - 10**30,
+}
+
+
+def monotone_lanes_outcome(values):
+    """The lane pass's hit, equal to the scalar scan's on the scaled table,
+    and the checker's report, equal to the naive oracle's."""
+    f = table_function(values)
+    n = f.ground.n
+    table = core._exact_table(values)
+    hit = core._first_monotone_violation_lanes(table)
+    assert hit == core._first_monotone_violation(table, n, lt)
+    assert report_outcome(check_monotone(f)) == naive_monotone_outcome(f)
+    return hit
+
+
+@pytest.mark.parametrize("kind", sorted(LANE_KINDS))
+def test_monotone_lanes_on_planted_drops(kind):
+    to = LANE_KINDS[kind]
+    rng = Random(kind)
+    for n in range(11):
+        full = (1 << n) - 1
+        q = modular_table(rng, n)
+        assert monotone_lanes_outcome([to(v) for v in q]) is None
+        if n == 0:
+            continue
+        first = q.copy()
+        first[0] = q[1] + 1  # above {0}: the drop at the first S, bit 0
+        assert monotone_lanes_outcome([to(v) for v in first]) == (0, 1)
+        last = q.copy()
+        last[full ^ 1] = q[full] + 1  # the last S that lacks a bit
+        assert monotone_lanes_outcome([to(v) for v in last]) == (full ^ 1, 1)
+        if n >= 2:
+            a, b = sorted(rng.sample(range(n), 2))
+            S = full ^ 1 << a ^ 1 << b
+            two = q.copy()
+            two[S] = q[full] + 1  # above both of S's successors: the lower bit wins
+            assert monotone_lanes_outcome([to(v) for v in two]) == (S, 1 << a)
+            both = two.copy()
+            both[full ^ 1] = q[full] + 1  # a second S that lacks a bit: the lower S wins
+            assert monotone_lanes_outcome([to(v) for v in both]) == (min(S, full ^ 1), 1 << a)
+
+
+@pytest.mark.parametrize("kind", sorted(LANE_KINDS))
+def test_monotone_lanes_on_random_tables(kind):
+    to = LANE_KINDS[kind]
+    rng = Random(kind + "random")
+    for n in range(11):
+        for spread in (0, 1, 3, 40):
+            q = modular_table(rng, n, 8)
+            for _ in range(rng.randint(0, 3)):
+                q[rng.randrange(1 << n)] += rng.randint(-spread, spread)
+            monotone_lanes_outcome([to(v) for v in q])
+
+
+def test_monotone_lanes_with_one_huge_value():
+    # 10**30 sets the lane width; the small values still decide the hit.
+    rng = Random(30)
+    for n in range(1, 9):
+        for spot in (0, 1, (1 << n) - 1, rng.randrange(1 << n)):
+            for huge in (10**30, -(10**30)):
+                q = modular_table(rng, n)
+                q[spot] = huge
+                monotone_lanes_outcome(q)
+
+
+def kernel_only_report(f, monkeypatch):
+    """The exhaustive submodular report of the pair scan without the local pass."""
+    with monkeypatch.context() as m:
+        m.setattr(core, "_locally_submodular", lambda table: False)
+        return check_submodular(f)
+
+
+def submodular_tables(rng, n):
+    """Int and coverage tables at n, submodular or not, some shifted below zero."""
+    covers = [[j for j in range(6) if rng.random() < 0.4] for _ in range(n)]
+    cover = coverage(covers, {j: rng.randint(1, 5) for j in range(6)}).all_values()
+    yield cover
+    yield [v - 9 for v in cover]
+    for _ in range(2):  # a coverage table with one set moved by a little
+        moved = cover.copy()
+        moved[rng.randrange(1 << n)] += rng.choice([-2, -1, 1, 2])
+        yield moved
+    yield [rng.randint(-5, 5) for _ in range(1 << n)]
+    budget = rng.randint(1, 3 * n + 1)  # concave of modular: submodular
+    yield [min(budget, v) for v in modular_table(rng, n)]
+    yield [Fraction(v, 3) for v in cover]
+    yield [v * 10**30 for v in cover]
+    # A range in 64..127: one byte holds a lane but not a sum of two.
+    yield [v * (127 // max(cover)) for v in cover] if max(cover) else cover
+    yield [rng.randint(-60, 60) for _ in range(1 << n)]
+
+
+def test_submodular_local_pass_matches_the_pair_scan(monkeypatch):
+    rng = Random(44)
+    verdicts = set()
+    for n in range(9):
+        for _ in range(4 if n < 7 else 1):
+            for values in submodular_tables(rng, n):
+                table = core._exact_table(values)
+                local = core._locally_submodular(table)
+                assert local == (core._first_pair_violation_lanes(table, False) is None)
+                f = table_function(values)
+                report, kernel = check_submodular(f), kernel_only_report(f, monkeypatch)
+                assert report == kernel and report_outcome(report) == report_outcome(kernel)
+                verdicts.add(local)
+    assert verdicts == {True, False}
+
+
+def test_submodular_local_pass_on_coverage_builders(monkeypatch):
+    for seed in range(12):
+        f = random_coverage(seed % 7 + 2, seed)
+        assert f.ground.n <= 8
+        report = check_submodular(f)
+        assert report.passed and core._locally_submodular(core._exact_table(f.all_values()))
+        assert report == kernel_only_report(f, monkeypatch)
+        raised = f.all_values()
+        raised[-1] = 2 * max(raised) + 1  # a local violation at the full set's squares
+        g = table_function(raised)
+        report, kernel = check_submodular(g), kernel_only_report(g, monkeypatch)
+        assert not report.passed
+        assert report == kernel and report_outcome(report) == report_outcome(kernel)

@@ -417,6 +417,18 @@ class TestBruteForceMatroid:
         f = _two_tied_pairs()
         assert brute_force_matroid(f, Matroid.uniform(f.ground, 2)).optimum.indices() == (1, 2)
 
+    def test_tie_rules_of_the_two_brute_forces(self):
+        # {0, 3} and {1, 2} both have value 3.  Over the bases of a uniform
+        # matroid the least mask, 6 = {1, 2}, is kept; over the sets of size 2
+        # the first index tuple, (0, 3) = mask 9.  So uniform bases cannot be
+        # routed to exact-size cardinality brute force without changing this.
+        d = [[0, 2, 1, 3], [2, 0, 3, 1], [1, 3, 0, 2], [3, 1, 2, 0]]
+        f = metric_dispersion(DistanceMatrix(d))
+        by_bases = brute_force_matroid(f, Matroid.uniform(f.ground, 2))
+        by_size = brute_force_cardinality(f, 2, exact_size=True)
+        assert (by_bases.optimum.mask, by_bases.value, by_bases.enumerated) == (6, 3, 6)
+        assert (by_size.optimum.mask, by_size.value, by_size.enumerated) == (9, 3, 6)
+
     def test_partition_enumeration_count(self):
         g = GroundSet.of_size(6)
         m = Matroid.partition(g, [[0, 1], [2, 3, 4], [5]], [1, 2, 1])
@@ -654,7 +666,7 @@ class TestAllValuesWalk:
         assert [type(v) for v in table] == [type(v) for v in reference]
 
     @pytest.mark.parametrize("name", sorted(_DIRECT_BUILDERS))
-    def test_extend_walk_never_calls_the_evaluator(self, name):
+    def test_builder_table_never_calls_the_evaluator(self, name):
         # A builder table makes no evaluator call.
         f, calls = _counting(_DIRECT_BUILDERS[name]())
         f.all_values()
@@ -1018,7 +1030,7 @@ class TestSignCheckTable:
         assert pairs["last-mask-inside-tolerance"] == 16  # passes
 
     @pytest.mark.parametrize("name", sorted(_DIRECT_BUILDERS))
-    def test_extend_reads_only_the_empty_set(self, name):
+    def test_builder_table_sign_check_reads_only_the_empty_set(self, name):
         # With a builder table the check reads only the empty set's value.
         f, calls = _counting(_DIRECT_BUILDERS[name]())
         check_normalized_nonnegative(f)

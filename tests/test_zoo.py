@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations, permutations
 from random import Random
 
 import pytest
@@ -15,6 +16,7 @@ from weaksub import (
     check_weakly_submodular,
     weak_submodularity_sides,
 )
+from weaksub import core, zoo
 from weaksub.core import MONOTONE, NORMALIZED, SUBMODULAR, WEAKLY_SUBMODULAR
 from weaksub.zoo import (
     DistanceMatrix,
@@ -198,6 +200,70 @@ class TestDispersion:
             a = {i for i in range(8) if rng.random() < 0.3}
             b = {i for i in range(8) if rng.random() < 0.3} - a
             assert f(a | b) == f(a) + f(b) + cross_dispersion(d, a, b)
+
+
+def _pairwise_function(lin, w):
+    """f(X) = sum of lin over X + sum of w over the pairs in X, through ``_pairwise``."""
+    n = len(lin)
+
+    def ev(mask):
+        idx = [i for i in range(n) if mask >> i & 1]
+        return sum(lin[i] for i in idx) + sum(w[i][j] for i, j in combinations(idx, 2))
+
+    above = [tuple(w[i][e] for i in range(e)) for e in range(n)]
+    return zoo._pairwise(ev, list(lin), above, True, "pairwise", ())
+
+
+def _symmetric(rng, n, draw):
+    w = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        w[i][j] = w[j][i] = draw()
+    return w
+
+
+class TestPairwiseSlack:
+    """The slack identity of the ``_pairwise`` docstring and its consequence."""
+
+    def test_identity_matches_the_weak_sides(self):
+        rng = Random(10)
+
+        def number():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+        for n in range(8):
+            for _ in range(3):
+                lin = [number() for _ in range(n)]
+                w = _symmetric(rng, n, number)
+                f = _pairwise_function(lin, w)
+                table = f.all_values()
+                assert table == [f.value(m) for m in range(1 << n)]
+                full = (1 << n) - 1
+                pairs = [(rng.randint(0, full), rng.randint(0, full)) for _ in range(40)]
+                if n >= 2:
+                    pairs += [(full ^ 1, full ^ 2), (1, 2), (0, full)]
+                for S, T in pairs:
+                    A, B, C = S & ~T, T & ~S, S & T
+                    triples = sum(
+                        w[x][z] + w[z][y] - w[x][y]
+                        for x in range(n) if A >> x & 1
+                        for y in range(n) if B >> y & 1
+                        for z in range(n) if C >> z & 1
+                    )
+                    slack = B.bit_count() * f.value(A) + A.bit_count() * f.value(B) + triples
+                    lhs, rhs = core._weak_sides(table.__getitem__, S, T)
+                    assert lhs - rhs == slack, (S, T)
+
+    def test_dispersion_is_weakly_submodular_exactly_on_metrics(self):
+        rng = Random(11)
+        seen = set()
+        for n in (3, 4, 5):
+            for _ in range(12):
+                w = _symmetric(rng, n, lambda: rng.randint(0, 4))
+                metric = all(w[x][y] <= w[x][z] + w[z][y] for x, y, z in permutations(range(n), 3))
+                f = _pairwise_function([0] * n, w)
+                assert check_weakly_submodular(f).passed == metric
+                seen.add(metric)
+        assert seen == {True, False}
 
 
 class TestCrossDispersion:
