@@ -202,8 +202,8 @@ class SetFunction:
     of popcount < p, each plus e, and follow every mask below bit e.  A
     builder offers a table only when it equals the evaluator for every
     input: its sums run in the evaluator's order (linear, segmentation,
-    combinations), or every input number is an int or a ``Fraction``, so
-    the order cannot change a value.
+    coverage, combinations), or every input number is an int or a
+    ``Fraction``, so the order cannot change a value.
     """
 
     def __init__(
@@ -526,17 +526,18 @@ def _packed(table: list[int], low: int, size: int) -> tuple[int, int]:
     return int.from_bytes(data, "little"), guards
 
 
-def _lacking(guards: int, width: int, total: int):
-    """(e, the guards of the lanes whose set lacks bit e), e from high to low.
+def _lacking(mask: int, width: int, total: int):
+    """(e, ``mask`` in the lanes whose set lacks bit e), e from high to low.
 
-    The lanes below total / 2 lack the top bit.  Those that lack bit e are
-    the lanes lacking bit e + 1, xor the same moved up by 2**e lanes: in
-    each run of 2**(e + 2) lanes that keeps the first and the third
-    quarter, and the last lane moved, total - 1 - 2**e, is still a lane of
-    the table.
+    ``mask`` is the same in each of the ``total`` lanes: the guards, or
+    every bit of the lane.  The lanes below total / 2 lack the top bit.
+    Those that lack bit e are the lanes lacking bit e + 1, xor the same
+    moved up by 2**e lanes: in each run of 2**(e + 2) lanes that keeps the
+    first and the third quarter, and the last lane moved, total - 1 - 2**e,
+    is still a lane of the table.
     """
     n = total.bit_length() - 1
-    lacks = guards & (1 << (width << n - 1)) - 1 if n else 0
+    lacks = mask & (1 << (width << n - 1)) - 1 if n else 0
     for e in range(n - 1, -1, -1):
         yield e, lacks
         if e:
@@ -696,21 +697,24 @@ def _first_pair_violation_lanes(table: list[int], weighted: bool) -> tuple[int, 
     breaks weak submodularity (``weighted``) or submodularity.
 
     Row S holds every T at once: one int of W-bit lanes, one lane per set.
-    The table is shifted by its minimum first, so every lane is >= 0.  The
-    shift adds the same amount to both sides, c (|S| + |T|) for the weak
+    The table is packed once by ``_packed``, shifted by its minimum, in
+    lanes laid out by ``_lane_layout`` for the largest side: two lanes
+    (submodular), or lanes weighted by at most 2n in all (weak).  The shift
+    adds the same amount to both sides, c (|S| + |T|) for the weak
     inequality because |S & T| + |S | T| = |S| + |T|, and 2c for the
-    submodular one.  W is a whole number of bytes above the largest side
-    (2n or 2 times the shifted maximum) and its top bit is a guard: in
-    (lhs + guards) - rhs no lane borrows from the next, and lane T's guard
-    is cleared exactly when lhs < rhs at (S, T).  Both inequalities are
-    symmetric in S and T, so a cleared guard in a lane below S would have
-    ended the scan at that row: the lowest cleared guard of the first row
-    with one is the scalar scan's first pair.
+    submodular one.  So, as ``_packed`` describes, lane T's guard in
+    (lhs + guards) - rhs is cleared exactly when lhs < rhs at (S, T).  Both
+    inequalities are symmetric in S and T, so a cleared guard in a lane
+    below S would have ended the scan at that row: the lowest cleared guard
+    of the first row with one is the scalar scan's first pair.
 
     A row needs no lane below the sets that share S's leading run of top
     bits: every T >= S has them, and so do S | T and S & T.  Rows are taken
     in blocks by that run, so half of them use half-length ints, a quarter
-    quarter-length ones, and so on (about 2/3 of the full-length work).
+    quarter-length ones, and so on (about 2/3 of the full-length work).  A
+    block's table, guards and weights are the packed ints shifted down to
+    its first lane, and ``_lacking`` gives its lanes with and without each
+    low bit.
 
     X[T] = f(S | T) and Y[T] = f(S & T) come from the block's table by one
     lane copy per low bit b: X takes lane T | b into lane T when b is in S,
@@ -737,33 +741,26 @@ def _first_pair_violation_lanes(table: list[int], weighted: bool) -> tuple[int, 
     """
     total = len(table)
     n = total.bit_length() - 1
-    low = min(table)
-    reach = (max(table) - low) * (2 * n if weighted else 2)
-    size = reach.bit_length() // 8 + 1  # bytes per lane, the guard bit included
+    low, size = _lane_layout(table, 2 * n if weighted else 2)
     width = 8 * size
-    empty, full = bytes(size), b"\xff" * size
-
-    def pack(values) -> int:
-        return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in values]), "little")
-
-    def lanes(pattern: bytes, repeat: int) -> int:
-        return int.from_bytes(pattern * repeat, "little")
-
+    packed, all_guards = _packed(table, low, size)
+    if weighted:
+        counts, _ = _packed(list(map(int.bit_count, range(total))), 0, size)
     for k in range(n, -1, -1):
         # Rows S from ``start`` to ``stop`` hold the n - k top bits and not
         # bit k - 1.  They read only the last 2**k sets, set start + i in
         # lane i, which differ in the k low bits alone.
         start, stop = total - (1 << k), total - (1 << k) // 2
-        tab = pack([v - low for v in table[start:]])
-        guards = lanes(bytes(size - 1) + b"\x80", 1 << k)
-        holds = [lanes(empty * (1 << b) + full * (1 << b), 1 << k - b - 1) for b in range(k)]
-        lacks = [lanes(full, 1 << k) ^ m for m in holds]
+        tab, guards = packed >> width * start, all_guards >> width * start
+        ones = (1 << (width << k)) - 1
+        lacks = dict(_lacking(ones, width, 1 << k))
+        holds = {b: ones ^ m for b, m in lacks.items()}
         shifts = [width << b for b in range(k)]
         if weighted:
-            coef = pack([T.bit_count() for T in range(start, total)])
+            coef = counts >> width * start
             lifted = [c * tab + guards for c in range(n + 1)]
         else:
-            coef = lanes(b"\x01" + bytes(size - 1), 1 << k)
+            coef = guards >> width - 1
             lifted = [tab + guards] * (n + 1)
         # Level b of the walk: X, Y, WX, WY once bits k - 1 .. b of the row
         # are decided.  Level k is the root, level 0 the row.

@@ -14,14 +14,15 @@ linear adds each weight, and segmentation doubles each column's maxima.
 profile, and threshold) and places one value per size, for every input.
 ``_pairwise`` takes a pairwise-additive f(S + e) = f(S) + lin[e] + the sum
 of pair terms above[e][i] over i in S (metric dispersion and max-cut) and
-doubles those terms (``_pairwise_table``).  Coverage doubles its
-covered-item masks.  Those evaluators sum in another order, so
-``_pairwise`` and coverage offer a table only when the order cannot change
-a value: exact distances for dispersion, int weights for max-cut, exact
-weights for coverage.  A combination sums its terms' tables, so it always
-has one.  The functions without a table of their own (complements,
-zero-at-top, welfare and the inexact builders above) get the generic one,
-which evaluates each mask of the table once through the memoized oracle.
+doubles those terms (``_pairwise_table``).  Its evaluator sums in another
+order, so ``_pairwise`` offers a table only when the order cannot change a
+value: exact distances for dispersion, int weights for max-cut.  Coverage
+doubles its covered-item masks and sums each distinct one with the
+evaluator's own ``weight``, so it has a table for every weight type.  A
+combination sums its terms' tables, so it always has one.  The functions
+without a table of their own (complements, zero-at-top, welfare and the
+inexact builders above) get the generic one, which evaluates each mask of
+the table once through the memoized oracle.
 """
 from __future__ import annotations
 
@@ -284,18 +285,18 @@ def coverage(
 
     def table(p: int) -> list:
         # The covered-item masks by doubling with ``or_``, then one
-        # evaluator sum per distinct covered mask.
+        # evaluator sum per distinct covered mask: the same masks and sums
+        # as ``ev``, so the table equals it for every weight type.
         covered = _doubled(or_, 0, cover_masks, _extenders(ground.n, p))
         sums = {c: weight(c) for c in set(covered)}
         return list(map(sums.__getitem__, covered))
 
-    exact = _all_exact(weights[x] for x in items)
     return SetFunction(
         ground,
         ev,
         name="coverage",
         claims={NORMALIZED, NONNEGATIVE, MONOTONE, SUBMODULAR, WEAKLY_SUBMODULAR},
-        table=table if exact else None,
+        table=table,
     )
 
 

@@ -358,6 +358,25 @@ def test_generated_quarter_metrics_pass(quarters):
 # -- the lane kernel -------------------------------------------------------
 
 
+# Lane widths in bytes of the pair kernel's packing: ``_packed`` fills 1, 2,
+# 4 and 8-byte lanes by ``array`` and 3, 9 and 13-byte ones by ``to_bytes``.
+LANE_SIZES = (1, 2, 3, 4, 8, 9, 13)
+
+
+def widened(values, weighted, size):
+    """``values`` times a power of two that makes the pair kernel's lanes
+    ``size`` bytes wide, or None when they are already wider."""
+    table = core._exact_table(values)
+    n = len(table).bit_length() - 1
+    span = 2 * n if weighted else 2
+    bits = ((max(table) - min(table)) * span).bit_length()
+    if bits > 8 * size - 1:
+        return None
+    wide = [v << max(0, 8 * (size - 1) - bits) for v in table]
+    assert core._lane_layout(wide, span)[1] == size
+    return wide
+
+
 def lane_hits(values):
     """The lane kernel's first pairs (weak, submodular), each equal to the scalar scan's."""
     table = core._exact_table(values)
@@ -471,6 +490,10 @@ def test_violations_planted_in_the_last_rows(seed):
         assert (report.witness.S.mask, report.witness.T.mask) == pair
         assert report.pairs_checked == pair_position(*pair, 1 << n)
         assert_lanes_agree(values)
+        for size in LANE_SIZES:  # the same pair in lanes of each width
+            wide = widened(values, weighted, size)
+            if wide is not None:
+                assert lane_hits(wide)[0 if weighted else 1] == pair
     if (i, j) == (0, 1):  # the pair in rows 2**n - 3 and 2**n - 2
         assert pair == ((1 << n) - 3, (1 << n) - 2)
 
@@ -565,6 +588,18 @@ def test_walk_finds_a_violation_planted_in_any_row(n):
             # The second row of each block, and its row of all low bits, the
             # deepest set-bit path.
             assert {start + 1, start + (1 << k - 1) - 1} <= planted_rows
+        # Rows in the first block, the next one and the last row that can
+        # fail, each in lanes of every width the table reaches.
+        sizes = set()
+        for S in {1, total // 2 + 1, total - 3} & planted_rows:
+            T = swap_partner(S, n)
+            for size in LANE_SIZES:
+                wide = widened(swap_planted(n, [(S, T)], weighted), weighted, size)
+                if wide is not None:
+                    assert assert_first_pair(wide, weighted) == (S, T)
+                    sizes.add(size)
+        if n == 2:
+            assert sizes == set(LANE_SIZES)
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -930,15 +965,18 @@ def test_packed_lanes_hold_the_shifted_table():
 
 
 def test_lacking_marks_the_lanes_without_each_bit():
+    # The start mask is the guards (the local passes) or whole lanes (the
+    # pair kernel's blocks).
     for n in range(5):
         total = 1 << n
         for width in (8, 16, 24):
-            guards = sum(1 << width * S + width - 1 for S in range(total))
-            found = dict(core._lacking(guards, width, total))
-            assert sorted(found) == list(range(n))
-            for e, lacks in found.items():
-                want = [S for S in range(total) if not S >> e & 1]
-                assert lacks == sum(1 << width * S + width - 1 for S in want)
+            for lane in (1 << width - 1, (1 << width) - 1):
+                mask = sum(lane << width * S for S in range(total))
+                found = dict(core._lacking(mask, width, total))
+                assert sorted(found) == list(range(n))
+                for e, lacks in found.items():
+                    want = [S for S in range(total) if not S >> e & 1]
+                    assert lacks == sum(lane << width * S for S in want)
 
 
 def test_monotone_lanes_leave_wide_tables_to_the_slice_scan(monkeypatch):

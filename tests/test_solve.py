@@ -525,6 +525,9 @@ _DIRECT_BUILDERS = {
     "coverage-mixed": lambda: coverage(
         [[0, 1], [1, 2], [3], [0, 3], [2]], {0: 1, 1: Fraction(1), 2: Fraction(3, 2), 3: 2}
     ),
+    "coverage-float": lambda: coverage(
+        [[0, 1], [1, 2], [3], [0, 3], [2], [1]], {0: 0.5, 1: 1.25, 2: 0.1, 3: 2.0}
+    ),
     "dispersion-int": lambda: metric_dispersion(random_metric(7, 4)),
     "dispersion-unit": lambda: metric_dispersion(DistanceMatrix.unit(7)),
     "dispersion-quarters": lambda: metric_dispersion(_quarters(random_metric(7, 5))),
@@ -588,12 +591,9 @@ _DIRECT_BUILDERS = {
 }
 
 # Builders whose table is the generic one through ``value``: float
-# dispersion and coverage, max-cut with a Fraction or float weight,
+# dispersion, max-cut with a Fraction or float weight,
 # complement, zero-at-top and hand-built functions.
 _GENERIC_BUILDERS = {
-    "coverage-float": lambda: coverage(
-        [[0, 1], [1, 2], [3], [0, 3], [2], [1]], {0: 0.5, 1: 1.25, 2: 0.1, 3: 2.0}
-    ),
     "dispersion-float": lambda: metric_dispersion(
         DistanceMatrix(tuple(tuple(x / 2 for x in row) for row in random_metric(6, 14).d))
     ),
@@ -728,6 +728,11 @@ _TABLE_BUILDERS = {
     "coverage-some-zero": lambda: coverage(
         [[0], [1], [0, 1], [2], [], [1, 2], [0, 2]], {0: 0, 1: 2, 2: Fraction(0)}
     ),
+    # Float weights summed in the evaluator's item order: -0.0 alone sums
+    # to 0.0, and 1e300 swallows 0.1 and 1e-300.
+    "coverage-float-extremes": lambda: coverage(
+        [[0], [0, 1], [2, 3], [1, 2], [], [3, 0], [1]], {0: -0.0, 1: 0.1, 2: 1e-300, 3: 1e300}
+    ),
     "combination-n0": lambda: linear_combination([metric_dispersion(DistanceMatrix(()))], [2]),
     "combination-n1": lambda: linear_combination(
         [threshold(1, 2, 1), cardinality_power(2, 1)], [Fraction(1, 2), 3]
@@ -822,7 +827,6 @@ class TestValueTables:
             _GENERIC_BUILDERS["max-cut-fraction"],
             _GENERIC_BUILDERS["max-cut-mixed"],
             _GENERIC_BUILDERS["max-cut-float"],
-            _GENERIC_BUILDERS["coverage-float"],
         ):
             assert build()._table is None
 
