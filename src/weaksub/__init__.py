@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 from .core import (
     CHECKERS,
     CapExceeded,
-    CheckerLimits,
     CheckReport,
     GroundSet,
     GroundSetMismatch,
@@ -56,7 +55,6 @@ __all__ = [
     "__version__",
     "CHECKERS",
     "CapExceeded",
-    "CheckerLimits",
     "CheckReport",
     "GroundSet",
     "GroundSetMismatch",

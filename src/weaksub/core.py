@@ -51,7 +51,7 @@ class GroundSetMismatch(ValueError):
 
 
 class CapExceeded(ValueError):
-    """An exhaustive enumeration would exceed its configured size cap."""
+    """An exhaustive enumeration would exceed its size cap."""
 
 
 @dataclass(frozen=True)
@@ -358,16 +358,10 @@ class CheckReport:
             raise ValueError("passed must hold exactly when no witness is present")
 
 
-@dataclass(frozen=True)
-class CheckerLimits:
-    """Exhaustive-mode size caps; exceeding one raises, never silently samples."""
-
-    pairwise: int = 12  # all unordered {S, T} pairs: <= (4^n + 2^n)/2 checks
-    monotone: int = 14  # adjacent pairs only: n * 2^(n-1) checks
-    sign: int = 20  # 2^n evaluations
-
-
-DEFAULT_LIMITS = CheckerLimits()
+# Exhaustive-mode size caps; exceeding one raises, never silently samples.
+PAIRWISE_CAP = 12  # all unordered {S, T} pairs: <= (4^n + 2^n)/2 checks
+MONOTONE_CAP = 14  # adjacent pairs only: n * 2^(n-1) checks
+SIGN_CAP = 20  # 2^n evaluations
 
 
 def _is_exact(v: Value) -> bool:
@@ -445,7 +439,6 @@ def check_normalized_nonnegative(
     *,
     samples: int | None = None,
     seed: int | None = None,
-    limits: CheckerLimits = DEFAULT_LIMITS,
     jobs: int = 1,
 ) -> CheckReport:
     """Check f(empty) = 0 and f(S) >= 0 on every tested subset.
@@ -469,8 +462,8 @@ def check_normalized_nonnegative(
         return None
 
     if mode == "exhaustive":
-        if n > limits.sign:
-            raise CapExceeded(f"exhaustive sign check capped at n <= {limits.sign}")
+        if n > SIGN_CAP:
+            raise CapExceeded(f"exhaustive sign check capped at n <= {SIGN_CAP}")
         w = witness(0, f.value(0))  # a function that is not normalized fails on one read
         if w is not None:
             return CheckReport(kind, "exhaustive", 1, False, w)
@@ -624,7 +617,6 @@ def check_monotone(
     *,
     samples: int | None = None,
     seed: int | None = None,
-    limits: CheckerLimits = DEFAULT_LIMITS,
     jobs: int = 1,
 ) -> CheckReport:
     """Check f(S) <= f(S + {e}) on adjacent pairs.
@@ -647,8 +639,8 @@ def check_monotone(
         return ViolationWitness(kind, Subset(f.ground, S), Subset(f.ground, bigger), lo, hi)
 
     if mode == "exhaustive":
-        if n > limits.monotone:
-            raise CapExceeded(f"exhaustive monotone check capped at n <= {limits.monotone}")
+        if n > MONOTONE_CAP:
+            raise CapExceeded(f"exhaustive monotone check capped at n <= {MONOTONE_CAP}")
         values = f.all_values()
         table = _exact_table(values)
         if table is None:
@@ -832,7 +824,6 @@ def _check_pairwise(
     mode: str,
     samples: int | None,
     seed: int | None,
-    limits: CheckerLimits,
 ) -> CheckReport:
     """Exhaustive or sampled scan of one symmetric pairwise inequality.
 
@@ -854,8 +845,8 @@ def _check_pairwise(
         return ViolationWitness(kind, Subset(f.ground, S), Subset(f.ground, T), lhs, rhs)
 
     if mode == "exhaustive":
-        if n > limits.pairwise:
-            raise CapExceeded(f"exhaustive pairwise check capped at n <= {limits.pairwise}")
+        if n > PAIRWISE_CAP:
+            raise CapExceeded(f"exhaustive pairwise check capped at n <= {PAIRWISE_CAP}")
         values = f.all_values()
         total = len(values)
         table = _exact_table(values)
@@ -892,7 +883,6 @@ def check_submodular(
     *,
     samples: int | None = None,
     seed: int | None = None,
-    limits: CheckerLimits = DEFAULT_LIMITS,
     jobs: int = 1,
 ) -> CheckReport:
     """Check f(S) + f(T) >= f(S | T) + f(S & T) on all tested pairs.
@@ -902,11 +892,15 @@ def check_submodular(
     subtraction per pair of bits (``_locally_submodular``); the report is
     the one of the full scan, all (4^n + 2^n)/2 pairs checked.  A table
     that fails the local form, or holds a float, is scanned pair by pair,
-    and its report names the scan's first violating pair.  ``jobs`` is
-    accepted for compatibility and ignored.
+    and its report names the scan's first violating pair.  So a passing
+    float table pays the whole scan in Python: the local form under
+    ``violates``' relative tolerance does not add up along a chain of
+    local inequalities.  A passing float-weight coverage function took
+    0.08, 0.30 and 0.88 s at n = 9, 10 and 11.  ``jobs`` is accepted for
+    compatibility and ignored.
     """
     return _check_pairwise(
-        f, PropertyKind.SUBMODULAR, _submodular_sides, False, mode, samples, seed, limits
+        f, PropertyKind.SUBMODULAR, _submodular_sides, False, mode, samples, seed
     )
 
 
@@ -932,7 +926,6 @@ def check_weakly_submodular(
     *,
     samples: int | None = None,
     seed: int | None = None,
-    limits: CheckerLimits = DEFAULT_LIMITS,
     jobs: int = 1,
 ) -> CheckReport:
     """Check the cardinality-normalized relaxation of submodularity.
@@ -945,7 +938,7 @@ def check_weakly_submodular(
     is accepted for compatibility and ignored.
     """
     return _check_pairwise(
-        f, PropertyKind.WEAKLY_SUBMODULAR, _weak_sides, True, mode, samples, seed, limits
+        f, PropertyKind.WEAKLY_SUBMODULAR, _weak_sides, True, mode, samples, seed
     )
 
 

@@ -126,15 +126,20 @@ def _on_declared_ground(f: SetFunction, ground: GroundSet | None, kind: str) -> 
             f"{kind!r} carries intrinsic labels {list(f.ground.elements)}, "
             f"which conflict with the declared ground_set"
         )
-    # The relabelled function shares the builder's evaluator and table, not its memo.
-    return SetFunction(ground, f._evaluator, name=f.name, claims=f.claims, table=f._table)
+    # Values are read by bitmask, so a function on the positional ground takes
+    # the declared labels as they are.  ``f`` is the builder's fresh object:
+    # relabelling it in place keeps its one evaluator, table and memo.
+    f.ground = ground
+    return f
 
 
 def _need_n(params: dict, ground: GroundSet | None, kind: str) -> int:
-    if ground is not None:
-        return ground.n
+    """The given ``n``, else the declared size; ``_on_declared_ground``
+    refuses an ``n`` that differs from the declared size."""
     if "n" in params:
         return _count(params["n"], f"{kind!r} param 'n'")
+    if ground is not None:
+        return ground.n
     raise SchemaError(f"{kind!r} needs an explicit ground_set (or an 'n' param)")
 
 
@@ -168,6 +173,8 @@ def _build_segmentation(params, ground):
 
 def _build_cardinality_poly(params, ground):
     n = _need_n(params, ground, "cardinality_poly")
+    if "coeffs" in params and "k" in params:
+        raise SchemaError("'cardinality_poly' takes 'k' or 'coeffs', not both")
     if "coeffs" in params:
         coeffs = [_number(c, "a 'cardinality_poly' coeff") for c in params["coeffs"]]
         return zoo.cardinality_polynomial(coeffs, n)

@@ -263,7 +263,7 @@ def brualdi_bijection(matroid: Matroid, X: Subset, Y: Subset) -> ExchangeMap:
     return exchange
 
 
-def validate_exchange_axiom(matroid: Matroid, cap: int = AXIOM_VALIDATION_CAP) -> CheckReport:
+def validate_exchange_axiom(matroid: Matroid) -> CheckReport:
     """Exhaustively test the matroid axioms on the oracle's family.
 
     Checks that the empty set is independent, that independence is
@@ -272,8 +272,8 @@ def validate_exchange_axiom(matroid: Matroid, cap: int = AXIOM_VALIDATION_CAP) -
     sizes imply the axiom for all |A| < |B|.
     """
     n = matroid.ground.n
-    if n > cap:
-        raise CapExceeded(f"axiom validation capped at n <= {cap}")
+    if n > AXIOM_VALIDATION_CAP:
+        raise CapExceeded(f"axiom validation capped at n <= {AXIOM_VALIDATION_CAP}")
     kind = PropertyKind.EXCHANGE_AXIOM
     ground = matroid.ground
     family = sorted(matroid.independent_family())

@@ -42,6 +42,7 @@ from .core import (
     SUBMODULAR,
     WEAKLY_SUBMODULAR,
     GroundSet,
+    GroundSetMismatch,
     SetFunction,
     Value,
     _by_size,
@@ -218,7 +219,7 @@ class Graph:
                 raise ValueError("edge weights must be nonnegative")
 
 
-def linear(weights: Sequence[Value], labels: Sequence[Hashable] | None = None) -> SetFunction:
+def linear(weights: Sequence[Value]) -> SetFunction:
     """f(S) = sum of per-element weights; modular, hence in every class here.
 
     The evaluator adds the weights from the int 0 in ascending element
@@ -230,9 +231,7 @@ def linear(weights: Sequence[Value], labels: Sequence[Hashable] | None = None) -
     weights = tuple(weights)
     if any(not w >= 0 for w in weights):
         raise ValueError("linear weights must be nonnegative")
-    ground = GroundSet(tuple(labels) if labels is not None else tuple(range(len(weights))))
-    if ground.n != len(weights):
-        raise ValueError("one weight per ground element required")
+    ground = GroundSet.of_size(len(weights))
     return SetFunction(
         ground,
         _folded(0, lambda total, e: total + weights[e]),
@@ -242,11 +241,7 @@ def linear(weights: Sequence[Value], labels: Sequence[Hashable] | None = None) -
     )
 
 
-def coverage(
-    covers: Sequence[Iterable[Hashable]],
-    weights: dict | None = None,
-    labels: Sequence[Hashable] | None = None,
-) -> SetFunction:
+def coverage(covers: Sequence[Iterable[Hashable]], weights: dict | None = None) -> SetFunction:
     """Weighted coverage: f(S) = weight of the union of the items covered by S.
 
     ``covers[i]`` lists the items ground element i covers; ``weights`` maps
@@ -264,9 +259,7 @@ def coverage(
             raise ValueError(f"covered items missing from weight table: {dangling}")
         if any(not weights[x] >= 0 for x in items):
             raise ValueError("coverage item weights must be nonnegative")
-    ground = GroundSet(tuple(labels) if labels is not None else tuple(range(len(item_sets))))
-    if ground.n != len(item_sets):
-        raise ValueError("one cover set per ground element required")
+    ground = GroundSet.of_size(len(item_sets))
 
     # Item j is bit j of ``items``.
     item_bit = {x: 1 << j for j, x in enumerate(items)}
@@ -516,7 +509,7 @@ def linear_combination(fs: Sequence[SetFunction], alphas: Sequence[Value]) -> Se
         raise ValueError("combination coefficients must be nonnegative")
     ground = fs[0].ground
     if any(f.ground != ground for f in fs):
-        raise ValueError("all combined functions must share a ground set")
+        raise GroundSetMismatch("all combined functions must share a ground set")
     claims = frozenset.intersection(*(f.claims for f in fs))
 
     def ev(mask: int) -> Value:
@@ -627,7 +620,7 @@ class WelfareInstance:
             raise ValueError("need at least one agent")
         ground = vals[0].ground
         if any(v.ground != ground for v in vals):
-            raise ValueError("valuations must share the item universe")
+            raise GroundSetMismatch("valuations must share the item universe")
         for i, v in enumerate(vals):
             if v.value(0) != 0:
                 raise ValueError(f"valuation {i} is not normalized: v(empty) = {v.value(0)}")

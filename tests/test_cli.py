@@ -166,6 +166,44 @@ class TestCheckCommand:
         assert code == 0
         assert report["result"]["passed"] is True
 
+    @pytest.mark.parametrize(
+        "params, error",
+        [
+            (
+                {"k": 3, "B": 1, "n": 7},
+                "error: 'threshold' instance implies a ground set of size 7, "
+                "but the file declares size 5\n",
+            ),
+            ({"k": 2, "coeffs": [0, 1]}, "error: 'cardinality_poly' takes 'k' or 'coeffs', not both\n"),
+        ],
+        ids=["n-contradicts-ground", "k-and-coeffs"],
+    )
+    def test_contradicting_params_exit_two(self, capsys, tmp_path, params, error):
+        kind = "threshold" if "B" in params else "cardinality_poly"
+        doc = {"ground_set": 5, "function": {"type": kind, "params": params}}
+        path = tmp_path / "contradiction.json"
+        path.write_text(json.dumps({**doc, "constraint": {"type": "cardinality", "p": 3}}))
+        for argv in (["check", str(path)], ["maximize", str(path), "--algorithm", "exact"]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "" and captured.err == error
+
+    def test_n_equal_to_the_declared_size_keeps_the_output(self, capsys, tmp_path):
+        reports = []
+        for params in ({"k": 3, "B": 1}, {"k": 3, "B": 1, "n": 5}):
+            doc = {
+                "ground_set": 5,
+                "function": {"type": "threshold", "params": params},
+                "constraint": {"type": "cardinality", "p": 3},
+            }
+            path = tmp_path / "threshold.json"
+            path.write_text(json.dumps(doc))
+            code, report = run_json(capsys, "maximize", str(path), "--algorithm", "exact")
+            assert code == 0
+            reports.append(report["result"])
+        assert reports[0] == reports[1]
+        assert reports[0]["optimum"]["enumerated"] == 26
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_sampled_check_of_nothing_exits_two(self, capsys, tmp_path, samples):
         # The exhaustive scan fails this instance, so a sampled pass over no

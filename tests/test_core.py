@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import weaksub
 from weaksub import (
     CapExceeded,
-    CheckerLimits,
     GroundSet,
     GroundSetMismatch,
     SetFunction,
@@ -175,9 +174,6 @@ class TestNormalizedNonnegative:
         f = SetFunction(GroundSet.of_size(21), lambda mask: 0)
         with pytest.raises(CapExceeded):
             check_normalized_nonnegative(f)
-        small_cap = CheckerLimits(sign=5)
-        with pytest.raises(CapExceeded):
-            check_normalized_nonnegative(linear((1,) * 6), limits=small_cap)
 
 
 class TestMonotone:

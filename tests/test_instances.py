@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from weaksub.solve import brute_force_cardinality
+from weaksub.core import SetFunction
+from weaksub.solve import brute_force_cardinality, greedy_cardinality
 from weaksub.instances import (
     Instance,
     SchemaError,
@@ -105,6 +106,33 @@ class TestFunctionSpecs:
             function_from_spec(
                 {"type": "linear", "params": {"weights": [1, 2]}}, ground_from_spec(3)
             )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "threshold", "params": {"k": 3, "B": 1}},
+            {"type": "cardinality_poly", "params": {"k": 2}},
+            {"type": "cardinality_poly", "params": {"coeffs": [0, 1, 1]}},
+        ],
+        ids=["threshold", "cardinality_power", "cardinality_polynomial"],
+    )
+    def test_n_contradicting_the_declared_ground_is_refused(self, spec):
+        def with_n(n):
+            return {**spec, "params": {**spec["params"], "n": n}}
+
+        with pytest.raises(SchemaError, match="size 7, but the file declares size 5"):
+            function_from_spec(with_n(7), ground_from_spec(5))
+        combination = {"type": "combination", "params": {"terms": [{"function": with_n(7)}]}}
+        with pytest.raises(SchemaError, match="size 7, but the file declares size 5"):
+            function_from_spec(combination, ground_from_spec(list("abcde")))
+        plain = function_from_spec(spec, ground_from_spec(5))
+        same = function_from_spec(with_n(5), ground_from_spec(5))
+        assert same.ground == plain.ground and same.all_values() == plain.all_values()
+
+    def test_cardinality_poly_takes_k_or_coeffs_not_both(self):
+        spec = {"type": "cardinality_poly", "params": {"k": 2, "coeffs": [0, 1]}}
+        with pytest.raises(SchemaError, match="'k' or 'coeffs', not both"):
+            function_from_spec(spec, ground_from_spec(3))
 
     def test_exact_decimal_parsing(self):
         doc = parse_json('{"type": "linear", "params": {"weights": [0.5, 0.25]}}')
@@ -263,6 +291,37 @@ class TestInstanceDocuments:
         assert inst.function({"x", "z"}) == 1
         assert inst.function.ground.elements == ("x", "y", "z", "w")
         assert inst.matroid().rank == 2
+
+    def test_labelled_instance_counts_each_evaluation_once(self, monkeypatch, tmp_path):
+        # A tracer wraps the evaluator in ``SetFunction.__init__``; declared
+        # labels must not build a second function around the wrapped one.
+        calls = []
+        init = SetFunction.__init__
+
+        def traced_init(self, ground, evaluator, **kwargs):
+            def counted(mask):
+                calls.append(mask)
+                return evaluator(mask)
+
+            init(self, ground, counted, **kwargs)
+
+        monkeypatch.setattr(SetFunction, "__init__", traced_init)
+        distances = [[0, 2, 1, 2], [2, 0, 2, 1], [1, 2, 0, 2], [2, 1, 2, 0]]
+        counts = []
+        for labels in ({}, {"ground_set": list("wxyz")}):
+            doc = {
+                **labels,
+                "function": {"type": "dispersion", "params": {"distances": distances}},
+                "constraint": {"type": "cardinality", "p": 2},
+            }
+            path = tmp_path / "dispersion.json"
+            path.write_text(json.dumps(doc))
+            inst = load_instance(str(path))
+            calls.clear()
+            greedy_cardinality(inst.function, inst.cardinality_p)
+            assert len(calls) == len(set(calls))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_labeled_ground_set_size_mismatch(self):
         with pytest.raises(SchemaError):

@@ -13,6 +13,7 @@ from weaksub import (
     CapExceeded,
     check_normalized_nonnegative,
     GroundSet,
+    GroundSetMismatch,
     SetFunction,
     Subset,
     brute_force_cardinality,
@@ -412,6 +413,13 @@ class TestBruteForceMatroid:
         m = Matroid.uniform(GroundSet.of_size(4), 2)
         with pytest.raises(ValueError):
             brute_force_matroid(f, m)
+
+    @pytest.mark.parametrize("solver", [brute_force_matroid, local_search_matroid])
+    def test_ground_mismatch_is_a_ground_set_mismatch(self, solver):
+        f = linear((1, 2, 3))
+        m = Matroid.uniform(GroundSet(("a", "b", "c")), 2)
+        with pytest.raises(GroundSetMismatch, match="must share a ground set"):
+            solver(f, m)
 
     def test_first_maximizer_in_ascending_mask_order(self):
         f = _two_tied_pairs()

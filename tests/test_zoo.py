@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from weaksub import (
     GroundSet,
+    GroundSetMismatch,
     Subset,
     check_monotone,
     check_normalized_nonnegative,
@@ -421,6 +422,10 @@ class TestLinearCombination:
         with pytest.raises(ValueError):
             linear_combination([], [])
 
+    def test_ground_mismatch_is_a_ground_set_mismatch(self):
+        with pytest.raises(GroundSetMismatch, match="must share a ground set"):
+            linear_combination([linear((1, 2)), linear((1, 2, 3))], [1, 1])
+
     def test_combination_stays_weakly_submodular(self):
         g = linear_combination(
             [metric_dispersion(random_metric(6, 1)), random_coverage(6, 2)], [1, 1]
@@ -603,6 +608,10 @@ class TestWelfareReduction:
         bad = cardinality_power(0, 3)  # constant 1, not normalized
         with pytest.raises(ValueError):
             WelfareInstance((bad,))
+
+    def test_item_universe_mismatch_is_a_ground_set_mismatch(self):
+        with pytest.raises(GroundSetMismatch, match="must share the item universe"):
+            WelfareInstance((linear((1, 2)), linear((1, 2, 3))))
 
 
 class TestClaimsHonesty:
