@@ -117,7 +117,7 @@ def greedy_ratio(p: int, exact: bool = False, from_sums: bool = False):
         return 1 / total
     if exact:
         return _greedy_exact(p)
-    return _greedy_float(p, (math.log1p(1.0 / i) for i in range(p - 1, 0, -1)))
+    return _greedy_float(p, ((2.0 * i, math.log1p(1.0 / i)) for i in range(p - 1, 0, -1)))
 
 
 def _greedy_exact(p: int) -> Fraction:
@@ -141,22 +141,28 @@ def _greedy_exact(p: int) -> Fraction:
     return Fraction(den, total)
 
 
-def _greedy_float(p: int, log_steps: Iterable[float]) -> float:
+def _greedy_float(p: int, steps: Iterable[tuple[float, float]]) -> float:
     """The chain bound in floats, from a*_i / i = 2 i expm1(p log1p(1/i)) - p.
 
-    ``log_steps`` yields log1p(1/i) for i = p-1 down to 1.  Once the power
-    exceeds float range the step's ratios (i / a*_i, b*_i / a*_i) are (0, 1)
-    to double precision, so the step leaves both accumulators unchanged.
+    ``steps`` yields the pairs (2.0 * i, log1p(1/i)) for i = p-1 down to 1.
+    Neither depends on p, so ``greedy_ratio_table`` builds them once for all
+    rows and hands each row its suffix.  2.0 * i is exact in binary64 and
+    ``2.0 * i * e`` evaluates as ``(2.0 * i) * e``, so taking the product out
+    of the loop leaves every float operation and its order as they were and
+    each row keeps its bits.  Once the power exceeds float range the step's
+    ratios (i / a*_i, b*_i / a*_i) are (0, 1) to double precision, so the
+    step leaves both accumulators unchanged.
     """
     total = 0.0
     prod = 1.0
     expm1 = math.expm1
+    limit = _LOG_OVERFLOW
     p_float = float(p)  # the conversion int-float arithmetic would do per step
-    for i, log_step in zip(range(p - 1, 0, -1), log_steps):
+    for two_i, log_step in steps:
         log_power = p_float * log_step
-        if log_power > _LOG_OVERFLOW:
+        if log_power > limit:
             continue
-        inv = 1.0 / (2.0 * i * expm1(log_power) - p_float)
+        inv = 1.0 / (two_i * expm1(log_power) - p_float)
         total += inv * prod
         prod *= 1.0 - inv
     return 1.0 / total
@@ -413,6 +419,13 @@ def _plain(v: Value):
 
 
 def greedy_ratio_table(params: Sequence[int], exact: bool = False) -> RatioTable:
+    """``greedy_ratio`` at each parameter, in the order given.
+
+    The float rows share one list of the p-free step pairs
+    (2.0 * i, log1p(1/i)) up to the largest parameter, and each row runs
+    ``_greedy_float`` over its suffix: the same loop, operations and order
+    as the scalar call, so every row equals ``greedy_ratio(p)`` bit for bit.
+    """
     mode = "rational" if exact else "float64"
     if exact:
         rows = tuple((p, greedy_ratio(p, exact=True), mode) for p in params)
@@ -420,9 +433,9 @@ def greedy_ratio_table(params: Sequence[int], exact: bool = False) -> RatioTable
         if min(params, default=2) < 2:
             raise ValueError("need p >= 2")
         top = max(params, default=0)
-        # log1p(1/i) once per i for all rows: log_steps[top - p] is i = p - 1.
-        log_steps = [math.log1p(1.0 / i) for i in range(top - 1, 0, -1)]
-        rows = tuple((p, _greedy_float(p, log_steps[top - p :]), mode) for p in params)
+        # steps[top - p] is i = p - 1, so a row walks the suffix that starts there.
+        steps = [(2.0 * i, math.log1p(1.0 / i)) for i in range(top - 1, 0, -1)]
+        rows = tuple((p, _greedy_float(p, steps[top - p :]), mode) for p in params)
     return RatioTable(rows, kind="greedy", precision=mode)
 
 

@@ -113,14 +113,20 @@ def function_from_spec(spec: dict, ground: GroundSet | None = None) -> SetFuncti
     return _on_declared_ground(f, ground, kind)
 
 
+def _declared_size(n: int, ground: GroundSet | None, kind: str) -> int:
+    """``n`` if it agrees with the declared ground's size (or none is declared)."""
+    if ground is not None and n != ground.n:
+        raise SchemaError(
+            f"{kind!r} instance implies a ground set of size {n}, "
+            f"but the file declares size {ground.n}"
+        )
+    return n
+
+
 def _on_declared_ground(f: SetFunction, ground: GroundSet | None, kind: str) -> SetFunction:
     if ground is None or f.ground == ground:
         return f
-    if f.ground.n != ground.n:
-        raise SchemaError(
-            f"{kind!r} instance implies a ground set of size {f.ground.n}, "
-            f"but the file declares size {ground.n}"
-        )
+    _declared_size(f.ground.n, ground, kind)
     if f.ground.elements != tuple(range(ground.n)):
         raise SchemaError(
             f"{kind!r} carries intrinsic labels {list(f.ground.elements)}, "
@@ -134,10 +140,10 @@ def _on_declared_ground(f: SetFunction, ground: GroundSet | None, kind: str) -> 
 
 
 def _need_n(params: dict, ground: GroundSet | None, kind: str) -> int:
-    """The given ``n``, else the declared size; ``_on_declared_ground``
-    refuses an ``n`` that differs from the declared size."""
+    """The given ``n``, else the declared size.  An ``n`` that differs from
+    the declared size is refused here, before a builder allocates for it."""
     if "n" in params:
-        return _count(params["n"], f"{kind!r} param 'n'")
+        return _declared_size(_count(params["n"], f"{kind!r} param 'n'"), ground, kind)
     if ground is not None:
         return ground.n
     raise SchemaError(f"{kind!r} needs an explicit ground_set (or an 'n' param)")
@@ -205,9 +211,14 @@ def _build_zero_at_top(params, ground):
 
 def _build_max_cut(params, ground):
     if "star_n" in params:
-        return zoo.max_cut(zoo.star_counterexample(_count(params["star_n"], "'star_n'")))
+        star_n = _count(params["star_n"], "'star_n'")
+        _declared_size(star_n + 2, ground, "max_cut")  # the two hubs join the spokes
+        return zoo.max_cut(zoo.star_counterexample(star_n))
     n = params.get("vertices")
-    n = _need_n(params, ground, "max_cut") if n is None else _count(n, "'vertices'")
+    if n is None:
+        n = _need_n(params, ground, "max_cut")
+    else:
+        n = _declared_size(_count(n, "'vertices'"), ground, "max_cut")
     edges = [
         (_count(u, "a max-cut endpoint"), _count(v, "a max-cut endpoint"),
          _number(w, "a max-cut edge weight"))

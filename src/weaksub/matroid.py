@@ -117,7 +117,10 @@ class Matroid:
             return mask.bit_count() <= self._data
         if self.kind == "partition":
             block_masks, caps = self._data
-            return all((mask & b).bit_count() <= c for b, c in zip(block_masks, caps))
+            for b, c in zip(block_masks, caps):
+                if (mask & b).bit_count() > c:
+                    return False
+            return True
         return mask in self._data
 
     def is_independent(self, subset: Subset) -> bool:

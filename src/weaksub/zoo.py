@@ -417,8 +417,9 @@ class _SparseRow(dict):
 def _count_only(n: int, prof, name: str, claims) -> SetFunction:
     """f(S) = prof(|S|) over n interchangeable elements.  ``table(p)`` calls
     ``prof`` once per size 0..p, only when the table is asked for, and
-    ``_by_size`` places each size's value at the masks of that size, so a
-    huge ground set costs nothing up front."""
+    ``_by_size`` places each size's value at the masks of that size.  The
+    ground set itself is built up front, n labels and their set: about
+    0.35 s and a 323 MB peak RSS at n = 3,000,000."""
 
     def table(p: int) -> list:
         p = min(p, n)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -175,6 +176,50 @@ class TestGreedyLimit:
     def test_the_gap_closes_like_one_over_p(self):
         p = 10**4
         assert abs(p * (greedy_limit() - greedy_ratio(p)) - 6.056) < 1e-3
+
+
+def reference_greedy_float(p):
+    """The float chain bound as one loop over i that forms 2.0 * i in every
+    step and reads log1p(1/i) from a list of its own: the loop the shared
+    step pairs of ``greedy_ratio_table`` must reproduce bit for bit."""
+    log_steps = [math.log1p(1.0 / i) for i in range(p - 1, 0, -1)]
+    total = 0.0
+    prod = 1.0
+    p_float = float(p)
+    for i, log_step in zip(range(p - 1, 0, -1), log_steps):
+        log_power = p_float * log_step
+        if log_power > 700.0:
+            continue
+        inv = 1.0 / (2.0 * i * math.expm1(log_power) - p_float)
+        total += inv * prod
+        prod *= 1.0 - inv
+    return 1.0 / total
+
+
+@pytest.fixture(scope="module")
+def float_rows():
+    # 2..1600 covers the benchmark's table (to 1560) and the first rows that
+    # skip overflowing steps (from p = 1011).
+    return {p: bound for p, bound, _ in greedy_ratio_table(range(2, 1601)).rows}
+
+
+class TestGreedyFloatSteps:
+    def test_table_rows_equal_the_reference_loop(self, float_rows):
+        assert all(float_rows[p] == reference_greedy_float(p) for p in range(2, 1601))
+
+    def test_scalar_calls_equal_table_rows(self, float_rows):
+        for p in (2, 3, 1010, 1011, 1012, 1600):
+            assert greedy_ratio(p) == float_rows[p], p
+
+    def test_scalar_path_streams_its_steps(self):
+        # A list of the 10**5 step pairs would take about 11 MB.
+        tracemalloc.start()
+        try:
+            greedy_ratio(10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestLocalSearchBound:

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from weaksub.core import SetFunction
+from weaksub import zoo
+from weaksub.core import GroundSet, SetFunction
 from weaksub.solve import brute_force_cardinality, greedy_cardinality
 from weaksub.instances import (
     Instance,
@@ -128,6 +129,37 @@ class TestFunctionSpecs:
         plain = function_from_spec(spec, ground_from_spec(5))
         same = function_from_spec(with_n(5), ground_from_spec(5))
         assert same.ground == plain.ground and same.all_values() == plain.all_values()
+
+    @pytest.mark.parametrize(
+        "spec, size, builders",
+        [
+            ({"type": "threshold", "params": {"k": 3, "B": 1, "n": 3_000_000}},
+             3_000_000, ["threshold"]),
+            ({"type": "cardinality_poly", "params": {"k": 2, "n": 3_000_000}},
+             3_000_000, ["cardinality_power", "cardinality_polynomial"]),
+            ({"type": "max_cut", "params": {"vertices": 3_000_000, "edges": [[0, 1, 1]]}},
+             3_000_000, ["Graph", "max_cut"]),
+            ({"type": "max_cut", "params": {"star_n": 3_000_000}},
+             3_000_002, ["star_counterexample", "max_cut"]),
+        ],
+        ids=["threshold_n", "cardinality_poly_n", "max_cut_vertices", "max_cut_star_n"],
+    )
+    def test_size_param_contradicting_the_declared_ground_builds_nothing(
+        self, monkeypatch, spec, size, builders
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("built a function the declared ground refuses")
+
+        ground = ground_from_spec(5)
+        for name in builders:
+            monkeypatch.setattr(zoo, name, never)
+        monkeypatch.setattr(GroundSet, "of_size", never)
+        with pytest.raises(SchemaError) as info:
+            function_from_spec(spec, ground)
+        assert str(info.value) == (
+            f"{spec['type']!r} instance implies a ground set of size {size}, "
+            "but the file declares size 5"
+        )
 
     def test_cardinality_poly_takes_k_or_coeffs_not_both(self):
         spec = {"type": "cardinality_poly", "params": {"k": 2, "coeffs": [0, 1]}}
