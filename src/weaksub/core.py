@@ -71,7 +71,11 @@ class GroundSet:
 
     @classmethod
     def of_size(cls, n: int) -> "GroundSet":
-        return cls(tuple(range(n)))
+        """The labels 0..n-1, unique by construction, so no set of them is
+        built to check it: at n = 10**6 that set doubled the peak memory."""
+        ground = object.__new__(cls)
+        object.__setattr__(ground, "elements", tuple(range(n)))
+        return ground
 
     @cached_property
     def _index(self) -> dict:
@@ -204,6 +208,19 @@ class SetFunction:
     input: its sums run in the evaluator's order (linear, segmentation,
     coverage, combinations), or every input number is an int or a
     ``Fraction``, so the order cannot change a value.
+
+    ``state=``, when given, is the builder's marginal state, and
+    ``state(mask)`` returns it at S = mask.  A state has ``value``, f(S);
+    ``plus(e)``, f(S + e) for e not in S; ``swap(u, v)``, f(S + u - v) for
+    u not in S and v in S; and ``add(e)``, the state at S + e.  None of
+    them calls the evaluator or reads the memo, and each value equals
+    ``value`` at the set it names, in value and type.  A state adds and
+    subtracts in another order than the evaluator, so a builder offers
+    one only when every input number is an int: a float sum could change
+    in its last bits, and a ``Fraction`` sum could end at ``Fraction(0)``
+    where the evaluator's is the int 0.  Without one, ``state(mask)`` is
+    the generic state, whose every read is ``value`` at the set it names
+    and whose ``add`` reads nothing.
     """
 
     def __init__(
@@ -214,6 +231,7 @@ class SetFunction:
         name: str = "f",
         claims: Iterable[str] = (),
         table: Callable[[int], list[Value]] | None = None,
+        state: Callable[[int], Any] | None = None,
     ):
         self.ground = ground
         self.name = name
@@ -222,6 +240,7 @@ class SetFunction:
             raise ValueError(f"unknown claims: {sorted(self.claims - ALL_CLAIMS)}")
         self._evaluator = evaluator
         self._table = table
+        self._state = state
         self._cache: dict[int, Value] = {}
 
     def value(self, mask: int) -> Value:
@@ -268,8 +287,38 @@ class SetFunction:
         """Values for every subset, indexed by mask: ``table(n)``."""
         return self.table(self.ground.n)
 
+    def state(self, mask: int):
+        """The marginal state at ``mask``: the builder's, else the generic one."""
+        if self._state is not None:
+            return self._state(mask)
+        return _ValueState(self, mask)
+
     def __repr__(self) -> str:
         return f"SetFunction({self.name!r}, n={self.ground.n})"
+
+
+class _ValueState:
+    """The generic marginal state at ``mask``: each read is ``f.value`` at
+    the set it names, and ``add`` reads nothing."""
+
+    __slots__ = ("f", "mask")
+
+    def __init__(self, f: SetFunction, mask: int):
+        self.f = f
+        self.mask = mask
+
+    @property
+    def value(self) -> Value:
+        return self.f.value(self.mask)
+
+    def plus(self, e: int) -> Value:
+        return self.f.value(self.mask | 1 << e)
+
+    def swap(self, u: int, v: int) -> Value:
+        return self.f.value(self.mask & ~(1 << v) | 1 << u)
+
+    def add(self, e: int) -> "_ValueState":
+        return _ValueState(self.f, self.mask | 1 << e)
 
 
 def _by_size(n: int, p: int, at) -> list:

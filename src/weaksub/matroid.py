@@ -9,6 +9,7 @@ axioms at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from random import Random
 from typing import Hashable, Iterable, Sequence
@@ -123,6 +124,37 @@ class Matroid:
             return True
         return mask in self._data
 
+    @cached_property
+    def _block_of(self) -> list:
+        """(block mask, cap) of each element of a partition matroid."""
+        at = [None] * self.ground.n
+        for block, cap in zip(*self._data):
+            rest = block
+            while rest:
+                low = rest & -rest
+                at[low.bit_length() - 1] = (block, cap)
+                rest ^= low
+        return at
+
+    def _exchanges(self, members: list, mask: int, u: int):
+        """The v of ``members``, the elements of the independent ``mask`` in
+        ascending order, for which mask + u - v is independent (u not in mask).
+
+        Uniform and partition matroids answer in closed form and ask no
+        independence query: a uniform one takes every v; a partition one
+        takes the v in u's block when that block is at its cap, and every v
+        otherwise.  An explicit family is asked once per v, lazily, so a
+        caller that stops early asks no further.
+        """
+        if self.kind == "uniform":
+            return members
+        if self.kind == "partition":
+            block, cap = self._block_of[u]
+            if (mask & block).bit_count() >= cap:
+                return [v for v in members if block >> v & 1]
+            return members
+        return (v for v in members if self.is_independent_mask(mask & ~(1 << v) | 1 << u))
+
     def is_independent(self, subset: Subset) -> bool:
         if subset.ground != self.ground:
             raise GroundSetMismatch("subset over a different ground set")
@@ -134,41 +166,56 @@ class Matroid:
             return self._data
         if self.ground.n > EXPLICIT_STORAGE_CAP:
             raise CapExceeded("family enumeration capped by explicit storage limit")
-        return frozenset(self._block_unions(bases=False))
+        return frozenset(self._block_unions(self._blocks(), bases=False))
 
-    def _block_unions(self, *, bases: bool):
-        """Unions of one choice per block of a uniform or partition matroid.
-
-        A uniform matroid is one block with cap ``rank``.  Each block offers
-        its subsets of size ``min(cap, |block|)`` (for bases) or of every size
-        up to that, so no mask outside the family is ever formed.
-        """
+    def _blocks(self) -> list:
+        """(elements, top) per block of a uniform or partition matroid: the
+        block's indices in ascending order, and ``min(cap, |block|)``, the
+        number of them a basis takes.  A uniform matroid is one block with
+        cap ``rank``."""
         if self.kind == "uniform":
             blocks = [(self.ground.full_mask, self._data)]
         else:
             blocks = zip(*self._data)
-        choices = []
+        n = self.ground.n
+        out = []
         for block, cap in blocks:
-            bits = [1 << i for i in range(self.ground.n) if block >> i & 1]
-            top = min(cap, len(bits))
+            elements = [i for i in range(n) if block >> i & 1]
+            out.append((elements, min(cap, len(elements))))
+        return out
+
+    @staticmethod
+    def _block_unions(blocks: list, *, bases: bool):
+        """Unions of one choice per block of ``_blocks``.
+
+        Each block offers its subsets of size ``top`` (for bases) or of every
+        size up to that, so no mask outside the family is ever formed.
+        """
+        choices = []
+        for elements, top in blocks:
+            bits = [1 << i for i in elements]
             sizes = [top] if bases else range(top + 1)
             choices.append([sum(c) for k in sizes for c in combinations(bits, k)])
         return map(sum, product(*choices))
+
+    def _basis_blocks(self) -> list:
+        """``_blocks`` of a uniform or partition matroid within the basis
+        enumeration cap; ``CapExceeded`` past it."""
+        if self.ground.n > BRUTE_FORCE_MATROID_CAP:
+            raise CapExceeded(f"basis enumeration capped at n <= {BRUTE_FORCE_MATROID_CAP}")
+        return self._blocks()
 
     def to_explicit(self) -> "Matroid":
         return Matroid.explicit(self.ground, self.independent_family(), validate=False)
 
     def bases(self):
         """Yield basis masks in ascending bitmask order."""
-        n = self.ground.n
-        if n > BRUTE_FORCE_MATROID_CAP and self.kind != "explicit":
-            raise CapExceeded(f"basis enumeration capped at n <= {BRUTE_FORCE_MATROID_CAP}")
         if self.kind == "explicit":
             for m in sorted(self._data):
                 if m.bit_count() == self.rank:
                     yield m
             return
-        yield from sorted(self._block_unions(bases=True))
+        yield from sorted(self._block_unions(self._basis_blocks(), bases=True))
 
     def __repr__(self) -> str:
         return f"Matroid({self.kind}, n={self.ground.n}, rank={self.rank})"

@@ -11,9 +11,16 @@ instances; both oracles keep the first maximizer in their enumeration order.
 The cardinality oracle takes one ``max`` over the function's value table
 of the sets of size <= p (``SetFunction.table``), which every function
 has; when the builder offers a table, brute force neither reads nor
-writes the memo.  Greedy and local search evaluate through
-``f.value`` and keep the values they evaluate, so neither reads the oracle
-again for a set it has just evaluated.
+writes the memo.  Greedy, local search and the matroid oracle read their
+values from the function's marginal state (``SetFunction.state``):
+greedy reads f(S + e) for each feasible e, local search f(S + u - v) for
+each exchange the matroid allows, and the matroid oracle f(B) at each
+basis B from the state of B less one element.  Int dispersion and
+segmentation offer a state of their own, which makes no evaluator call;
+every other function takes the generic state, which reads ``f.value``
+at each of those sets, so those solvers read exactly the sets they read
+before the states.  Greedy and local search keep the values they read,
+so neither reads the oracle again for a set it has just evaluated.
 """
 
 from __future__ import annotations
@@ -84,7 +91,7 @@ def greedy_cardinality(f: SetFunction, p: int) -> SolveResult:
         raise ValueError(f"p = {p} exceeds ground size {n}")
     _check_solver_claims(f, "greedy")
 
-    mask, value, trace = _greedy_basis(f, Matroid.uniform(f.ground, p), 0)
+    mask, value, trace, _ = _greedy_basis(f, Matroid.uniform(f.ground, p), 0)
     return SolveResult(
         selected=Subset(f.ground, mask),
         value=value,
@@ -99,33 +106,34 @@ def greedy_cardinality(f: SetFunction, p: int) -> SolveResult:
     )
 
 
-def _greedy_basis(
-    f: SetFunction, matroid: Matroid, start_mask: int
-) -> tuple[int, Value, tuple]:
+def _greedy_basis(f: SetFunction, matroid: Matroid, start_mask: int) -> tuple:
     """Complete a mask to a basis by best-marginal-gain feasible additions.
 
-    Returns the basis mask, its value and one ``(step, label, value)`` row
-    per addition.  Ties break toward the smallest index.
+    Returns the basis mask, its value, one ``(step, label, value)`` row
+    per addition and the state at the basis.  Ties break toward the
+    smallest index.  Each candidate asks the independence oracle once.
     """
     mask = start_mask
     n = f.ground.n
     trace = []
-    base = f.value(mask)
+    state = f.state(mask)
+    base = state.value
     while mask.bit_count() < matroid.rank:
         best_gain = best_value = best_e = None
         for e in range(n):
             if mask >> e & 1 or not matroid.is_independent_mask(mask | (1 << e)):
                 continue
-            value = f.value(mask | (1 << e))
+            value = state.plus(e)
             gain = value - base
             if best_gain is None or gain > best_gain:
                 best_gain, best_value, best_e = gain, value, e
         if best_e is None:
             raise InconsistentOracle("independence oracle inconsistent: basis unreachable")
         mask |= 1 << best_e
+        state = state.add(best_e)
         base = best_value
         trace.append((len(trace) + 1, f.ground.label(best_e), base))
-    return mask, base, tuple(trace)
+    return mask, base, tuple(trace), state
 
 
 def local_search_matroid(
@@ -155,27 +163,23 @@ def local_search_matroid(
 
     if init is not None and not matroid.is_independent(init):
         raise ValueError("init must be independent")
-    mask, current, _ = _greedy_basis(f, matroid, 0 if init is None else init.mask)
+    mask, current, _, state = _greedy_basis(f, matroid, 0 if init is None else init.mask)
 
     n = f.ground.n
     trace = [(0, None, current)]
     swaps = 0
     while max_iters is None or swaps < max_iters:
         bar = max(current, current + epsilon * current)
+        members = [v for v in range(n) if mask >> v & 1]
         found = False
         for u in range(n):
             if mask >> u & 1:
                 continue
-            with_u = mask | (1 << u)
-            for v in range(n):
-                if not mask >> v & 1:
-                    continue
-                candidate = with_u & ~(1 << v)
-                if not matroid.is_independent_mask(candidate):
-                    continue
-                value = f.value(candidate)
+            for v in matroid._exchanges(members, mask, u):
+                value = state.swap(u, v)
                 if value > bar:
-                    mask, current = candidate, value
+                    mask, current = mask & ~(1 << v) | 1 << u, value
+                    state = f.state(mask)
                     swaps += 1
                     trace.append((swaps, (f.ground.label(u), f.ground.label(v)), current))
                     found = True
@@ -275,24 +279,78 @@ def _unrank(positions, n: int, p: int):
 
 
 def brute_force_matroid(f: SetFunction, matroid: Matroid) -> OptResult:
-    """Exact maximum of f over the bases of a matroid (ascending mask order).
+    """Exact maximum of f over the bases of a matroid.
 
-    Tie rule: of the bases of greatest value, the least mask is kept.  That
-    differs from ``brute_force_cardinality``'s first index tuple: on a
-    uniform matroid of rank 2, {1, 2} (mask 6) comes before {0, 3} (mask 9)
-    here and after it there.  ``Matroid.bases`` raises ``CapExceeded`` past
-    its enumeration cap.
+    The answer is the first maximizer in ascending mask order: of the bases
+    of greatest value, the least mask, unless the least basis of all is
+    worth NaN, which nothing exceeds, so it is kept.  That differs from
+    ``brute_force_cardinality``'s first index tuple: on a uniform matroid
+    of rank 2, {1, 2} (mask 6) comes before {0, 3} (mask 9) here and after
+    it there.  Past ``matroid.BRUTE_FORCE_MATROID_CAP`` a uniform or
+    partition matroid raises ``CapExceeded``.
+
+    Each basis is read as f(S + y) from the state at S, the basis less one
+    element y.  A uniform or partition matroid is walked depth first over
+    its blocks, smallest first, each block taking its ``top`` elements in
+    ascending order, so each state serves every basis that extends it.  An
+    explicit matroid's stored bases form one list in ascending mask order,
+    where consecutive bases share their highest elements: a basis keeps
+    the states of its elements above the highest bit where it differs from
+    the previous basis and adds the others from the top down.
     """
     if f.ground != matroid.ground:
         raise GroundSetMismatch("function and matroid must share a ground set")
-    best_mask = None
-    best = None
+    best = best_mask = None
     enumerated = 0
-    for mask in matroid.bases():
+
+    # Both walks read the least basis first, so a NaN there is kept, as the
+    # scan in mask order keeps it, and a NaN read later never wins.
+    def leaf(v: Value, mask: int) -> None:
+        nonlocal best, best_mask, enumerated
         enumerated += 1
-        v = f.value(mask)
-        if best is None or v > best:
+        if best is None or v > best or v == best and mask < best_mask:
             best, best_mask = v, mask
+
+    if matroid.kind == "explicit":
+        # path[k] is the state at the k highest elements of the last basis.
+        path, previous = [f.state(0)], 0
+        for mask in matroid.bases():
+            if not mask:
+                leaf(path[0].value, 0)
+                continue
+            differ = (mask ^ previous).bit_length()
+            del path[(mask >> differ).bit_count() + 1 :]
+            rest = mask & ((1 << differ) - 1)
+            least = rest & -rest
+            rest ^= least
+            while rest:
+                top = rest.bit_length() - 1
+                path.append(path[-1].add(top))
+                rest ^= 1 << top
+            leaf(path[-1].plus(least.bit_length() - 1), mask)
+            previous = mask
+    else:
+        blocks = sorted(matroid._basis_blocks(), key=lambda b: len(b[0]))
+        root = f.state(0)
+        # One slot per element a basis takes: (the block's elements, how
+        # many the block takes after this one).
+        slots = [(elements, top - 1 - k) for elements, top in blocks for k in range(top)]
+        last = len(slots) - 1
+
+        def walk(k: int, at, mask: int, start: int) -> None:
+            elements, after = slots[k]
+            chosen = elements[start : len(elements) - after]
+            if k == last:
+                for e in chosen:
+                    leaf(at.plus(e), mask | 1 << e)
+                return
+            for i, e in enumerate(chosen, start + 1):
+                walk(k + 1, at.add(e), mask | 1 << e, i if after else 0)
+
+        if slots:
+            walk(0, root, 0, 0)
+        else:
+            leaf(root.value, 0)
     if best_mask is None:
         raise ValueError("matroid has no basis")
     return OptResult(Subset(f.ground, best_mask), best, enumerated)

@@ -23,6 +23,13 @@ combination sums its terms' tables, so it always has one.  The functions
 without a table of their own (complements, zero-at-top, welfare and the
 inexact builders above) get the generic one, which evaluates each mask of
 the table once through the memoized oracle.
+
+Two builders also offer a marginal state (``SetFunction.state``) for the
+solvers, each only when every input number is an int: ``_pairwise``
+(``_PairwiseState``: a gain per element, moved by a full row per
+addition) and segmentation (``_SegmentationState``: running column
+maxima).  Every other function takes the generic state, which reads
+through ``value``.
 """
 from __future__ import annotations
 
@@ -305,7 +312,8 @@ def random_coverage(n: int, seed_or_rng, n_items: int = 8, max_weight: int = 5) 
 
 def metric_dispersion(dist: DistanceMatrix) -> SetFunction:
     """Sum of pairwise distances within S; monotone and weakly submodular but
-    supermodular, so no submodularity claim."""
+    supermodular, so no submodularity claim.  ``_pairwise`` gives it a
+    table for exact distances and a marginal state for int ones."""
     d = dist.d
 
     def ev(mask: int) -> Value:
@@ -316,8 +324,9 @@ def metric_dispersion(dist: DistanceMatrix) -> SetFunction:
     # evaluator reads for the pair.
     above = [tuple(d[i][e] for i in range(e)) for e in range(dist.n)]
     exact = all(_all_exact(row) for row in d)
+    ints = all(type(x) is int for row in d for x in row)
     claims = {NORMALIZED, NONNEGATIVE, MONOTONE, WEAKLY_SUBMODULAR}
-    return _pairwise(ev, [0] * dist.n, above, exact, "dispersion", claims)
+    return _pairwise(ev, [0] * dist.n, above, exact, "dispersion", claims, ints=ints)
 
 
 def cross_dispersion(dist: DistanceMatrix, s_indices, t_indices) -> Value:
@@ -327,6 +336,35 @@ def cross_dispersion(dist: DistanceMatrix, s_indices, t_indices) -> Value:
         raise ValueError("cross dispersion requires disjoint sets")
     d = dist.d
     return sum(d[u][v] for u in s for v in t)
+
+
+class _SegmentationState:
+    """The marginal state of a segmentation at a set S: the column maxima
+    ``top`` of S's rows (None for the empty set) and f(S), their sum.
+    f(S + e) sums ``step(top, e)``, the maxima with row e; f(S + u - v)
+    sums the maxima of S - v with row u, folding those maxima once per v
+    and keeping them."""
+
+    __slots__ = ("step", "maxima", "mask", "top", "value", "_without")
+
+    def __init__(self, step, maxima, mask: int, top):
+        self.step = step
+        self.maxima = maxima
+        self.mask = mask
+        self.top = top
+        self.value = 0 if top is None else sum(top)
+        self._without = {}
+
+    def plus(self, e: int) -> Value:
+        return sum(self.step(self.top, e))
+
+    def swap(self, u: int, v: int) -> Value:
+        if v not in self._without:
+            self._without[v] = self.maxima(self.mask & ~(1 << v))
+        return sum(self.step(self._without[v], u))
+
+    def add(self, e: int) -> "_SegmentationState":
+        return _SegmentationState(self.step, self.maxima, self.mask | 1 << e, self.step(self.top, e))
 
 
 def segmentation(matrix: SegmentationMatrix) -> SetFunction:
@@ -341,7 +379,9 @@ def segmentation(matrix: SegmentationMatrix) -> SetFunction:
     Both add the maxima in column order from the int 0, so the table
     equals the evaluator for every input.  ``sum`` would not do: from
     Python 3.12 it compensates float rounding, which the table's additions
-    column by column cannot.
+    column by column cannot.  The marginal state (``_SegmentationState``)
+    does sum with ``sum``, so it is offered only when every entry is an
+    int.
     """
     m = matrix.m
     ground = GroundSet.of_size(matrix.rows)
@@ -367,20 +407,54 @@ def segmentation(matrix: SegmentationMatrix) -> SetFunction:
         values[0] = 0  # the empty set, whose slots held -inf
         return values
 
+    ints = all(type(x) is int for row in m for x in row)
     return SetFunction(
         ground,
         ev,
         name="segmentation",
         claims={NORMALIZED, NONNEGATIVE, MONOTONE, WEAKLY_SUBMODULAR},
         table=table,
+        state=(lambda mask: _SegmentationState(step, maxima, mask, maxima(mask))) if ints else None,
     )
 
 
-def _pairwise(ev, lin: Sequence[Value], above, exact: bool, name: str, claims) -> SetFunction:
+class _PairwiseState:
+    """The marginal state of a ``_pairwise`` function at a set S.
+
+    ``gain[x]`` is lin[x] plus the pair terms of x with S: f(S + x) - f(S)
+    for x not in S, and f(S) - f(S - x) for x in S, since a row holds 0 at
+    its own index.  So f(S + u - v) = f(S) - gain[v] + gain[u] - w_uv, and
+    adding e adds e's full row to every gain.
+    """
+
+    __slots__ = ("rows", "value", "gain")
+
+    def __init__(self, rows, value, gain):
+        self.rows = rows
+        self.value = value
+        self.gain = gain
+
+    def plus(self, e: int) -> Value:
+        return self.value + self.gain[e]
+
+    def swap(self, u: int, v: int) -> Value:
+        return self.value - self.gain[v] + self.gain[u] - self.rows[u][v]
+
+    def add(self, e: int) -> "_PairwiseState":
+        return _PairwiseState(
+            self.rows, self.value + self.gain[e], list(map(add, self.gain, self.rows[e]))
+        )
+
+
+def _pairwise(
+    ev, lin: Sequence[Value], above, exact: bool, name: str, claims, *, ints: bool = False
+) -> SetFunction:
     """f(S) = sum over e in S of (lin[e] + sum over i < e in S of above[e][i])
     on len(lin) elements, evaluated by the builder's ``ev``.  Its table is
     ``_pairwise_table``, offered only when ``exact``, since ``ev`` sums in
-    another order.
+    another order.  Its marginal state (``_PairwiseState``), offered only
+    when ``ints``, reads the full symmetric rows of the pair terms, built
+    from ``above`` on the first state and kept.
 
     The weak inequality's slack at (S, T), lhs - rhs of ``_weak_sides``,
     has a closed form for such f.  Write w_xy = w_yx = above[max][min],
@@ -398,12 +472,28 @@ def _pairwise(ev, lin: Sequence[Value], above, exact: bool, name: str, claims) -
     f(A) = f(B) = 0, leaves slack = w_xz + w_zy - w_xy.  That proves
     ``metric_dispersion``'s ``WEAKLY_SUBMODULAR`` claim.
     """
+    n = len(lin)
+    rows = []
+
+    def state(mask: int) -> _PairwiseState:
+        if not rows:
+            rows.extend(
+                [*map(above[e].__getitem__, range(e)), 0, *(above[j][e] for j in range(e + 1, n))]
+                for e in range(n)
+            )
+        at = _PairwiseState(rows, 0, list(lin))
+        for e in range(n):
+            if mask >> e & 1:
+                at = at.add(e)
+        return at
+
     return SetFunction(
-        GroundSet.of_size(len(lin)),
+        GroundSet.of_size(n),
         ev,
         name=name,
         claims=claims,
         table=(lambda p: _pairwise_table(lin, above, p)) if exact else None,
+        state=state if ints else None,
     )
 
 
@@ -559,9 +649,11 @@ def max_cut(graph: Graph) -> SetFunction:
     and loses those to the set, so lin[e] is e's weighted degree and the
     pair term above[e][i] is -2 w(i, e), summed over parallel edges.  The
     rows are sparse, so building costs O(n + m).  ``_pairwise``'s table is
-    offered when every weight is an int.  With a ``Fraction`` weight a
-    table sum can end at ``Fraction(0)`` where the evaluator's sum is the
-    int 0, so it then takes the generic table through ``value``.
+    offered when every weight is an int, and so is its marginal state,
+    whose full rows (n² terms) are built on the first state a solver asks
+    for.  With a ``Fraction`` weight a table sum can end at ``Fraction(0)``
+    where the evaluator's sum is the int 0, so it then takes the generic
+    table and state through ``value``.
     """
     edges = graph.edges
 
@@ -575,7 +667,8 @@ def max_cut(graph: Graph) -> SetFunction:
         degree[v] += w
         above[max(u, v)][min(u, v)] -= 2 * w
     exact = all(type(w) is int for _, _, w in edges)
-    return _pairwise(ev, degree, above, exact, "max_cut", {NORMALIZED, NONNEGATIVE})
+    claims = {NORMALIZED, NONNEGATIVE}
+    return _pairwise(ev, degree, above, exact, "max_cut", claims, ints=exact)
 
 
 def star_counterexample(n: int) -> Graph:

@@ -2,6 +2,7 @@ import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -54,6 +55,21 @@ class TestGroundSetAndSubset:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             GroundSet(("a", "a"))
+
+    def test_of_size_builds_no_set_of_its_labels(self):
+        # range(n) labels are unique by construction; a uniqueness set of a
+        # million ints would double the peak over what the ground set keeps.
+        tracemalloc.start()
+        try:
+            g = GroundSet.of_size(10**6)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.elements == tuple(range(10**6)) and g == GroundSet(tuple(range(10**6)))
+        assert peak <= 1.25 * retained
+        for labels in ((0, 1, 0), ("a", "b", "a"), (1, True)):
+            with pytest.raises(ValueError, match="unique"):
+                GroundSet(labels)
 
     def test_index_and_label_roundtrip(self):
         g = GroundSet(("x", "y", "z"))

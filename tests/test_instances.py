@@ -338,7 +338,9 @@ class TestInstanceDocuments:
             init(self, ground, counted, **kwargs)
 
         monkeypatch.setattr(SetFunction, "__init__", traced_init)
-        distances = [[0, 2, 1, 2], [2, 0, 2, 1], [1, 2, 0, 2], [2, 1, 2, 0]]
+        # Fraction distances: int ones would give greedy a marginal state,
+        # which calls no evaluator.
+        distances = [[0, 2, 1.5, 2], [2, 0, 2, 1.5], [1.5, 2, 0, 2], [2, 1.5, 2, 0]]
         counts = []
         for labels in ({}, {"ground_set": list("wxyz")}):
             doc = {

@@ -1,5 +1,6 @@
 import heapq
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -172,8 +173,11 @@ class TestGreedy:
 
     @pytest.mark.parametrize("n, p", [(0, 0), (5, 0), (5, 1), (7, 3), (8, 8)])
     def test_reads_each_set_once(self, n, p):
-        # One read of the empty set, then n - i candidates at step i.
-        f, reads = _recording_reads(metric_dispersion(random_metric(n, 3)) if n else linear(()))
+        # One read of the empty set, then n - i candidates at step i, through
+        # the generic state: Fraction distances offer no state of their own.
+        f, reads = _recording_reads(
+            metric_dispersion(_quarters(random_metric(n, 3))) if n else linear(())
+        )
         res = greedy_cardinality(f, p)
         assert len(reads) == 1 + p * n - p * (p - 1) // 2
         assert len(set(reads)) == len(reads)
@@ -237,9 +241,10 @@ class TestLocalSearch:
         assert res.iterations == len(res.trace) - 1
 
     def test_keeps_the_values_it_evaluates(self):
-        f, reads = _recording_reads(metric_dispersion(random_metric(9, 2)))
+        # Fraction distances, so the reads go through the generic state.
+        f, reads = _recording_reads(metric_dispersion(_quarters(random_metric(9, 2))))
         res = local_search_matroid(f, random_partition_matroid(9, 3, 8))
-        assert res.iterations > 0
+        assert res.iterations > 0 and reads
         assert all(a != b for a, b in zip(reads, reads[1:]))
         assert res.value == SetFunction.value(f, res.selected.mask)
         assert res.trace[-1][2] == res.value
@@ -1107,3 +1112,375 @@ class TestFoldedBuildersDifferential:
             return reduce(add, [max(row[j] for row in chosen) for j in range(cols)], 0)
 
         self._assert_matches(segmentation(SegmentationMatrix(tuple(rows))), reference)
+
+
+# -- marginal states -------------------------------------------------------
+#
+# Reference copies of the solvers as they were before marginal states: every
+# candidate, swap and basis read through ``f.value``, one independence query
+# per swap.  The solvers must give the same mask, value, value type, trace,
+# ``iterations`` and ``enumerated``.
+
+
+def _reference_greedy_basis(f, matroid, start_mask):
+    mask = start_mask
+    n = f.ground.n
+    trace = []
+    base = f.value(mask)
+    while mask.bit_count() < matroid.rank:
+        best_gain = best_value = best_e = None
+        for e in range(n):
+            if mask >> e & 1 or not matroid.is_independent_mask(mask | (1 << e)):
+                continue
+            value = f.value(mask | (1 << e))
+            gain = value - base
+            if best_gain is None or gain > best_gain:
+                best_gain, best_value, best_e = gain, value, e
+        mask |= 1 << best_e
+        base = best_value
+        trace.append((len(trace) + 1, f.ground.label(best_e), base))
+    return mask, base, tuple(trace)
+
+
+def _reference_local_search(f, matroid, init=None, epsilon=0, max_iters=None):
+    mask, current, _ = _reference_greedy_basis(f, matroid, 0 if init is None else init.mask)
+    n = f.ground.n
+    trace = [(0, None, current)]
+    swaps = 0
+    while max_iters is None or swaps < max_iters:
+        bar = max(current, current + epsilon * current)
+        found = False
+        for u in range(n):
+            if mask >> u & 1:
+                continue
+            with_u = mask | (1 << u)
+            for v in range(n):
+                if not mask >> v & 1:
+                    continue
+                candidate = with_u & ~(1 << v)
+                if not matroid.is_independent_mask(candidate):
+                    continue
+                value = f.value(candidate)
+                if value > bar:
+                    mask, current = candidate, value
+                    swaps += 1
+                    trace.append((swaps, (f.ground.label(u), f.ground.label(v)), current))
+                    found = True
+                    break
+            if found:
+                break
+        if not found:
+            break
+    return mask, current, swaps, tuple(trace)
+
+
+def _reference_brute_force_matroid(f, matroid):
+    best_mask = best = None
+    enumerated = 0
+    for mask in matroid.bases():
+        enumerated += 1
+        v = f.value(mask)
+        if best is None or v > best:
+            best, best_mask = v, mask
+    return best_mask, best, type(best), enumerated
+
+
+def _types(trace):
+    return [type(row[2]) for row in trace]
+
+
+def _greedy_outcome(f, p):
+    res = greedy_cardinality(f, p)
+    return res.selected.mask, res.value, type(res.value), res.trace, _types(res.trace), res.iterations
+
+
+def _reference_greedy_outcome(f, p):
+    mask, value, trace = _reference_greedy_basis(f, Matroid.uniform(f.ground, p), 0)
+    return mask, value, type(value), trace, _types(trace), p
+
+
+def _local_outcome(f, matroid, **options):
+    res = local_search_matroid(f, matroid, **options)
+    return res.selected.mask, res.value, type(res.value), res.trace, _types(res.trace), res.iterations
+
+
+def _reference_local_outcome(f, matroid, **options):
+    mask, value, swaps, trace = _reference_local_search(f, matroid, **options)
+    return mask, value, type(value), trace, _types(trace), swaps
+
+
+def _brute_outcome(f, matroid):
+    opt = brute_force_matroid(f, matroid)
+    return opt.optimum.mask, opt.value, type(opt.value), opt.enumerated
+
+
+def _differential_matroids(ground):
+    """Uniform ranks, partitions with caps 0, 1 and above 1 (interleaved
+    blocks, a cap above its block's size) and explicit families."""
+    n = ground.n
+    out = [Matroid.uniform(ground, r) for r in sorted({0, 1, n // 2, n})]
+    if n >= 3:
+        halves = [range(n // 2), range(n // 2, n)]
+        thirds = [range(k, n, 3) for k in range(3)]
+        out += [
+            Matroid.partition(ground, halves, [1, 1]),
+            Matroid.partition(ground, halves, [0, 2]),
+            Matroid.partition(ground, thirds, [1, 2, 0]),
+            Matroid.partition(ground, thirds, [2, 9, 1]),
+            Matroid.partition(ground, [range(0, n, 2), range(1, n, 2)], [2, 1]).to_explicit(),
+            Matroid.uniform(ground, 2).to_explicit(),
+            Matroid.uniform(ground, 0).to_explicit(),
+        ]
+    return out
+
+
+def _local_options(f, matroid):
+    last = Subset.from_indices(f.ground, [f.ground.n - 1]) if f.ground.n else None
+    options = [
+        {},
+        {"epsilon": Fraction(1, 4)},
+        {"epsilon": 0.1},
+        {"max_iters": 0},
+        {"max_iters": 1},
+    ]
+    if last is not None and matroid.is_independent(last):
+        options.append({"init": last, "max_iters": 3})
+    return options
+
+
+def _assert_solvers_match(build, matroids=None, greedy_ps=None, brute=True):
+    """Every solver on a fresh ``build()`` against the reference on another."""
+
+    def fresh():
+        f = build()
+        f.claims = frozenset()  # the solvers' claim check is not under test
+        return f
+
+    ground = fresh().ground
+    for p in range(ground.n + 1) if greedy_ps is None else greedy_ps:
+        assert _greedy_outcome(fresh(), p) == _reference_greedy_outcome(fresh(), p), p
+    for m in _differential_matroids(ground) if matroids is None else matroids:
+        for options in _local_options(fresh(), m):
+            got = _local_outcome(fresh(), m, **options)
+            assert got == _reference_local_outcome(fresh(), m, **options), (m, options)
+        if brute:
+            assert _brute_outcome(fresh(), m) == _reference_brute_force_matroid(fresh(), m), m
+
+
+# Builders whose own marginal state the solvers read: every input an int.
+_STATE_BUILDERS = {
+    "dispersion-int",
+    "dispersion-unit",
+    "segmentation-int",
+    "max-cut-int",
+    "max-cut-star",
+    "max-cut-parallel",
+}
+
+
+def _nan_at(masks, other):
+    nan = float("nan")
+    return lambda: SetFunction(
+        GroundSet.of_size(6), lambda mask: nan if mask in masks else other(mask)
+    )
+
+
+class TestMarginalStates:
+    @pytest.mark.parametrize("name", sorted(_ALL_BUILDERS))
+    def test_solvers_match_the_reference(self, name):
+        _assert_solvers_match(_ALL_BUILDERS[name])
+
+    @pytest.mark.parametrize("name", sorted(_ALL_BUILDERS))
+    def test_only_int_inputs_offer_a_state(self, name):
+        f = _ALL_BUILDERS[name]()
+        assert (f._state is not None) == (name in _STATE_BUILDERS)
+        assert (type(f.state(0)) is core._ValueState) == (name not in _STATE_BUILDERS)
+
+    @pytest.mark.parametrize("name", sorted(_STATE_BUILDERS))
+    def test_state_reads_equal_the_oracle(self, name):
+        build = _ALL_BUILDERS[name]
+        f, calls = _counting(build())
+        oracle = build()
+        n = f.ground.n
+        rng = Random(name)
+        for _ in range(40):
+            mask = rng.randrange(1 << n)
+            state = f.state(mask)
+            reads = [(state.value, mask)]
+            for e in range(n):
+                if mask >> e & 1:
+                    continue
+                reads.append((state.plus(e), mask | 1 << e))
+                reads.append((state.add(e).value, mask | 1 << e))
+                for v in range(n):
+                    if mask >> v & 1:
+                        reads.append((state.swap(e, v), mask & ~(1 << v) | 1 << e))
+            for got, at in reads:
+                want = oracle.value(at)
+                assert (got, type(got)) == (want, type(want)), (mask, at)
+        assert calls == [] and f._cache == {}
+
+    def test_quarter_distances_take_the_generic_state(self):
+        for build in (
+            lambda: metric_dispersion(_quarters(random_metric(8, 31))),
+            lambda: metric_dispersion(_exact_quarters(random_metric(8, 32, high=12))),
+        ):
+            f = build()
+            assert f._state is None and type(f.state(0)) is core._ValueState
+            _assert_solvers_match(build, greedy_ps=[0, 3, 8])
+
+    @pytest.mark.parametrize(
+        "n, rank, seed", [(20, 4, 1), (40, 6, 2), (90, 10, 3), (140, 14, 4), (200, 20, 5)]
+    )
+    def test_seeded_int_dispersion(self, n, rank, seed):
+        d = random_metric(n, seed)
+        build = lambda: metric_dispersion(d)  # noqa: E731
+        ground = GroundSet.of_size(n)
+        matroids = [Matroid.uniform(ground, rank), random_partition_matroid(n, rank, seed)]
+        for m in matroids:
+            got = _local_outcome(build(), m)
+            assert got == _reference_local_outcome(build(), m), m
+        assert _greedy_outcome(build(), rank) == _reference_greedy_outcome(build(), rank)
+
+    @pytest.mark.parametrize("n, cols, seed", [(6, 3, 1), (11, 5, 2), (16, 16, 3)])
+    def test_seeded_segmentation(self, n, cols, seed):
+        matrix = random_segmentation(n, cols, seed)
+        build = lambda: segmentation(matrix)  # noqa: E731
+        ground = GroundSet.of_size(n)
+        matroids = [
+            Matroid.uniform(ground, 3),
+            random_partition_matroid(n, min(n, 6), seed),
+            Matroid.partition(ground, [range(0, n, 2), range(1, n, 2)], [2, 3]),
+        ]
+        _assert_solvers_match(build, matroids, greedy_ps=[1, 5, n])
+
+    def test_brute_force_over_int_dispersion_at_the_sweep_shape(self):
+        for seed in range(3):
+            d = random_metric(16, seed)
+            m = random_partition_matroid(16, 6, seed + 7)
+            got = _brute_outcome(metric_dispersion(d), m)
+            assert got == _reference_brute_force_matroid(metric_dispersion(d), m)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            _nan_at({0b000111}, lambda mask: mask % 7),  # the least uniform basis
+            _nan_at({0b010101}, lambda mask: float(mask % 5)),  # the least of the thirds
+            _nan_at({0b101010, 0b110100}, lambda mask: mask % 4),  # later bases
+            _nan_at(range(64), int),  # every set
+            _nan_at({0b111000}, lambda mask: 9 if mask & 1 else 0),
+        ],
+    )
+    def test_nan_values_keep_the_first_maximizer_rule(self, build):
+        g = GroundSet.of_size(6)
+        matroids = [
+            Matroid.uniform(g, 3),
+            Matroid.partition(g, [range(0, 6, 2), range(1, 6, 2)], [2, 1]),
+            Matroid.partition(g, [range(k, 6, 3) for k in range(3)], [1, 1, 1]),
+            Matroid.uniform(g, 3).to_explicit(),
+        ]
+        for m in matroids:
+            assert _brute_outcome(build(), m) == _reference_brute_force_matroid(build(), m), m
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ties_across_value_types_keep_the_least_mask(self, seed):
+        levels = [0, 1, 1.0, Fraction(1), True, 0.0]
+        rng = Random(seed)
+        values = [rng.choice(levels) for _ in range(1 << 7)]
+
+        def build():
+            return SetFunction(GroundSet.of_size(7), values.__getitem__)
+
+        _assert_solvers_match(build, greedy_ps=[2, 4])
+
+
+def _count_independence(matroid):
+    calls = []
+    query = matroid.is_independent_mask
+    matroid.is_independent_mask = lambda mask: calls.append(mask) or query(mask)
+    return matroid, calls
+
+
+class TestPinnedCounts:
+    @pytest.mark.parametrize("p", [0, 1, 4, 9])
+    def test_generic_greedy_makes_one_call_per_candidate(self, p):
+        n = 9
+        for build in (
+            lambda: complement(linear((3, 1, 4, 1, 5, 9, 2, 6, 5))),
+            lambda: metric_dispersion(_quarters(random_metric(n, 7))),
+        ):
+            f, calls = _counting(build())
+            greedy_cardinality(f, p)
+            assert len(calls) == 1 + p * n - p * (p - 1) // 2
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: metric_dispersion(random_metric(12, 8)),
+            lambda: segmentation(random_segmentation(12, 5, 9)),
+        ],
+    )
+    def test_int_dispersion_and_segmentation_call_no_evaluator(self, build):
+        g = GroundSet.of_size(12)
+        halves = Matroid.partition(g, [range(0, 12, 2), range(1, 12, 2)], [2, 1])
+        matroids = [
+            Matroid.uniform(g, 4),
+            random_partition_matroid(12, 4, 10),
+            halves,
+            halves.to_explicit(),
+            Matroid.uniform(g, 3).to_explicit(),
+        ]
+        f, calls = _counting(build())
+        greedy_cardinality(f, 5)
+        for m in matroids:
+            local_search_matroid(f, m)
+            brute_force_matroid(f, m)
+        assert calls == [] and f._cache == {}
+
+    @pytest.mark.parametrize(
+        "matroid",
+        [
+            Matroid.uniform(GroundSet.of_size(9), 4),
+            random_partition_matroid(9, 4, 11),
+            Matroid.partition(GroundSet.of_size(9), [range(0, 9, 2), range(1, 9, 2)], [2, 3]),
+        ],
+    )
+    def test_swap_scan_asks_no_independence_query(self, matroid):
+        # Started at a basis, greedy adds nothing, so the one query left is
+        # the check that ``init`` is independent.
+        for f in (
+            metric_dispersion(random_metric(9, 12)),
+            complement(linear((3, 1, 4, 1, 5, 9, 2, 6, 5))),
+        ):
+            start = local_search_matroid(f, matroid, max_iters=0).selected
+            m, calls = _count_independence(matroid)
+            res = local_search_matroid(f, m, init=start)
+            del m.is_independent_mask
+            assert calls == [start.mask]
+            full = local_search_matroid(f, matroid)
+            assert (res.selected, res.value, res.trace) == (full.selected, full.value, full.trace)
+
+    @pytest.mark.parametrize("n, rank, seed", [(7, 3, 1), (7, 3, 2), (16, 6, 3)])
+    def test_bench_combination_local_reads_a_set_twice(self, n, rank, seed, monkeypatch, capsys):
+        # Combinations take the generic state, so a traced benchmark round
+        # still sees more oracle reads than evaluator calls.
+        from weaksub.cli import main
+
+        reads, evaluations = Counter(), []
+        value, init = SetFunction.value, SetFunction.__init__
+
+        def counted_value(self, mask):
+            reads[id(self), mask] += 1
+            return value(self, mask)
+
+        def traced_init(self, ground, evaluator, **kwargs):
+            init(self, ground, lambda mask: evaluations.append(mask) or evaluator(mask), **kwargs)
+
+        monkeypatch.setattr(SetFunction, "value", counted_value)
+        monkeypatch.setattr(SetFunction, "__init__", traced_init)
+        argv = ["bench", "combination", "--algorithm", "local", "--n", str(n)]
+        argv += ["--rank", str(rank), "--matroid", "partition", "--count", "2", "--seed", str(seed)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert max(reads.values()) >= 2
+        assert sum(reads.values()) > len(evaluations) > 0
