@@ -15,12 +15,14 @@ writes the memo.  Greedy, local search and the matroid oracle read their
 values from the function's marginal state (``SetFunction.state``):
 greedy reads f(S + e) for each feasible e, local search f(S + u - v) for
 each exchange the matroid allows, and the matroid oracle f(B) at each
-basis B from the state of B less one element.  Int dispersion and
-segmentation offer a state of their own, which makes no evaluator call;
-every other function takes the generic state, which reads ``f.value``
-at each of those sets, so those solvers read exactly the sets they read
-before the states.  Greedy and local search keep the values they read,
-so neither reads the oracle again for a set it has just evaluated.
+basis B of a uniform or partition matroid from the state of B less one
+element.  Int dispersion and segmentation offer a state of their own,
+which makes no evaluator call; every other function takes the generic
+state, which reads ``f.value`` at each of those sets, so those solvers
+read exactly the sets they read before the states.  The matroid oracle
+reads each basis of an explicit matroid through ``f.value``.  Greedy and
+local search keep the values they read, so neither reads the oracle
+again for a set it has just evaluated.
 """
 
 from __future__ import annotations
@@ -289,21 +291,19 @@ def brute_force_matroid(f: SetFunction, matroid: Matroid) -> OptResult:
     it there.  Past ``matroid.BRUTE_FORCE_MATROID_CAP`` a uniform or
     partition matroid raises ``CapExceeded``.
 
-    Each basis is read as f(S + y) from the state at S, the basis less one
-    element y.  A uniform or partition matroid is walked depth first over
-    its blocks, smallest first, each block taking its ``top`` elements in
-    ascending order, so each state serves every basis that extends it.  An
-    explicit matroid's stored bases form one list in ascending mask order,
-    where consecutive bases share their highest elements: a basis keeps
-    the states of its elements above the highest bit where it differs from
-    the previous basis and adds the others from the top down.
+    A uniform or partition matroid is walked depth first over its blocks,
+    smallest first, each block taking its ``top`` elements in ascending
+    order, so each state serves every basis that extends it: each basis is
+    read as f(S + y) from the state at S, the basis less its last element
+    y.  An explicit matroid's bases are read one by one through ``f.value``
+    in ascending mask order.
     """
     if f.ground != matroid.ground:
         raise GroundSetMismatch("function and matroid must share a ground set")
     best = best_mask = None
     enumerated = 0
 
-    # Both walks read the least basis first, so a NaN there is kept, as the
+    # Both loops read the least basis first, so a NaN there is kept, as the
     # scan in mask order keeps it, and a NaN read later never wins.
     def leaf(v: Value, mask: int) -> None:
         nonlocal best, best_mask, enumerated
@@ -312,23 +312,8 @@ def brute_force_matroid(f: SetFunction, matroid: Matroid) -> OptResult:
             best, best_mask = v, mask
 
     if matroid.kind == "explicit":
-        # path[k] is the state at the k highest elements of the last basis.
-        path, previous = [f.state(0)], 0
         for mask in matroid.bases():
-            if not mask:
-                leaf(path[0].value, 0)
-                continue
-            differ = (mask ^ previous).bit_length()
-            del path[(mask >> differ).bit_count() + 1 :]
-            rest = mask & ((1 << differ) - 1)
-            least = rest & -rest
-            rest ^= least
-            while rest:
-                top = rest.bit_length() - 1
-                path.append(path[-1].add(top))
-                rest ^= 1 << top
-            leaf(path[-1].plus(least.bit_length() - 1), mask)
-            previous = mask
+            leaf(f.value(mask), mask)
     else:
         blocks = sorted(matroid._basis_blocks(), key=lambda b: len(b[0]))
         root = f.state(0)

@@ -25,8 +25,8 @@ inexact builders above) get the generic one, which evaluates each mask of
 the table once through the memoized oracle.
 
 Two builders also offer a marginal state (``SetFunction.state``) for the
-solvers, each only when every input number is an int: ``_pairwise``
-(``_PairwiseState``: a gain per element, moved by a full row per
+solvers, each only when every input number is an int: metric dispersion
+(``_PairwiseState``: a gain per element, moved by a distance row per
 addition) and segmentation (``_SegmentationState``: running column
 maxima).  Every other function takes the generic state, which reads
 through ``value``.
@@ -313,7 +313,9 @@ def random_coverage(n: int, seed_or_rng, n_items: int = 8, max_weight: int = 5) 
 def metric_dispersion(dist: DistanceMatrix) -> SetFunction:
     """Sum of pairwise distances within S; monotone and weakly submodular but
     supermodular, so no submodularity claim.  ``_pairwise`` gives it a
-    table for exact distances and a marginal state for int ones."""
+    table for exact distances and, for int ones, a marginal state whose
+    rows are ``dist.d`` itself: symmetric, 0 on the diagonal, and the
+    distances the evaluator adds."""
     d = dist.d
 
     def ev(mask: int) -> Value:
@@ -326,7 +328,7 @@ def metric_dispersion(dist: DistanceMatrix) -> SetFunction:
     exact = all(_all_exact(row) for row in d)
     ints = all(type(x) is int for row in d for x in row)
     claims = {NORMALIZED, NONNEGATIVE, MONOTONE, WEAKLY_SUBMODULAR}
-    return _pairwise(ev, [0] * dist.n, above, exact, "dispersion", claims, ints=ints)
+    return _pairwise(ev, [0] * dist.n, above, exact, "dispersion", claims, rows=d if ints else None)
 
 
 def cross_dispersion(dist: DistanceMatrix, s_indices, t_indices) -> Value:
@@ -447,14 +449,14 @@ class _PairwiseState:
 
 
 def _pairwise(
-    ev, lin: Sequence[Value], above, exact: bool, name: str, claims, *, ints: bool = False
+    ev, lin: Sequence[Value], above, exact: bool, name: str, claims, *, rows=None
 ) -> SetFunction:
     """f(S) = sum over e in S of (lin[e] + sum over i < e in S of above[e][i])
     on len(lin) elements, evaluated by the builder's ``ev``.  Its table is
     ``_pairwise_table``, offered only when ``exact``, since ``ev`` sums in
-    another order.  Its marginal state (``_PairwiseState``), offered only
-    when ``ints``, reads the full symmetric rows of the pair terms, built
-    from ``above`` on the first state and kept.
+    another order.  Its marginal state (``_PairwiseState``) is offered only
+    when the builder passes ``rows``, the full symmetric pair terms with a
+    0 diagonal, which the state reads and never changes.
 
     The weak inequality's slack at (S, T), lhs - rhs of ``_weak_sides``,
     has a closed form for such f.  Write w_xy = w_yx = above[max][min],
@@ -473,14 +475,8 @@ def _pairwise(
     ``metric_dispersion``'s ``WEAKLY_SUBMODULAR`` claim.
     """
     n = len(lin)
-    rows = []
 
     def state(mask: int) -> _PairwiseState:
-        if not rows:
-            rows.extend(
-                [*map(above[e].__getitem__, range(e)), 0, *(above[j][e] for j in range(e + 1, n))]
-                for e in range(n)
-            )
         at = _PairwiseState(rows, 0, list(lin))
         for e in range(n):
             if mask >> e & 1:
@@ -493,7 +489,7 @@ def _pairwise(
         name=name,
         claims=claims,
         table=(lambda p: _pairwise_table(lin, above, p)) if exact else None,
-        state=state if ints else None,
+        state=None if rows is None else state,
     )
 
 
@@ -649,11 +645,9 @@ def max_cut(graph: Graph) -> SetFunction:
     and loses those to the set, so lin[e] is e's weighted degree and the
     pair term above[e][i] is -2 w(i, e), summed over parallel edges.  The
     rows are sparse, so building costs O(n + m).  ``_pairwise``'s table is
-    offered when every weight is an int, and so is its marginal state,
-    whose full rows (n² terms) are built on the first state a solver asks
-    for.  With a ``Fraction`` weight a table sum can end at ``Fraction(0)``
-    where the evaluator's sum is the int 0, so it then takes the generic
-    table and state through ``value``.
+    offered when every weight is an int.  With a ``Fraction`` weight a
+    table sum can end at ``Fraction(0)`` where the evaluator's sum is the
+    int 0, so it then takes the generic table through ``value``.
     """
     edges = graph.edges
 
@@ -667,8 +661,7 @@ def max_cut(graph: Graph) -> SetFunction:
         degree[v] += w
         above[max(u, v)][min(u, v)] -= 2 * w
     exact = all(type(w) is int for _, _, w in edges)
-    claims = {NORMALIZED, NONNEGATIVE}
-    return _pairwise(ev, degree, above, exact, "max_cut", claims, ints=exact)
+    return _pairwise(ev, degree, above, exact, "max_cut", {NORMALIZED, NONNEGATIVE})
 
 
 def star_counterexample(n: int) -> Graph:

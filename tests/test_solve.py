@@ -1272,9 +1272,6 @@ _STATE_BUILDERS = {
     "dispersion-int",
     "dispersion-unit",
     "segmentation-int",
-    "max-cut-int",
-    "max-cut-star",
-    "max-cut-parallel",
 }
 
 
@@ -1328,6 +1325,13 @@ class TestMarginalStates:
             f = build()
             assert f._state is None and type(f.state(0)) is core._ValueState
             _assert_solvers_match(build, greedy_ps=[0, 3, 8])
+
+    def test_int_dispersion_state_reads_the_distance_rows(self):
+        # The rows are the matrix's own immutable tuples: a state copies no
+        # distances and builds nothing that two callers could share.
+        dist = random_metric(9, 5)
+        f = metric_dispersion(dist)
+        assert all(f.state(mask).rows is dist.d for mask in (0, 0b101, 0b111111111))
 
     @pytest.mark.parametrize(
         "n, rank, seed", [(20, 4, 1), (40, 6, 2), (90, 10, 3), (140, 14, 4), (200, 20, 5)]
@@ -1423,19 +1427,23 @@ class TestPinnedCounts:
     def test_int_dispersion_and_segmentation_call_no_evaluator(self, build):
         g = GroundSet.of_size(12)
         halves = Matroid.partition(g, [range(0, 12, 2), range(1, 12, 2)], [2, 1])
-        matroids = [
-            Matroid.uniform(g, 4),
-            random_partition_matroid(12, 4, 10),
-            halves,
-            halves.to_explicit(),
-            Matroid.uniform(g, 3).to_explicit(),
-        ]
+        walked = [Matroid.uniform(g, 4), random_partition_matroid(12, 4, 10), halves]
+        explicit = [halves.to_explicit(), Matroid.uniform(g, 3).to_explicit()]
         f, calls = _counting(build())
         greedy_cardinality(f, 5)
-        for m in matroids:
+        for m in walked + explicit:
             local_search_matroid(f, m)
+        for m in walked:
             brute_force_matroid(f, m)
         assert calls == [] and f._cache == {}
+        # An explicit matroid's brute force reads each basis once through
+        # ``f.value``.
+        for m in explicit:
+            bases = list(m.bases())
+            f._cache.clear()
+            calls.clear()
+            assert brute_force_matroid(f, m).enumerated == len(bases)
+            assert calls == bases
 
     @pytest.mark.parametrize(
         "matroid",
