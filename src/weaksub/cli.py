@@ -28,9 +28,10 @@ from .core import (
     CHECKERS,
     Subset,
     ViolationWitness,
+    require_exhaustive_size,
     weak_submodularity_sides,
 )
-from .instances import Instance, SchemaError, load_instance
+from .instances import Instance, SchemaError, load_instance, read_document, size_params
 from .matroid import Matroid, random_partition_matroid
 from .solve import (
     OptResult,
@@ -61,10 +62,18 @@ def _json_default(obj):
 
 
 def _cmd_check(args):
-    instance = load_instance(args.instance)
+    doc = read_document(args.instance)
+    opts = doc.get("options", {}) if isinstance(doc, dict) else None
+    # A document that builds has a dict of options, so this is its mode.
+    mode = args.mode or (opts.get("mode", "exhaustive") if isinstance(opts, dict) else None)
+    if mode == "exhaustive" and isinstance(doc, dict) and doc.get("ground_set") is None:
+        # With no declared ground set a size param sets n: refuse one above
+        # the checker's cap before any builder allocates for it.
+        for n in size_params(doc.get("function")):
+            require_exhaustive_size(args.property, n)
+    instance = Instance(doc)
     checker = CHECKERS[args.property]
     opts = instance.options
-    mode = args.mode or opts.get("mode", "exhaustive")
     samples = args.samples if args.samples is not None else opts.get("samples")
     seed = args.seed if args.seed is not None else opts.get("seed")
     report = checker(

@@ -412,6 +412,23 @@ PAIRWISE_CAP = 12  # all unordered {S, T} pairs: <= (4^n + 2^n)/2 checks
 MONOTONE_CAP = 14  # adjacent pairs only: n * 2^(n-1) checks
 SIGN_CAP = 20  # 2^n evaluations
 
+# Each checker's exhaustive cap, by property name, and the scan its
+# refusal names.
+EXHAUSTIVE_CAPS = {
+    "normalized_nonnegative": (SIGN_CAP, "sign"),
+    "monotone": (MONOTONE_CAP, "monotone"),
+    "submodular": (PAIRWISE_CAP, "pairwise"),
+    "weakly_submodular": (PAIRWISE_CAP, "pairwise"),
+}
+
+
+def require_exhaustive_size(prop: str, n: int) -> None:
+    """Raise the ``CapExceeded`` that the exhaustive check of ``prop`` (a
+    ``CHECKERS`` name) raises on n elements, if it raises one."""
+    cap, scan = EXHAUSTIVE_CAPS[prop]
+    if n > cap:
+        raise CapExceeded(f"exhaustive {scan} check capped at n <= {cap}")
+
 
 def _is_exact(v: Value) -> bool:
     return isinstance(v, Rational)  # int and Fraction; floats fail
@@ -511,8 +528,7 @@ def check_normalized_nonnegative(
         return None
 
     if mode == "exhaustive":
-        if n > SIGN_CAP:
-            raise CapExceeded(f"exhaustive sign check capped at n <= {SIGN_CAP}")
+        require_exhaustive_size(kind, n)
         w = witness(0, f.value(0))  # a function that is not normalized fails on one read
         if w is not None:
             return CheckReport(kind, "exhaustive", 1, False, w)
@@ -566,6 +582,32 @@ def _packed(table: list[int], low: int, size: int) -> tuple[int, int]:
         data = items.tobytes()
     guards = int.from_bytes((bytes(size - 1) + b"\x80") * len(table), "little")
     return int.from_bytes(data, "little"), guards
+
+
+def _unpacked(packed: int, size: int, count: int, step: int = 1) -> list[int]:
+    """Lanes 0, step, 2 step, ... of ``packed`` in ``size``-byte lanes,
+    ``count`` of them: the inverse of ``_packed`` at low 0 when step is 1.
+    Bits above the last lane read are ignored.  Lanes of 1, 2, 4 or 8
+    bytes are read by ``array``, others one ``from_bytes`` each."""
+    length = size * step * count
+    data = packed.to_bytes(max(length, -(-packed.bit_length() // 8)), "little")[:length]
+    code = _ARRAY_CODES.get(size)
+    if code is None:
+        return [int.from_bytes(data[i : i + size], "little") for i in range(0, length, size * step)]
+    items = array(code, data)[::step]
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items.tolist()
+
+
+def _at_least(a: int, b: int, guards: int, width: int) -> int:
+    """Every bit below the guard in the lanes where a >= b, of ``width``
+    bits each, and no other bit.  Both sides' lanes stay below the guard
+    bit that ``guards`` sets in every lane, so (a + guards) - b borrows
+    from no lane and keeps a lane's guard exactly when a >= b there.  So
+    a ^ (a ^ b) & mask is the lane-wise min, b ^ (a ^ b) & mask the max."""
+    kept = ((a | guards) - b) & guards
+    return kept - (kept >> width - 1)
 
 
 def _lacking(mask: int, width: int, total: int):
@@ -688,8 +730,7 @@ def check_monotone(
         return ViolationWitness(kind, Subset(f.ground, S), Subset(f.ground, bigger), lo, hi)
 
     if mode == "exhaustive":
-        if n > MONOTONE_CAP:
-            raise CapExceeded(f"exhaustive monotone check capped at n <= {MONOTONE_CAP}")
+        require_exhaustive_size(kind, n)
         values = f.all_values()
         table = _exact_table(values)
         if table is None:
@@ -894,8 +935,7 @@ def _check_pairwise(
         return ViolationWitness(kind, Subset(f.ground, S), Subset(f.ground, T), lhs, rhs)
 
     if mode == "exhaustive":
-        if n > PAIRWISE_CAP:
-            raise CapExceeded(f"exhaustive pairwise check capped at n <= {PAIRWISE_CAP}")
+        require_exhaustive_size(kind, n)
         values = f.all_values()
         total = len(values)
         table = _exact_table(values)

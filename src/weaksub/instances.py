@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterator
 
 from . import zoo
 from .core import GroundSet, SetFunction
@@ -63,9 +63,12 @@ def _count(value, what: str) -> int:
     return value
 
 
+_NUMBER_TYPES = {int, Fraction, float}
+
+
 def _number(value, what: str):
     """``value`` if it is a number, an int, ``Fraction`` or float that is not a bool."""
-    if type(value) not in (int, Fraction, float):
+    if type(value) not in _NUMBER_TYPES:
         raise SchemaError(f"{what} must be a number, got {value!r}")
     return value
 
@@ -79,8 +82,13 @@ def _arrays(value, what: str) -> list[list]:
 
 
 def _matrix(rows, what: str) -> list[list]:
-    """``rows`` as lists of numbers (see ``_number``)."""
-    return [[_number(x, what) for x in row] for row in rows]
+    """``rows`` as lists of numbers (see ``_number``).  A row whose every
+    entry has a number type is copied whole; any other row is read entry
+    by entry, so the first entry that is not a number is refused."""
+    return [
+        list(row) if set(map(type, row)) <= _NUMBER_TYPES else [_number(x, what) for x in row]
+        for row in rows
+    ]
 
 
 def ground_from_spec(ground_spec) -> GroundSet | None:
@@ -304,13 +312,48 @@ class Instance:
         return self._matroid
 
 
-def load_instance(path: str) -> Instance:
+def size_params(spec) -> Iterator[int]:
+    """The ground-set sizes that a function spec's params name, read
+    without building anything: the ``n`` of a ``threshold`` or
+    ``cardinality_poly``; a ``max_cut``'s ``star_n`` + 2, else its
+    ``vertices``, else its ``n``, as ``_build_max_cut`` reads them; and
+    those of the specs that a ``combination``, ``complement`` or
+    ``zero_at_top`` holds.  A value that is not a count, and a malformed
+    spec, name nothing here: building refuses them."""
+    if not isinstance(spec, dict) or not isinstance(spec.get("params"), dict):
+        return
+    kind, params = spec.get("type"), spec["params"]
+    if kind == "combination" and isinstance(params.get("terms"), list):
+        for term in params["terms"]:
+            if isinstance(term, dict):
+                yield from size_params(term.get("function"))
+        return
+    if kind in ("complement", "zero_at_top"):
+        yield from size_params(params.get("function"))
+        return
+    if kind == "max_cut" and "star_n" in params:
+        n, extra = params["star_n"], 2  # the two hubs join the spokes
+    elif kind == "max_cut" and params.get("vertices") is not None:
+        n, extra = params["vertices"], 0
+    elif kind in ("threshold", "cardinality_poly", "max_cut"):
+        n, extra = params.get("n"), 0
+    else:
+        return
+    if type(n) is int and n >= 0:
+        yield n + extra
+
+
+def read_document(path: str) -> Any:
+    """The parsed JSON of an instance file (see ``parse_json``)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        doc = parse_json(text)
+        return parse_json(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError("instance JSON is nested too deeply") from exc
-    return Instance(doc)
+
+
+def load_instance(path: str) -> Instance:
+    return Instance(read_document(path))

@@ -226,7 +226,9 @@ def brute_force_cardinality(
     C(n, p) values.  At the cap, n = 22 and p = 11 (2.4M sets; 2 shared
     vCPUs, Python 3.11.7, peak RSS of the whole process): by their
     builders' tables int dispersion took 0.5 s and 73 MB, linear 0.3 s and
-    60 MB, and segmentation with 8 columns 1.7-2.6 s and 98 MB.  The
+    60 MB, and int segmentation with 8 columns, whose table runs in lanes,
+    0.5-0.6 s and 103-109 MB (1.4-1.5 s and 98 MB by the column
+    doubling).  The
     complement of a linear function, whose generic table evaluates every
     set into the memo, took 9-11 s and 390 MB.  ``exact_size`` selects from
     that same table, so on a generic one it still evaluates every set of

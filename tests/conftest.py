@@ -52,6 +52,34 @@ def naive_monotone_violations(universe, value_of):
     return out
 
 
+def scalar_closure(d):
+    """All-pairs shortest paths of the square matrix ``d`` (lists of
+    numbers) by the textbook Floyd-Warshall triple loop, as tuples."""
+    d = [list(row) for row in d]
+    n = len(d)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i][k] + d[k][j] < d[i][j]:
+                    d[i][j] = d[i][k] + d[k][j]
+    return tuple(map(tuple, d))
+
+
+def naive_triangle_error(d):
+    """The triangle message for the first ordered (i, j, k) of the square
+    matrix ``d`` with d[i][j] > d[i][k] + d[k][j], else None."""
+    n = len(d)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if d[i][j] > d[i][k] + d[k][j]:
+                    return (
+                        f"triangle inequality fails on ({i},{j},{k}): "
+                        f"{d[i][j]} > {d[i][k]} + {d[k][j]}"
+                    )
+    return None
+
+
 def as_value_of(f):
     """Adapt a SetFunction to a frozenset-of-labels oracle."""
     return lambda labels: f(labels)

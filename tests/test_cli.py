@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import weaksub
-from weaksub import cli
+from weaksub import cli, core, zoo
 from weaksub import matroid as matroid_module
 from weaksub.bounds import greedy_ratio, ls_bound
 from weaksub.cli import main
@@ -22,6 +22,14 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+class _Sized:
+    """A stand-in function with only a ground set of n elements, enough for
+    a checker to refuse it by size."""
+
+    def __init__(self, n):
+        self.ground = core.GroundSet.of_size(n)
 
 
 @pytest.fixture
@@ -154,6 +162,72 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == "" and "capped at n <= 14" in captured.err
+
+    @pytest.mark.parametrize(
+        "spec, size",
+        [
+            ({"type": "threshold", "params": {"k": 3, "B": 1, "n": 3_000_000}}, 3_000_000),
+            ({"type": "cardinality_poly", "params": {"k": 2, "n": 21}}, 21),
+            ({"type": "max_cut", "params": {"vertices": 3_000_000, "edges": [[0, 1, 1]]}},
+             3_000_000),
+            ({"type": "max_cut", "params": {"star_n": 19}}, 21),
+            ({"type": "max_cut", "params": {"n": 21, "edges": []}}, 21),
+            ({"type": "complement", "params": {"function": {
+                "type": "threshold", "params": {"k": 1, "B": 1, "n": 40}}}}, 40),
+            ({"type": "combination", "params": {"terms": [
+                {"function": {"type": "threshold", "params": {"k": 1, "B": 1, "n": 5}}},
+                {"function": {"type": "zero_at_top", "params": {"function": {
+                    "type": "cardinality_poly", "params": {"coeffs": [0, 1], "n": 25}}}}},
+            ]}}, 25),
+        ],
+        ids=["threshold", "cardinality_poly", "max_cut_vertices", "max_cut_star_n",
+             "max_cut_n", "complement", "combination"],
+    )
+    @pytest.mark.parametrize(
+        "prop", ["monotone", "weakly_submodular", "submodular", "normalized_nonnegative"]
+    )
+    def test_size_param_past_the_cap_builds_nothing(
+        self, capsys, tmp_path, monkeypatch, spec, size, prop
+    ):
+        # The checker's own refusal, on a function of that size; every
+        # size here passes every cap.
+        with pytest.raises(core.CapExceeded) as info:
+            core.CHECKERS[prop](zoo.linear([1] * size) if size < 100 else _Sized(size))
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"function": spec}))
+
+        def never(*args, **kwargs):
+            raise AssertionError("built a function past the checker's cap")
+
+        for name in ("threshold", "cardinality_power", "cardinality_polynomial", "Graph",
+                     "max_cut", "star_counterexample"):
+            monkeypatch.setattr(zoo, name, never)
+        monkeypatch.setattr(core.GroundSet, "of_size", never)
+        code = main(["check", str(path), "--property", prop])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {info.value}\n"
+
+    def test_size_params_within_the_cap_or_sampled_or_declared_still_build(
+        self, capsys, tmp_path
+    ):
+        def check(doc, *argv):
+            path = tmp_path / "f.json"
+            path.write_text(json.dumps(doc))
+            code = main(["check", str(path), *argv])
+            captured = capsys.readouterr()
+            return code, captured.err
+
+        star = {"type": "max_cut", "params": {"star_n": 10}}  # 12 vertices, at the cap
+        assert check({"function": star})[0] == 1
+        threshold = {"type": "threshold", "params": {"k": 3, "B": 1, "n": 30}}
+        sampled = ["--mode", "sampled", "--samples", "5", "--seed", "1", "--property", "monotone"]
+        assert check({"function": threshold}, *sampled) == (0, "")
+        options = {"mode": "sampled", "samples": 5, "seed": 1}
+        assert check({"function": threshold, "options": options}, "--property", "monotone") == (0, "")
+        # A declared ground set is checked against the size param first, as before.
+        code, err = check({"ground_set": 5, "function": threshold}, "--property", "monotone")
+        assert code == 2 and "implies a ground set of size 30" in err
 
     def test_fractional_polynomial_coeffs_from_file(self, capsys, tmp_path):
         # The decimal 0.5 is read as Fraction(1, 2).
@@ -1049,13 +1123,18 @@ class TestReportStability:
 def test_cli_import_stays_light(dispersion_instance):
     # Importing numpy or scipy would add ~0.15 s and ~11 MB to every command,
     # and a thread pool behind `bench --jobs` gains nothing under the GIL.
-    # `check` on an int table runs the lane kernel, which is plain ints too.
+    # `check` on an int table runs the lane kernel, which is plain ints too,
+    # and so do the zoo's lanes: the metric closure and triangle check that
+    # `bench dispersion` and `maximize` on a dispersion file run, and the
+    # int segmentation table of `bench segmentation`.
     code = (
         "import contextlib, io, sys, weaksub.cli\n"
         "def heavy():\n"
         "    return sorted({'numpy', 'scipy'} & set(sys.modules))\n"
         "seen = [heavy()]\n"
         "for argv in (['bench', 'dispersion', '--count', '3', '--n', '6', '--jobs', '2'],\n"
+        "             ['bench', 'segmentation', '--count', '2', '--n', '7'],\n"
+        "             ['maximize', sys.argv[1], '--algorithm', 'greedy'],\n"
         "             ['check', sys.argv[1], '--property', 'weakly_submodular']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        seen.append((weaksub.cli.main(argv), heavy()))\n"
@@ -1066,7 +1145,7 @@ def test_cli_import_stays_light(dispersion_instance):
         [sys.executable, "-c", code, dispersion_instance],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == "[[], (0, []), (0, [])] False"
+    assert out.strip() == "[[], (0, []), (0, []), (0, []), (0, [])] False"
 
 
 def test_interleaved_commands_match_solo_runs(capsys, dispersion_instance, star_instance):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from weaksub import zoo
+from weaksub import instances, zoo
 from weaksub.core import GroundSet, SetFunction
 from weaksub.solve import brute_force_cardinality, greedy_cardinality
 from weaksub.instances import (
@@ -160,6 +160,34 @@ class TestFunctionSpecs:
             f"{spec['type']!r} instance implies a ground set of size {size}, "
             "but the file declares size 5"
         )
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 1], [1, True]],
+            [[0, "1"], [1, 0]],
+            [[0, 1.5, None], [1.5, 0, 2], [None, 2, 0]],
+            [[0, [1]], [[1], 0]],
+            [[0, 1], "ab"],
+            [[0, 1], 5],
+            [[0, 1], {"1": 0}],
+        ],
+    )
+    @pytest.mark.parametrize("kind, key", [("dispersion", "distances"), ("segmentation", "matrix")])
+    def test_matrix_entries_are_refused_entry_by_entry(self, rows, kind, key):
+        # The message is the one the entry-by-entry read gives: the first
+        # entry in row order that is not a number, or the row that is not
+        # iterable.
+        what = f"a {kind!r} " + ("distance" if kind == "dispersion" else "matrix entry")
+        try:
+            [[instances._number(x, what) for x in row] for row in rows]
+        except SchemaError as exc:
+            expected = str(exc)
+        except TypeError as exc:
+            expected = f"bad params for {kind!r}: {exc}"
+        with pytest.raises(SchemaError) as info:
+            function_from_spec({"type": kind, "params": {key: rows}})
+        assert str(info.value) == expected
 
     def test_cardinality_poly_takes_k_or_coeffs_not_both(self):
         spec = {"type": "cardinality_poly", "params": {"k": 2, "coeffs": [0, 1]}}

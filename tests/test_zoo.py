@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import add
 from random import Random
 
 import pytest
@@ -46,7 +47,59 @@ from weaksub.zoo import (
     zero_at_top,
 )
 
-from conftest import powerset
+from conftest import naive_triangle_error, powerset, scalar_closure
+
+
+def _random_metric_rows(rng, n, high=9):
+    """A random int metric as lists: the closure of random lengths, by the
+    scalar triple loop up to n = 12 and past it, where that loop is slow,
+    by ``zoo._closure``, which ``test_random_metric_is_the_scalar_closure``
+    checks against the loop."""
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = rng.randint(1, high)
+    if n <= 12:
+        return [list(row) for row in scalar_closure(d)]
+    flat = zoo._closure([x for row in d for x in row], n)
+    return [flat[i * n : (i + 1) * n] for i in range(n)]
+
+
+def _scalar_error(d):
+    """The message ``DistanceMatrix`` raised before the lanes, from its
+    scalar loop, or None: square, then per row the diagonal and, for
+    j > i, symmetry and sign, then the first (i, j) with i < j whose entry
+    passes the least d[i][k] + d[k][j], at its first such k."""
+    n = len(d)
+    if any(len(row) != n for row in d):
+        return "distance matrix must be square"
+    for i in range(n):
+        if d[i][i] != 0:
+            return "distance matrix must have zero diagonal"
+        for j in range(i + 1, n):
+            if d[i][j] != d[j][i]:
+                return "distance matrix must be symmetric"
+            if d[i][j] < 0:
+                return "distances must be nonnegative"
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i][j] > min(map(add, d[i], d[j])):  # d is symmetric here
+                k = next(k for k in range(n) if d[i][j] > d[i][k] + d[k][j])
+                return (
+                    f"triangle inequality fails on ({i},{j},{k}): "
+                    f"{d[i][j]} > {d[i][k]} + {d[k][j]}"
+                )
+    return None
+
+
+def _recorded(fn, calls):
+    """``fn``, appending each call's arguments to ``calls``."""
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return wrapper
 
 
 class TestDistanceMatrix:
@@ -63,18 +116,7 @@ class TestDistanceMatrix:
     def test_triangle_error_names_the_first_failing_triple(self):
         # The reference scans every ordered (i, j, k); the validator scans
         # i < j only and must report the same first triple and message.
-        def naive_error(d):
-            n = len(d)
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        if d[i][j] > d[i][k] + d[k][j]:
-                            return (
-                                f"triangle inequality fails on ({i},{j},{k}): "
-                                f"{d[i][j]} > {d[i][k]} + {d[k][j]}"
-                            )
-            return None
-
+        naive_error = naive_triangle_error
         rng = Random(5)
         failures = 0
         for _ in range(600):
@@ -106,6 +148,113 @@ class TestDistanceMatrix:
         n = 8
         DistanceMatrix([[Counted(0 if i == j else 1) for j in range(n)] for i in range(n)])
         assert len(added) == n * n * (n - 1) // 2
+
+    def test_lane_check_matches_the_scalar_loop_on_broken_matrices(self):
+        # Int and, one in four, Fraction matrices at n = 0..40: metrics with
+        # one to three planted changes.  A change either lifts d[i][j] past
+        # d[i][k] + d[k][j] for some k, which breaks the matrix there, or
+        # lowers d[i][j], which may break a triangle through (i, j); so the
+        # first failing triple falls anywhere in the scan.
+        rng = Random(26)
+        broken = whole = 0
+        while broken < 3000:
+            d = _random_metric_rows(rng, rng.randint(0, 40))
+            n = len(d)
+            for _ in range(rng.randint(1, 3) if n > 2 else 0):
+                i, j, k = rng.sample(range(n), 3)
+                x = d[i][k] + d[k][j] + rng.randint(1, 3) if rng.random() < 0.7 else rng.randint(0, d[i][j])
+                d[i][j] = d[j][i] = x
+            if broken % 4 == 1:
+                q = rng.choice((2, 3, 4, 7))
+                d = [[Fraction(x, q) if (i + j) % 3 else x for j, x in enumerate(row)]
+                     for i, row in enumerate(d)]
+            expected = _scalar_error(d)
+            if n <= 12:
+                assert naive_triangle_error(d) == expected
+            if expected is None:
+                whole += 1
+                assert DistanceMatrix(d).d == tuple(map(tuple, d))
+                continue
+            broken += 1
+            with pytest.raises(ValueError) as info:
+                DistanceMatrix(d)
+            assert str(info.value) == expected
+        assert whole > 50
+
+    @pytest.mark.parametrize("error", ["diagonal", "symmetry", "negative"])
+    def test_earlier_errors_keep_their_precedence(self, error):
+        rng = Random(7)
+        for _ in range(200):
+            d = _random_metric_rows(rng, rng.randint(3, 12))
+            n = len(d)
+            i, j = rng.sample(range(n), 2)
+            d[i][j] = d[j][i] = 10 * d[i][j] + 50  # a triangle failure
+            r, c = sorted(rng.sample(range(n), 2))
+            if error == "diagonal":
+                d[r][r] = 1
+            elif error == "symmetry":
+                d[r][c] += 1
+            else:
+                d[r][c] = d[c][r] = -1
+            with pytest.raises(ValueError) as info:
+                DistanceMatrix(d)
+            assert str(info.value) == _scalar_error(d)
+            assert "triangle" not in str(info.value)
+
+    def test_entries_past_eight_byte_lanes(self):
+        rng = Random(62)
+        widths = set()
+        for trial in range(200):
+            # A constant added off the diagonal keeps a metric.
+            d = [[x and x + 2**64 for x in row] for row in _random_metric_rows(rng, rng.randint(2, 14))]
+            widths.add(core._lane_layout([x for row in d for x in row], 2)[1])
+            if trial % 2 and len(d) > 1:
+                i, j = rng.sample(range(len(d)), 2)
+                d[i][j] = d[j][i] = 3 * d[i][j] + 2**63
+            expected = _scalar_error(d)
+            if expected is None:
+                assert DistanceMatrix(d).n == len(d)
+            else:
+                with pytest.raises(ValueError) as info:
+                    DistanceMatrix(d)
+                assert str(info.value) == expected
+        assert min(widths) > 8
+
+    def test_floats_and_int_subclasses_take_the_scalar_loop(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("the lane check ran on an inexact matrix")
+
+        monkeypatch.setattr(zoo, "_is_metric", never)
+        rng = Random(3)
+        for trial in range(100):
+            d = [[float(x) for x in row] for row in _random_metric_rows(rng, rng.randint(1, 9))]
+            if trial % 2 and len(d) > 1:
+                i, j = rng.sample(range(len(d)), 2)
+                d[i][j] = d[j][i] = 3 * d[i][j] + 0.5
+            if trial % 5 == 0:
+                d[0][0] = 0  # an int among the floats
+            expected = _scalar_error(d)
+            if expected is None:
+                assert DistanceMatrix(d).n == len(d)
+            else:
+                with pytest.raises(ValueError) as info:
+                    DistanceMatrix(d)
+                assert str(info.value) == expected
+        assert DistanceMatrix([[True - True, True], [True, False]]).n == 2
+
+    def test_random_metric_is_the_scalar_closure(self):
+        for n in range(25):
+            for high in (1, 9, 2**40):
+                for seed in (0, 1, 17):
+                    rng = Random(seed)
+                    d = [[0] * n for _ in range(n)]
+                    for i in range(n):
+                        for j in range(i + 1, n):
+                            d[i][j] = d[j][i] = rng.randint(1, high)
+                    expected = scalar_closure(d)
+                    assert random_metric(n, seed, high).d == expected
+                    assert random_metric(n, Random(seed), high).d == expected
+                    assert all(type(x) is int for row in expected for x in row)
 
     def test_random_metrics_are_valid_and_deterministic(self):
         for seed in range(10):
@@ -327,6 +476,52 @@ class TestSegmentation:
 
     def test_weakly_submodular_exhaustive(self):
         assert check_weakly_submodular(segmentation(random_segmentation(7, 4, 40))).passed
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((-3, 5, -1), (4, -4, 0), (-2, -2, 9), (0, 0, 0), (7, -7, 1), (-1, 2, -1)),
+            ((3, 3, 3),) * 6,
+            ((5,), (0,), (9,), (9,), (2,), (7,), (1,)),
+            ((2**64, 3, -2**65 + 7, 2**64), (2**70, 0, 0, 1), (1, 2**66, -5, 2**64),
+             (2**64 + 1, 2**64 + 1, -2**65, 0), (0, 0, 0, 2**80)),
+            ((0, -1, 1),),
+        ],
+        ids=["negative", "all-equal", "one-column", "past-2**64", "one-row"],
+    )
+    def test_int_table_is_the_evaluator(self, rows, monkeypatch):
+        lanes = []
+        monkeypatch.setattr(zoo, "_segmentation_lanes", _recorded(zoo._segmentation_lanes, lanes))
+        f = segmentation(SegmentationMatrix(rows))
+        n = len(rows)
+        for p in sorted({0, 1, 5, n}):
+            want = [f._evaluator(mask) for mask in range(1 << n) if mask.bit_count() <= p]
+            assert [(type(v), v) for v in f.table(p)] == [(type(v), v) for v in want], p
+        assert len(lanes) == len({0, 1, 5, n})
+
+    def test_random_int_tables_are_the_evaluator(self):
+        rng = Random(64)
+        for _ in range(60):
+            n, c = rng.randint(1, 9), rng.randint(1, 6)
+            low, high = rng.choice(((-9, 9), (0, 9), (5, 5), (-9, 2**70), (-2**70, 2**70)))
+            rows = []
+            while len(rows) < n:
+                row = tuple(rng.randint(low, high) for _ in range(c))
+                if sum(row) >= 0:
+                    rows.append(row)
+            f = segmentation(SegmentationMatrix(tuple(rows)))
+            p = rng.randint(0, n + 1)
+            want = [f._evaluator(mask) for mask in range(1 << n) if mask.bit_count() <= p]
+            assert [(type(v), v) for v in f.table(p)] == [(type(v), v) for v in want]
+
+    def test_other_tables_double_their_columns(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("the lane table ran on a matrix that is not all ints")
+
+        monkeypatch.setattr(zoo, "_segmentation_lanes", never)
+        for rows in (((1, 2.5), (1, -0.5)), ((Fraction(1, 3), 1), (2, -1)), ((True, 0), (0, 1)), ((), ())):
+            f = segmentation(SegmentationMatrix(rows))
+            assert f.table(2) == [f._evaluator(mask) for mask in range(4)]
 
 
 class TestCardinalityFunctions:
