@@ -66,10 +66,10 @@ def _cmd_check(args):
     opts = doc.get("options", {}) if isinstance(doc, dict) else None
     # A document that builds has a dict of options, so this is its mode.
     mode = args.mode or (opts.get("mode", "exhaustive") if isinstance(opts, dict) else None)
-    if mode == "exhaustive" and isinstance(doc, dict) and doc.get("ground_set") is None:
-        # With no declared ground set a size param sets n: refuse one above
-        # the checker's cap before any builder allocates for it.
-        for n in size_params(doc.get("function")):
+    if mode == "exhaustive":
+        # A declared count, else a size param, sets n: refuse one above the
+        # checker's cap before the ground set or any builder is allocated.
+        for n in size_params(doc):
             require_exhaustive_size(args.property, n)
     instance = Instance(doc)
     checker = CHECKERS[args.property]

@@ -750,7 +750,10 @@ def check_monotone(
             mask = rng.getrandbits(n)
             while mask == full:
                 mask = rng.getrandbits(n)
-            e = rng.choice([i for i in range(n) if not mask >> i & 1])
+            # The elements outside mask, ascending, read off one string of
+            # its complement's bits, lowest first: O(n), where a shift of
+            # the n-bit mask per element would be O(n) each.
+            e = rng.choice([i for i, bit in enumerate(bin(full ^ mask)[:1:-1]) if bit == "1"])
             bigger = mask | (1 << e)
             lo, hi = f.value(bigger), f.value(mask)
             yield witness(mask, bigger, lo, hi) if violates(lo, hi) else None

@@ -147,11 +147,29 @@ def _on_declared_ground(f: SetFunction, ground: GroundSet | None, kind: str) -> 
     return f
 
 
+def _size_param(kind: str, params: dict) -> tuple | None:
+    """The param that names a ``kind`` spec's ground-set size, as (its
+    value, its name in a refusal, what it adds to the size): a
+    ``max_cut``'s ``star_n`` + 2, else its ``vertices``, else its ``n``;
+    the ``n`` of a ``threshold`` or ``cardinality_poly``.  None when the
+    spec names none."""
+    if kind == "max_cut" and "star_n" in params:
+        return params["star_n"], "'star_n'", 2  # the two hubs join the spokes
+    if kind == "max_cut" and params.get("vertices") is not None:
+        return params["vertices"], "'vertices'", 0
+    if kind in ("threshold", "cardinality_poly", "max_cut") and "n" in params:
+        return params["n"], f"{kind!r} param 'n'", 0
+    return None
+
+
 def _need_n(params: dict, ground: GroundSet | None, kind: str) -> int:
-    """The given ``n``, else the declared size.  An ``n`` that differs from
-    the declared size is refused here, before a builder allocates for it."""
-    if "n" in params:
-        return _declared_size(_count(params["n"], f"{kind!r} param 'n'"), ground, kind)
+    """The size that ``_size_param`` names, else the declared size.  A size
+    that differs from the declared one is refused here, before a builder
+    allocates for it."""
+    named = _size_param(kind, params)
+    if named is not None:
+        value, what, extra = named
+        return _declared_size(_count(value, what) + extra, ground, kind)
     if ground is not None:
         return ground.n
     raise SchemaError(f"{kind!r} needs an explicit ground_set (or an 'n' param)")
@@ -218,15 +236,9 @@ def _build_zero_at_top(params, ground):
 
 
 def _build_max_cut(params, ground):
+    n = _need_n(params, ground, "max_cut")
     if "star_n" in params:
-        star_n = _count(params["star_n"], "'star_n'")
-        _declared_size(star_n + 2, ground, "max_cut")  # the two hubs join the spokes
-        return zoo.max_cut(zoo.star_counterexample(star_n))
-    n = params.get("vertices")
-    if n is None:
-        n = _need_n(params, ground, "max_cut")
-    else:
-        n = _declared_size(_count(n, "'vertices'"), ground, "max_cut")
+        return zoo.max_cut(zoo.star_counterexample(n - 2))
     edges = [
         (_count(u, "a max-cut endpoint"), _count(v, "a max-cut endpoint"),
          _number(w, "a max-cut edge weight"))
@@ -312,35 +324,35 @@ class Instance:
         return self._matroid
 
 
-def size_params(spec) -> Iterator[int]:
-    """The ground-set sizes that a function spec's params name, read
-    without building anything: the ``n`` of a ``threshold`` or
-    ``cardinality_poly``; a ``max_cut``'s ``star_n`` + 2, else its
-    ``vertices``, else its ``n``, as ``_build_max_cut`` reads them; and
-    those of the specs that a ``combination``, ``complement`` or
-    ``zero_at_top`` holds.  A value that is not a count, and a malformed
-    spec, name nothing here: building refuses them."""
-    if not isinstance(spec, dict) or not isinstance(spec.get("params"), dict):
+def size_params(doc) -> Iterator[int]:
+    """The ground-set sizes that an instance document names, read without
+    building anything: a declared ``ground_set`` count, else the sizes that
+    the params of its function spec name (``_size_param``), and of the
+    specs that a ``combination``, ``complement`` or ``zero_at_top`` holds.
+    Declared labels name nothing here; with them or a count, the params
+    are compared with the declared ground when the function is built.  A
+    value that is not a count, and a malformed spec, name nothing here:
+    building refuses them."""
+    if not isinstance(doc, dict):
         return
-    kind, params = spec.get("type"), spec["params"]
-    if kind == "combination" and isinstance(params.get("terms"), list):
-        for term in params["terms"]:
-            if isinstance(term, dict):
-                yield from size_params(term.get("function"))
+    ground = doc.get("ground_set")
+    if ground is not None:
+        if type(ground) is int and ground >= 0:
+            yield ground
         return
-    if kind in ("complement", "zero_at_top"):
-        yield from size_params(params.get("function"))
-        return
-    if kind == "max_cut" and "star_n" in params:
-        n, extra = params["star_n"], 2  # the two hubs join the spokes
-    elif kind == "max_cut" and params.get("vertices") is not None:
-        n, extra = params["vertices"], 0
-    elif kind in ("threshold", "cardinality_poly", "max_cut"):
-        n, extra = params.get("n"), 0
-    else:
-        return
-    if type(n) is int and n >= 0:
-        yield n + extra
+    specs = [doc.get("function")]
+    for spec in specs:  # the held specs are appended as they are found
+        if not isinstance(spec, dict) or not isinstance(spec.get("params"), dict):
+            continue
+        kind, params = spec.get("type"), spec["params"]
+        if kind == "combination" and isinstance(params.get("terms"), list):
+            specs += [term.get("function") for term in params["terms"] if isinstance(term, dict)]
+        elif kind in ("complement", "zero_at_top"):
+            specs.append(params.get("function"))
+        elif (named := _size_param(kind, params)) is not None:
+            value, _, extra = named
+            if type(value) is int and value >= 0:
+                yield value + extra
 
 
 def read_document(path: str) -> Any:

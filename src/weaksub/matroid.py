@@ -2,8 +2,11 @@
 
 Three flavors share one interface: uniform (a cardinality cap), partition
 (per-block caps), and explicit (a stored family of independent bitmasks).
-Explicit families of up to 14 elements are validated against the matroid
-axioms at construction.
+Uniform and partition matroids are stored alike, as a tuple of (block
+mask, cap) pairs: a uniform matroid of rank s is the partition with the one
+block of the whole ground set and cap s.  ``kind`` keeps the flavor's name
+as a label.  Explicit families of up to 14 elements are validated against
+the matroid axioms at construction.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ class Matroid:
             raise ValueError(f"uniform rank must be an integer, got {s!r}")
         if not 0 <= s <= ground.n:
             raise ValueError(f"uniform rank must be in 0..{ground.n}")
-        return cls(ground, "uniform", s, s)
+        return cls(ground, "uniform", ((ground.full_mask, s),), s)
 
     @classmethod
     def partition(
@@ -74,7 +77,7 @@ class Matroid:
         if any(c < 0 for c in caps):
             raise ValueError("caps must be nonnegative")
         rank = sum(min(c, m.bit_count()) for c, m in zip(caps, block_masks))
-        return cls(ground, "partition", (tuple(block_masks), tuple(caps)), rank)
+        return cls(ground, "partition", tuple(zip(block_masks, caps)), rank)
 
     @classmethod
     def explicit(
@@ -114,25 +117,23 @@ class Matroid:
         return matroid
 
     def is_independent_mask(self, mask: int) -> bool:
-        if self.kind == "uniform":
-            return mask.bit_count() <= self._data
-        if self.kind == "partition":
-            block_masks, caps = self._data
-            for b, c in zip(block_masks, caps):
-                if (mask & b).bit_count() > c:
-                    return False
-            return True
-        return mask in self._data
+        if self.kind == "explicit":
+            return mask in self._data
+        for block, cap in self._data:
+            if (mask & block).bit_count() > cap:
+                return False
+        return True
 
     @cached_property
     def _block_of(self) -> list:
-        """(block mask, cap) of each element of a partition matroid."""
+        """The (block mask, cap) pair of each element of a uniform or
+        partition matroid."""
         at = [None] * self.ground.n
-        for block, cap in zip(*self._data):
-            rest = block
+        for pair in self._data:
+            rest = pair[0]
             while rest:
                 low = rest & -rest
-                at[low.bit_length() - 1] = (block, cap)
+                at[low.bit_length() - 1] = pair
                 rest ^= low
         return at
 
@@ -141,19 +142,18 @@ class Matroid:
         ascending order, for which mask + u - v is independent (u not in mask).
 
         Uniform and partition matroids answer in closed form and ask no
-        independence query: a uniform one takes every v; a partition one
-        takes the v in u's block when that block is at its cap, and every v
-        otherwise.  An explicit family is asked once per v, lazily, so a
-        caller that stops early asks no further.
+        independence query: when u's block is at its cap, the v in that
+        block, and every v otherwise.  When every v is in u's block, as in a
+        uniform matroid's one block, ``members`` itself is returned.  An
+        explicit family is asked once per v, lazily, so a caller that stops
+        early asks no further.
         """
-        if self.kind == "uniform":
-            return members
-        if self.kind == "partition":
-            block, cap = self._block_of[u]
-            if (mask & block).bit_count() >= cap:
-                return [v for v in members if block >> v & 1]
-            return members
-        return (v for v in members if self.is_independent_mask(mask & ~(1 << v) | 1 << u))
+        if self.kind == "explicit":
+            return (v for v in members if self.is_independent_mask(mask & ~(1 << v) | 1 << u))
+        block, cap = self._block_of[u]
+        if cap <= (mask & block).bit_count() < len(members):
+            return [v for v in members if block >> v & 1]
+        return members
 
     def is_independent(self, subset: Subset) -> bool:
         if subset.ground != self.ground:
@@ -171,15 +171,10 @@ class Matroid:
     def _blocks(self) -> list:
         """(elements, top) per block of a uniform or partition matroid: the
         block's indices in ascending order, and ``min(cap, |block|)``, the
-        number of them a basis takes.  A uniform matroid is one block with
-        cap ``rank``."""
-        if self.kind == "uniform":
-            blocks = [(self.ground.full_mask, self._data)]
-        else:
-            blocks = zip(*self._data)
+        number of them a basis takes."""
         n = self.ground.n
         out = []
-        for block, cap in blocks:
+        for block, cap in self._data:
             elements = [i for i in range(n) if block >> i & 1]
             out.append((elements, min(cap, len(elements))))
         return out

@@ -684,8 +684,9 @@ def _count_only(n: int, prof, name: str, claims) -> SetFunction:
     """f(S) = prof(|S|) over n interchangeable elements.  ``table(p)`` calls
     ``prof`` once per size 0..p, only when the table is asked for, and
     ``_by_size`` places each size's value at the masks of that size.  The
-    ground set itself is built up front, n labels and their set: about
-    0.35 s and a 323 MB peak RSS at n = 3,000,000."""
+    ground set itself is built up front, a tuple of n labels: about 0.1 s
+    and a 131 MB peak RSS for the whole process at n = 3,000,000 (2 shared
+    vCPUs, Python 3.11.7)."""
 
     def table(p: int) -> list:
         p = min(p, n)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -203,6 +204,28 @@ class TestCheckCommand:
                      "max_cut", "star_counterexample"):
             monkeypatch.setattr(zoo, name, never)
         monkeypatch.setattr(core.GroundSet, "of_size", never)
+        code = main(["check", str(path), "--property", prop])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {info.value}\n"
+
+    @pytest.mark.parametrize(
+        "prop", ["monotone", "weakly_submodular", "submodular", "normalized_nonnegative"]
+    )
+    def test_declared_count_past_the_cap_builds_nothing(self, capsys, tmp_path, monkeypatch, prop):
+        # The checker's own refusal, read from a stand-in of that size.
+        sized = SimpleNamespace(ground=SimpleNamespace(n=3_000_000))
+        with pytest.raises(core.CapExceeded) as info:
+            core.CHECKERS[prop](sized)
+        path = tmp_path / "big.json"
+        threshold = {"type": "threshold", "params": {"k": 3, "B": 1}}
+        path.write_text(json.dumps({"ground_set": 3_000_000, "function": threshold}))
+
+        def never(*args, **kwargs):
+            raise AssertionError("built a ground set past the checker's cap")
+
+        monkeypatch.setattr(core.GroundSet, "of_size", never)
+        monkeypatch.setattr(zoo, "threshold", never)
         code = main(["check", str(path), "--property", prop])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""

@@ -6,6 +6,7 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,14 @@ from weaksub import (
     evaluate,
     weak_submodularity_sides,
 )
-from weaksub.core import _weak_sides, cardinality_profile, violates
+from weaksub.core import (
+    CheckReport,
+    PropertyKind,
+    ViolationWitness,
+    _weak_sides,
+    cardinality_profile,
+    violates,
+)
 from weaksub.zoo import (
     DistanceMatrix,
     SegmentationMatrix,
@@ -450,6 +458,50 @@ class TestSampledReportsPinned:
         assert got == _SAMPLED_PINS[name]
         assert (report.mode, report.samples, report.seed) == ("sampled", samples, seed)
         assert report.passed == (w is None)
+
+
+def reference_sampled_monotone(f, samples, seed):
+    """The sampled ``check_monotone`` loop as it read each probe's missing
+    elements, one shift of the mask per element."""
+    n, kind = f.ground.n, PropertyKind.MONOTONE
+    rng = Random(seed)
+    full = f.ground.full_mask
+    checked, w = 0, None
+    for _ in range(samples if n else 0):
+        mask = rng.getrandbits(n)
+        while mask == full:
+            mask = rng.getrandbits(n)
+        e = rng.choice([i for i in range(n) if not mask >> i & 1])
+        bigger = mask | (1 << e)
+        lo, hi = f.value(bigger), f.value(mask)
+        checked += 1
+        if violates(lo, hi):
+            w = ViolationWitness(kind, Subset(f.ground, mask), Subset(f.ground, bigger), lo, hi)
+            break
+    return CheckReport(kind, "sampled", checked, w is None, w, samples=samples, seed=seed)
+
+
+class TestSampledMonotoneProbe:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 33, 70])
+    def test_reports_equal_the_reference_loop(self, n):
+        def weighted(weights):
+            return SetFunction(
+                GroundSet.of_size(n),
+                lambda mask: sum(w for i, w in enumerate(weights) if mask >> i & 1),
+            )
+
+        functions = [
+            linear(range(1, n + 1)),  # passes
+            weighted([(-1) ** i * (i + 1) for i in range(n)]),  # fails on an odd element
+            weighted([1.5] * (n - 1) + [-0.25] if n else []),  # fails on the last element
+        ]
+        failed = 0
+        for f in functions:
+            for seed in range(6):
+                report = check_monotone(f, "sampled", samples=40, seed=seed)
+                assert report == reference_sampled_monotone(f, 40, seed)
+                failed += not report.passed
+        assert failed > 0 or n < 2
 
 
 class TestParallelScan:

@@ -16,8 +16,15 @@ from weaksub import (
     is_independent,
     validate_exchange_axiom,
 )
+from weaksub import zoo
+from weaksub.core import _ValueState
 from weaksub.matroid import Matroid, random_matroid, random_partition_matroid
-from weaksub.solve import local_search_matroid
+from weaksub.solve import (
+    _greedy_basis,
+    brute_force_matroid,
+    greedy_cardinality,
+    local_search_matroid,
+)
 from weaksub.zoo import linear
 
 
@@ -142,10 +149,9 @@ class TestBases:
             assert m.independent_family() == frozenset(sweep), m
             assert list(m.bases()) == [x for x in sweep if x.bit_count() == m.rank], m
             if m.kind == "partition":
-                blocks, caps = m._data
                 seen_caps |= {
                     "zero" if c == 0 else "above" if c > b.bit_count() else "within"
-                    for b, c in zip(blocks, caps)
+                    for b, c in m._data
                 }
         assert seen_caps == {"zero", "above", "within"}
 
@@ -157,12 +163,85 @@ class TestBases:
 
     def test_bases_ask_no_independence_query(self, monkeypatch):
         m = random_partition_matroid(16, 6, 3)
-        blocks, _ = m._data
+        blocks = [b for b, _ in m._data]
         monkeypatch.setattr(Matroid, "is_independent_mask", lambda self, mask: 1 / 0)
         bases = list(m.bases())
         assert len(bases) == math.prod(b.bit_count() for b in blocks)
         assert bases == sorted(bases) and all(b.bit_count() == 6 for b in bases)
         assert len(m.independent_family()) == math.prod(b.bit_count() + 1 for b in blocks)
+
+
+class TestUniformIsTheOneBlockPartition:
+    """``Matroid.uniform(g, s)`` and the partition of ``g`` into one block
+    with cap s answer every query, and every solver over them, alike."""
+
+    @staticmethod
+    def _pairs(top=8):
+        for n in range(top + 1):
+            g = GroundSet.of_size(n)
+            for s in range(n + 1):
+                yield Matroid.uniform(g, s), Matroid.partition(g, [g.elements], [s])
+
+    @staticmethod
+    def _functions(n, rng):
+        d = zoo.random_metric(n, rng)
+        yield zoo.metric_dispersion(d)
+        yield zoo.segmentation(zoo.random_segmentation(n, 3, rng))
+        quarters = zoo.metric_dispersion(
+            zoo.DistanceMatrix([[Fraction(x, 4) for x in row] for row in d.d])
+        )
+        assert isinstance(quarters.state(0), _ValueState)
+        yield quarters
+
+    def test_queries_agree(self):
+        for uni, part in self._pairs():
+            assert (uni.kind, part.kind) == ("uniform", "partition")
+            assert uni.rank == part.rank
+            full = uni.ground.full_mask
+            for mask in range(full + 1):
+                assert uni.is_independent_mask(mask) == part.is_independent_mask(mask)
+            bases = list(uni.bases())
+            assert bases == list(part.bases())
+            assert uni.independent_family() == part.independent_family()
+            for B in bases:
+                members = [v for v in range(uni.ground.n) if B >> v & 1]
+                for u in range(uni.ground.n):
+                    if not B >> u & 1:
+                        assert list(uni._exchanges(members, B, u)) == list(
+                            part._exchanges(members, B, u)
+                        )
+
+    def test_solvers_agree(self):
+        rng = Random(27)
+        for uni, part in self._pairs():
+            n, s = uni.ground.n, uni.rank
+            if n == 0:
+                continue
+            init = Subset.from_indices(uni.ground, range(0, n, 3)[:s])
+            for f in self._functions(n, rng):
+                greedy = greedy_cardinality(f, s)
+                mask, value, trace, _ = _greedy_basis(f, part, 0)
+                assert (greedy.selected.mask, greedy.value, greedy.trace) == (mask, value, trace)
+                for kwargs in ({}, {"init": init}, {"epsilon": Fraction(1, 4)}, {"max_iters": 1}):
+                    a = local_search_matroid(f, uni, **kwargs)
+                    b = local_search_matroid(f, part, **kwargs)
+                    assert (a.selected, a.value, a.iterations, a.trace, a.certificate) == (
+                        b.selected, b.value, b.iterations, b.trace, b.certificate
+                    ), (uni, kwargs)
+                assert brute_force_matroid(f, uni) == brute_force_matroid(f, part)
+
+    def test_bits_outside_the_ground_set_are_ignored(self):
+        # Both read a mask through the ground set's one block, so a bit
+        # past it counts toward no cap.  Before the two were stored alike,
+        # a uniform matroid counted every bit: 0b1001 on three elements at
+        # rank 1 read as dependent, and 0b1000 at rank 0 as well.
+        g = GroundSet.of_size(3)
+        for m in (Matroid.uniform(g, 1), Matroid.partition(g, [g.elements], [1])):
+            assert m.is_independent_mask(0b1001)
+            assert not m.is_independent_mask(0b1011)
+        for m in (Matroid.uniform(g, 0), Matroid.partition(g, [g.elements], [0])):
+            assert m.is_independent_mask(0b1000)
+            assert not m.is_independent_mask(0b1001)
 
 
 class TestBrualdiBijection:
