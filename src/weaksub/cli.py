@@ -32,13 +32,14 @@ from .core import (
     weak_submodularity_sides,
 )
 from .instances import Instance, SchemaError, load_instance, read_document, size_params
-from .matroid import Matroid, random_partition_matroid
+from .matroid import Matroid, random_partition_matroid, require_basis_enumeration_size
 from .solve import (
     OptResult,
     brute_force_cardinality,
     brute_force_matroid,
     greedy_cardinality,
     local_search_matroid,
+    require_brute_force_size,
 )
 
 
@@ -241,6 +242,11 @@ def _cmd_bench(args):
         raise SchemaError(f"{flag} must be at least 2 for the ratio bound, got {param}")
     if param > args.n:
         raise SchemaError("constraint parameter exceeds instance size")
+    # Refuse an n above the exact oracle's cap before any instance is built.
+    if args.algorithm == "greedy":
+        require_brute_force_size(args.n)
+    else:
+        require_basis_enumeration_size(args.n)
     seeds = [args.seed * 1_000_003 + i for i in range(args.count)]
     rows = [
         _bench_one(args.suite, args.algorithm, args.n, param, args.matroid, seed)

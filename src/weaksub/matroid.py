@@ -32,6 +32,13 @@ AXIOM_VALIDATION_CAP = 14
 BRUTE_FORCE_MATROID_CAP = 18
 
 
+def require_basis_enumeration_size(n: int) -> None:
+    """Raise the ``CapExceeded`` that enumerating the bases of a uniform or
+    partition matroid on n elements raises, if it raises one."""
+    if n > BRUTE_FORCE_MATROID_CAP:
+        raise CapExceeded(f"basis enumeration capped at n <= {BRUTE_FORCE_MATROID_CAP}")
+
+
 class InconsistentOracle(ValueError):
     """An unvalidated family broke a matroid axiom that an algorithm relies on."""
 
@@ -196,8 +203,7 @@ class Matroid:
     def _basis_blocks(self) -> list:
         """``_blocks`` of a uniform or partition matroid within the basis
         enumeration cap; ``CapExceeded`` past it."""
-        if self.ground.n > BRUTE_FORCE_MATROID_CAP:
-            raise CapExceeded(f"basis enumeration capped at n <= {BRUTE_FORCE_MATROID_CAP}")
+        require_basis_enumeration_size(self.ground.n)
         return self._blocks()
 
     def to_explicit(self) -> "Matroid":

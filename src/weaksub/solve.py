@@ -11,25 +11,27 @@ instances; both oracles keep the first maximizer in their enumeration order.
 The cardinality oracle takes one ``max`` over the function's value table
 of the sets of size <= p (``SetFunction.table``), which every function
 has; when the builder offers a table, brute force neither reads nor
-writes the memo.  Greedy, local search and the matroid oracle read their
-values from the function's marginal state (``SetFunction.state``):
-greedy reads f(S + e) for each feasible e, local search f(S + u - v) for
-each exchange the matroid allows, and the matroid oracle f(B) at each
-basis B of a uniform or partition matroid from the state of B less one
-element.  Int dispersion and segmentation offer a state of their own,
-which makes no evaluator call; every other function takes the generic
-state, which reads ``f.value`` at each of those sets, so those solvers
-read exactly the sets they read before the states.  The matroid oracle
-reads each basis of an explicit matroid through ``f.value``.  Greedy and
-local search keep the values they read, so neither reads the oracle
-again for a set it has just evaluated.
+writes the memo.  The sets of size exactly p are the bases of
+``Matroid.uniform(ground, p)``, which the matroid oracle maximizes over.
+
+Greedy, local search and the matroid oracle read their values from the
+function's marginal state (``SetFunction.state``): greedy reads f(S + e)
+for each feasible e, local search f(S + u - v) for each exchange the
+matroid allows, and the matroid oracle f(B) at each basis B of a uniform
+or partition matroid from the state of B less one element.  Int
+dispersion and segmentation offer a state of their own, which makes no
+evaluator call; every other function takes the generic state, which
+reads ``f.value`` at each of those sets, so those solvers read exactly
+the sets they read before the states.  The matroid oracle reads each
+basis of an explicit matroid through ``f.value``.  Greedy and local
+search keep the values they read, so neither reads the oracle again for
+a set it has just evaluated.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress
 from typing import Optional
 
 from .core import (
@@ -41,7 +43,6 @@ from .core import (
     SetFunction,
     Subset,
     Value,
-    _by_size,
 )
 from .matroid import InconsistentOracle, Matroid
 
@@ -208,56 +209,48 @@ def local_search_matroid(
     )
 
 
-def brute_force_cardinality(
-    f: SetFunction,
-    p: int,
-    *,
-    exact_size: bool = False,
-) -> OptResult:
-    """Exact maximum over all sets of size <= p (or exactly p).
+def brute_force_cardinality(f: SetFunction, p: int) -> OptResult:
+    """Exact maximum over all sets of size <= p.
 
-    For monotone functions the two modes agree at the optimum.  The first
-    maximizer in size-then-lexicographic order of index tuples is kept.
+    The first maximizer in size-then-lexicographic order of index tuples is
+    kept.  Sets of size exactly p are the bases of ``Matroid.uniform(ground,
+    p)``, whose maximum ``brute_force_matroid`` takes.
 
-    One ``max`` runs over ``f.table(p)`` (restricted to size p under
-    ``exact_size``), and only the positions that tie with it are turned
-    back into masks: of those, the one of least size, then of the
-    lexicographically first index tuple.  The table holds C(n, 0) + ... +
-    C(n, p) values.  At the cap, n = 22 and p = 11 (2.4M sets; 2 shared
-    vCPUs, Python 3.11.7, peak RSS of the whole process): by their
-    builders' tables int dispersion took 0.5 s and 73 MB, linear 0.3 s and
-    60 MB, and int segmentation with 8 columns, whose table runs in lanes,
-    0.5-0.6 s and 103-109 MB (1.4-1.5 s and 98 MB by the column
-    doubling).  The
-    complement of a linear function, whose generic table evaluates every
-    set into the memo, took 9-11 s and 390 MB.  ``exact_size`` selects from
-    that same table, so on a generic one it still evaluates every set of
-    size <= p: 15,914 memo entries for the 1,001 sets of size 10 of
-    ``complement(linear(range(1, 15)))``, against 3,003 when a depth-first
-    walk skipped the prefixes that cannot reach size p.
+    One ``max`` runs over ``f.table(p)``, and only the positions that tie
+    with it are turned back into masks: of those, the one of least size,
+    then of the lexicographically first index tuple.  The table holds
+    C(n, 0) + ... + C(n, p) values.  At the cap, n = 22 and p = 11 (2.4M
+    sets; 2 shared vCPUs, Python 3.11.7, peak RSS of the whole process): by
+    their builders' tables int dispersion took 0.5 s and 73 MB, linear
+    0.3 s and 60 MB, and int segmentation with 8 columns, whose table runs
+    in lanes, 0.5-0.6 s and 103-109 MB (1.4-1.5 s and 98 MB by the column
+    doubling).  The complement of a linear function, whose generic table
+    evaluates every set into the memo, took 9-11 s and 390 MB.
     """
     n = f.ground.n
     if type(p) is not int:
         raise ValueError(f"p must be an integer, got {p!r}")
     if not 0 <= p <= n:
         raise ValueError(f"p must be in 0..{n}")
-    if n > BRUTE_FORCE_CARDINALITY_CAP:
-        raise CapExceeded(f"brute force capped at n <= {BRUTE_FORCE_CARDINALITY_CAP}")
+    require_brute_force_size(n)
     table = f.table(p)
-    values, positions = table, range(len(table))
-    if exact_size:
-        size_p = _by_size(n, p, [False] * p + [True])
-        values, positions = list(compress(table, size_p)), list(compress(positions, size_p))
-    best = max(values)
+    best = max(table)
     # ``count`` and ``index`` match by identity or ==, so a NaN first value
     # ties itself, and the first set, least in size and order, is kept.
     tied, k = [], -1
-    for _ in range(values.count(best)):
-        k = values.index(best, k + 1)
-        tied.append(positions[k])
+    for _ in range(table.count(best)):
+        k = table.index(best, k + 1)
+        tied.append(k)
     at = dict(zip(_unrank(tied, n, p), tied))
     mask = min(at, key=lambda m: (m.bit_count(), [i for i in range(n) if m >> i & 1]))
-    return OptResult(Subset(f.ground, mask), table[at[mask]], len(values))
+    return OptResult(Subset(f.ground, mask), table[at[mask]], len(table))
+
+
+def require_brute_force_size(n: int) -> None:
+    """Raise the ``CapExceeded`` that ``brute_force_cardinality`` raises on
+    n elements, if it raises one."""
+    if n > BRUTE_FORCE_CARDINALITY_CAP:
+        raise CapExceeded(f"brute force capped at n <= {BRUTE_FORCE_CARDINALITY_CAP}")
 
 
 def _unrank(positions, n: int, p: int):

@@ -293,9 +293,17 @@ class TestContinuousRelaxation:
             g_continuous(2.5, 0)
         with pytest.raises(ValueError):
             g_continuous(2.5, 1.5)
+        # At so small an r, x**r rounds to 1 and the denominator to 0.
+        with pytest.raises(ValueError, match="denominator"):
+            g_continuous(2.5, 1e-300)
 
     def test_stationary_point_rational_case(self):
         assert g_stationary(1) == (3, 10)
+
+    @pytest.mark.parametrize("r", [0, -0.5, 1.5, 2])
+    def test_stationary_point_domain_enforced(self, r):
+        with pytest.raises(ValueError, match="0 < r <= 1"):
+            g_stationary(r)
 
     def test_stationary_point_grid(self):
         # g at the closed-form stationary x* equals (2r^2+8)/(r-2)^2; the

@@ -607,6 +607,11 @@ def test_non_object_document_exits_two(capsys, tmp_path):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: instance document must be a JSON object\n"
+    # An exhaustive check reads no size from it, and the build refuses it.
+    assert main(["check", str(path), "--mode", "exhaustive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: instance document must be a JSON object\n"
 
 
 def test_boolean_coverage_item_exits_two(capsys, tmp_path):
@@ -890,6 +895,29 @@ class TestBenchCommand:
         code = main(["bench", "dispersion", "--algorithm", algorithm, flag, "1", "--n", "6"])
         assert code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, n, message",
+        [
+            (["--p", "3"], 23, "brute force capped at n <= 22"),
+            (["--algorithm", "local"], 19, "basis enumeration capped at n <= 18"),
+            (
+                ["--algorithm", "local", "--matroid", "partition"],
+                400,
+                "basis enumeration capped at n <= 18",
+            ),
+        ],
+    )
+    def test_n_above_the_oracle_cap_exits_two_before_work(
+        self, capsys, no_instances, argv, n, message
+    ):
+        for suite in ("dispersion", "segmentation", "combination"):
+            code = main(["bench", suite, *argv, "--n", str(n), "--count", "1"])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        # The --count refusal comes first.
+        assert main(["bench", "dispersion", *argv, "--n", str(n), "--count", "0"]) == 2
+        assert "--count" in capsys.readouterr().err
 
 
 @pytest.fixture

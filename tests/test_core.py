@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import subprocess
@@ -112,6 +113,7 @@ class TestGroundSetAndSubset:
         assert len(s) == 2 and 2 in s and 1 not in s
         assert s.complement().indices() == (1, 3, 4)
         assert Subset.full(g).cardinality == 5
+        assert (s & t) <= s and not s <= t and list(t) == [2, 4] and len(g) == 5
 
     def test_subset_out_of_range(self):
         g = GroundSet.of_size(3)
@@ -149,6 +151,10 @@ class TestEvaluate:
         for S, T in ((other, other), (Subset.empty(f.ground), other)):
             with pytest.raises(GroundSetMismatch):
                 weak_submodularity_sides(f, S, T)
+
+    def test_unknown_claims_refused(self):
+        with pytest.raises(ValueError, match=r"unknown claims: \['bogus'\]"):
+            SetFunction(GroundSet.of_size(2), lambda mask: 0, claims={"bogus"})
 
     def test_memoization_is_bit_identical(self):
         calls = []
@@ -267,6 +273,13 @@ class TestSubmodular:
 
 
 class TestWeaklySubmodular:
+    def test_report_refuses_a_verdict_that_disagrees_with_its_witness(self):
+        report = check_weakly_submodular(max_cut(star_counterexample(3)))
+        with pytest.raises(ValueError, match="passed must hold exactly when no witness"):
+            dataclasses.replace(report, passed=True)
+        with pytest.raises(ValueError, match="passed must hold exactly when no witness"):
+            CheckReport(report.property, "exhaustive", 0, False, None)
+
     def test_max_cut_star_fails_and_reference_pair_violates(self):
         f = max_cut(star_counterexample(3))
         report = check_weakly_submodular(f)

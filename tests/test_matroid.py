@@ -56,6 +56,14 @@ class TestIndependence:
         for mask in range(8):
             assert m.is_independent_mask(mask) == (mask in set(family))
 
+    def test_explicit_refuses_a_ground_past_the_storage_cap(self):
+        with pytest.raises(CapExceeded, match="explicit matroids capped at n <= 20"):
+            Matroid.explicit(GroundSet.of_size(21), [0])
+
+    def test_explicit_refuses_a_mask_outside_the_ground(self):
+        with pytest.raises(ValueError, match="outside the ground set"):
+            Matroid.explicit(GroundSet.of_size(3), [0, 0b1000])
+
     def test_ground_mismatch(self):
         m = Matroid.uniform(GroundSet.of_size(3), 2)
         with pytest.raises(ValueError):
@@ -127,6 +135,11 @@ class TestBases:
     def test_uniform_bases_count(self):
         m = Matroid.uniform(GroundSet.of_size(5), 2)
         assert len(list(m.bases())) == 10
+
+    def test_partition_family_refused_past_the_storage_cap(self):
+        m = Matroid.partition(GroundSet.of_size(21), [range(10), range(10, 21)], [1, 1])
+        with pytest.raises(CapExceeded, match="explicit storage limit"):
+            m.independent_family()
 
     @staticmethod
     def _random_uniform_and_partition(rng):
@@ -394,6 +407,11 @@ class TestRandomMatroids:
             m = random_partition_matroid(7, 3, seed)
             assert m.rank == 3
             assert m.kind == "partition"
+
+    @pytest.mark.parametrize("rank", [0, 8])
+    def test_partition_generator_refuses_a_rank_outside_1_to_n(self, rank):
+        with pytest.raises(ValueError, match="1 <= rank <= n"):
+            random_partition_matroid(7, rank, 0)
 
     def test_random_matroid_rank_and_validity(self):
         rng = Random(11)

@@ -356,21 +356,19 @@ class TestBruteForceCardinality:
         assert opt.optimum.indices() == (1,)
         assert opt.value == 9
 
-    def test_unit_metric_all_k_sets_equal(self):
-        f = metric_dispersion(DistanceMatrix.unit(6))
-        for k in (2, 3, 4):
-            opt = brute_force_cardinality(f, k, exact_size=True)
-            assert opt.value == k * (k - 1) // 2
-
     def test_cap(self):
         f = linear((1,) * 25)
         with pytest.raises(CapExceeded):
             brute_force_cardinality(f, 3)
 
+    @pytest.mark.parametrize("p", [-1, 4])
+    def test_p_outside_the_sizes_refused(self, p):
+        with pytest.raises(ValueError, match=r"p must be in 0\.\.3"):
+            brute_force_cardinality(linear((1, 2, 3)), p)
+
     def test_enumeration_counts(self):
         f = linear((1, 2, 3, 4))
         assert brute_force_cardinality(f, 2).enumerated == 1 + 4 + 6
-        assert brute_force_cardinality(f, 2, exact_size=True).enumerated == 6
 
     def test_first_maximizer_in_size_then_lexicographic_order(self):
         f = _two_tied_pairs()
@@ -384,18 +382,21 @@ class TestBruteForceCardinality:
             linear((1, 2, 3, 4, 5, 6)),
             complement(linear((1, 2, 3, 4, 5, 6))),
         ):
-            for exact_size in (False, True):
-                with pytest.raises(ValueError, match="integer"):
-                    brute_force_cardinality(f, p, exact_size=exact_size)
+            with pytest.raises(ValueError, match="integer"):
+                brute_force_cardinality(f, p)
 
 
 class TestBruteForceMatroid:
-    def test_uniform_equals_exact_size_cardinality(self):
+    def test_unit_metric_all_k_sets_equal(self):
+        f = metric_dispersion(DistanceMatrix.unit(6))
+        for k in (2, 3, 4):
+            opt = brute_force_matroid(f, Matroid.uniform(f.ground, k))
+            assert (opt.optimum.mask, opt.value) == ((1 << k) - 1, k * (k - 1) // 2)
+
+    def test_uniform_matches_the_naive_scan_of_its_bases(self):
         f = metric_dispersion(random_metric(7, 81))
-        m = Matroid.uniform(f.ground, 3)
-        a = brute_force_matroid(f, m)
-        b = brute_force_cardinality(f, 3, exact_size=True)
-        assert a.value == b.value
+        opt = brute_force_matroid(f, Matroid.uniform(f.ground, 3))
+        assert _outcome(opt) == _naive_uniform_bases(f, 3)
 
     def test_single_basis_matroid(self):
         g = GroundSet.of_size(4)
@@ -432,15 +433,14 @@ class TestBruteForceMatroid:
 
     def test_tie_rules_of_the_two_brute_forces(self):
         # {0, 3} and {1, 2} both have value 3.  Over the bases of a uniform
-        # matroid the least mask, 6 = {1, 2}, is kept; over the sets of size 2
-        # the first index tuple, (0, 3) = mask 9.  So uniform bases cannot be
-        # routed to exact-size cardinality brute force without changing this.
+        # matroid the least mask, 6 = {1, 2}, is kept; over the sets of size
+        # <= 2 the first index tuple, (0, 3) = mask 9.
         d = [[0, 2, 1, 3], [2, 0, 3, 1], [1, 3, 0, 2], [3, 1, 2, 0]]
         f = metric_dispersion(DistanceMatrix(d))
         by_bases = brute_force_matroid(f, Matroid.uniform(f.ground, 2))
-        by_size = brute_force_cardinality(f, 2, exact_size=True)
+        by_size = brute_force_cardinality(f, 2)
         assert (by_bases.optimum.mask, by_bases.value, by_bases.enumerated) == (6, 3, 6)
-        assert (by_size.optimum.mask, by_size.value, by_size.enumerated) == (9, 3, 6)
+        assert (by_size.optimum.mask, by_size.value, by_size.enumerated) == (9, 3, 11)
 
     def test_partition_enumeration_count(self):
         g = GroundSet.of_size(6)
@@ -468,18 +468,29 @@ class TestCombinedObjectives:
         assert float(opt_l.value) <= ls_bound(3) * float(res_l.value)
 
 
-def _naive_brute_force(f, p, exact_size):
-    """Size-major first maximizer over ``f.value``: (mask, value, value type, enumerated)."""
+def _first_maximizer(f, masks):
+    """The first of ``masks`` whose ``f.value`` nothing later exceeds:
+    (mask, value, value type, number of masks)."""
     best = None
-    enumerated = 0
-    for size in [p] if exact_size else range(p + 1):
-        for combo in combinations(range(f.ground.n), size):
-            enumerated += 1
-            mask = sum(1 << i for i in combo)
-            v = f.value(mask)
-            if best is None or v > best[1]:
-                best = (mask, v)
-    return best[0], best[1], type(best[1]), enumerated
+    for mask in masks:
+        v = f.value(mask)
+        if best is None or v > best[1]:
+            best = (mask, v)
+    return best[0], best[1], type(best[1]), len(masks)
+
+
+def _naive_brute_force(f, p):
+    """Size-major first maximizer of the sets of size <= p, in index-tuple order."""
+    elements = range(f.ground.n)
+    return _first_maximizer(
+        f, [sum(1 << i for i in c) for k in range(p + 1) for c in combinations(elements, k)]
+    )
+
+
+def _naive_uniform_bases(f, p):
+    """First maximizer of the sets of size p in ascending mask order: the
+    least mask of greatest value (n <= 18, ``brute_force_matroid``'s cap)."""
+    return _first_maximizer(f, [m for m in range(1 << f.ground.n) if m.bit_count() == p])
 
 
 def _quarters(dist):
@@ -626,12 +637,12 @@ class TestBruteForceCardinalityDifferential:
         build = _ALL_BUILDERS[name]
         n = build().ground.n
         for p in sorted({0, 1, 3, n}):
-            for exact_size in (False, True):
-                f, calls = _counting(build())
-                opt = brute_force_cardinality(f, p, exact_size=exact_size)
-                got = (opt.optimum.mask, opt.value, type(opt.value), opt.enumerated)
-                assert got == _naive_brute_force(build(), p, exact_size), (p, exact_size)
-                assert (calls == []) == (name in _DIRECT_BUILDERS)
+            f, calls = _counting(build())
+            assert _outcome(brute_force_cardinality(f, p)) == _naive_brute_force(build(), p), p
+            assert (calls == []) == (name in _DIRECT_BUILDERS)
+            f = build()
+            by_bases = brute_force_matroid(f, Matroid.uniform(f.ground, p))
+            assert _outcome(by_bases) == _naive_uniform_bases(build(), p), p
 
     @pytest.mark.parametrize("name", sorted(_DIRECT_BUILDERS))
     def test_extend_leaves_the_memo_empty(self, name):
@@ -649,8 +660,6 @@ class TestBruteForceCardinalityDifferential:
         # {0, 2} and {0, 1, 2} are both 6; (0, 1, 2) comes first in index order.
         opt = brute_force_cardinality(linear((3, 0, 3, 0)), 4)
         assert opt.optimum.indices() == (0, 2) and opt.value == 6
-        unit = metric_dispersion(DistanceMatrix.unit(6))
-        assert brute_force_cardinality(unit, 4, exact_size=True).optimum.indices() == (0, 1, 2, 3)
 
 
 def _counting(f):
@@ -889,55 +898,50 @@ class TestTableBruteForce:
         build = _ALL_TABLE_BUILDERS[name]
         n = build().ground.n
         for p in range(n + 1):
-            for exact_size in (False, True):
-                f, calls = _counting(build())
-                g = build()
-                walked = SetFunction(g.ground, g._evaluator)
-                got = _outcome(brute_force_cardinality(f, p, exact_size=exact_size))
-                assert calls == [] and f._cache == {}
-                assert got == _outcome(brute_force_cardinality(walked, p, exact_size=exact_size))
-                assert got == _naive_brute_force(build(), p, exact_size), (p, exact_size)
-                low = p if exact_size else 0
-                assert got[3] == sum(comb(n, k) for k in range(low, p + 1))
+            f, calls = _counting(build())
+            g = build()
+            walked = SetFunction(g.ground, g._evaluator)
+            got = _outcome(brute_force_cardinality(f, p))
+            assert calls == [] and f._cache == {}
+            assert got == _outcome(brute_force_cardinality(walked, p))
+            assert got == _naive_brute_force(build(), p), p
+            assert got[3] == sum(comb(n, k) for k in range(p + 1))
+            by_bases = brute_force_matroid(g, Matroid.uniform(g.ground, p))
+            assert _outcome(by_bases) == _naive_uniform_bases(build(), p), p
 
     @pytest.mark.parametrize(
-        "name, p, exact_size, indices",
+        "name, p, indices",
         [
-            ("dispersion-unit", 3, True, (0, 1, 2)),
-            ("dispersion-unit", 7, False, (0, 1, 2, 3, 4, 5, 6)),
-            ("dispersion-tied-pairs", 2, False, (0, 3)),
-            ("dispersion-tied-pairs", 2, True, (0, 3)),
-            ("threshold", 5, False, (0, 1)),
-            ("threshold", 5, True, (0, 1, 2, 3, 4)),
-            ("threshold-above-n", 6, False, ()),
-            ("cardinality-power-zero", 3, False, ()),
-            ("card-profile-raw", 7, False, (0,)),
-            ("coverage-zero-weights", 4, False, ()),
-            ("coverage-zero-weights", 2, True, (0, 1)),
-            ("coverage-some-zero", 3, False, (1,)),
-            ("max-cut-star", 3, False, (5, 6)),
+            ("dispersion-unit", 7, (0, 1, 2, 3, 4, 5, 6)),
+            ("dispersion-tied-pairs", 2, (0, 3)),
+            ("threshold", 5, (0, 1)),
+            ("threshold-above-n", 6, ()),
+            ("cardinality-power-zero", 3, ()),
+            ("card-profile-raw", 7, (0,)),
+            ("coverage-zero-weights", 4, ()),
+            ("coverage-some-zero", 3, (1,)),
+            ("max-cut-star", 3, (5, 6)),
         ],
     )
-    def test_ties_keep_the_least_size_then_the_first_index_tuple(
-        self, name, p, exact_size, indices
-    ):
+    def test_ties_keep_the_least_size_then_the_first_index_tuple(self, name, p, indices):
         f = _ALL_TABLE_BUILDERS[name]()
         assert f._table is not None
-        opt = brute_force_cardinality(f, p, exact_size=exact_size)
-        assert opt.optimum.indices() == indices
+        assert brute_force_cardinality(f, p).optimum.indices() == indices
 
     def test_a_nan_first_value_is_kept_as_the_walk_keeps_it(self):
         nan = float("nan")
         for prof in ([nan, 1, 2, 3, 4], [0, 1, nan, nan, 4], [nan, 1, nan, 3, 0]):
             for p in range(5):
-                for exact_size in (False, True):
-                    f = raw_cardinality_profile(prof, 4)
-                    walked = SetFunction(f.ground, f._evaluator)
-                    got = brute_force_cardinality(f, p, exact_size=exact_size)
-                    want = brute_force_cardinality(walked, p, exact_size=exact_size)
-                    assert got.optimum == want.optimum and repr(got.value) == repr(want.value)
-                    naive = _naive_brute_force(f, p, exact_size)
-                    assert (got.optimum.mask, repr(got.value)) == (naive[0], repr(naive[1]))
+                f = raw_cardinality_profile(prof, 4)
+                walked = SetFunction(f.ground, f._evaluator)
+                got = brute_force_cardinality(f, p)
+                want = brute_force_cardinality(walked, p)
+                assert got.optimum == want.optimum and repr(got.value) == repr(want.value)
+                naive = _naive_brute_force(f, p)
+                assert (got.optimum.mask, repr(got.value)) == (naive[0], repr(naive[1]))
+                by_bases = brute_force_matroid(f, Matroid.uniform(f.ground, p))
+                naive = _naive_uniform_bases(f, p)
+                assert (by_bases.optimum.mask, repr(by_bases.value)) == (naive[0], repr(naive[1]))
 
 
 def test_max_cut_rows_stay_sparse():
@@ -1175,14 +1179,7 @@ def _reference_local_search(f, matroid, init=None, epsilon=0, max_iters=None):
 
 
 def _reference_brute_force_matroid(f, matroid):
-    best_mask = best = None
-    enumerated = 0
-    for mask in matroid.bases():
-        enumerated += 1
-        v = f.value(mask)
-        if best is None or v > best:
-            best, best_mask = v, mask
-    return best_mask, best, type(best), enumerated
+    return _first_maximizer(f, list(matroid.bases()))
 
 
 def _types(trace):

@@ -112,6 +112,8 @@ class TestDistanceMatrix:
             DistanceMatrix(((0, -1), (-1, 0)))  # negative
         with pytest.raises(ValueError):
             DistanceMatrix(((0, 1, 5), (1, 0, 1), (5, 1, 0)))  # triangle fails
+        with pytest.raises(ValueError, match="must be square"):
+            DistanceMatrix(((0, 1), (1, 0), (1, 1)))
 
     def test_triangle_error_names_the_first_failing_triple(self):
         # The reference scans every ordered (i, j, k); the validator scans
@@ -458,6 +460,14 @@ class TestSegmentation:
         with pytest.raises(ValueError):
             SegmentationMatrix(((1, -3),))
 
+    def test_no_rows_refused(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            SegmentationMatrix(())
+
+    def test_unequal_rows_refused(self):
+        with pytest.raises(ValueError, match="equal length"):
+            SegmentationMatrix(((1, 2), (3,)))
+
     def test_monotone_on_random_matrices(self):
         for seed in range(5):
             f = segmentation(random_segmentation(6, 4, seed))
@@ -745,8 +755,17 @@ class TestSupermodularPair:
         with pytest.raises(ValueError, match="number"):
             supermodular_pair(bonus)
 
+    @pytest.mark.parametrize("bonus", [0, -1, Fraction(-1, 2)])
+    def test_nonpositive_bonus_refused(self, bonus):
+        with pytest.raises(ValueError, match="positive"):
+            supermodular_pair(bonus)
+
 
 class TestWelfareReduction:
+    def test_no_agents_refused(self):
+        with pytest.raises(ValueError, match="at least one agent"):
+            WelfareInstance(())
+
     def test_single_agent_matches_valuation_with_free_matroid(self):
         v = metric_dispersion(random_metric(3, 14))
         f, matroid = welfare_reduction(WelfareInstance((v,)))
