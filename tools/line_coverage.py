@@ -1,14 +1,12 @@
-"""List the statements of a package that a test run never executes.
+"""List the statements of ``src/weaksub`` that the tier-1 tests never execute.
 
     python3 tools/line_coverage.py
-    python3 tools/line_coverage.py --source src/weaksub -- -q tests/test_core.py
 
-Run from the repository root.  The tests run in this process under
+Run from the repository root.  The tier-1 suite (``pytest -q
+--continue-on-collection-errors``) runs in this process under
 ``sys.settrace`` and ``threading.settrace``, and every line executed in a
-``*.py`` file under SOURCE (default ``src/weaksub``) is recorded; the
-parent of SOURCE goes first on ``sys.path``, so the tests import the traced
-package.  The arguments after ``--`` go to pytest (default: the tier-1
-suite, ``-q --continue-on-collection-errors``).
+``*.py`` file under ``src/weaksub`` is recorded; ``src`` goes first on
+``sys.path``, so the tests import the traced package.
 
 Then one line per module gives how many of its statements never ran,
 followed by each of them, with its line number.  Statements come from
@@ -34,6 +32,8 @@ from pathlib import Path
 
 import pytest
 
+SOURCE_DIR = Path("src/weaksub")
+PYTEST_ARGS = ["-q", "--continue-on-collection-errors"]
 _NOT_RUN = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Global, ast.Nonlocal)
 _BODIES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -107,31 +107,19 @@ def report(source_dir: Path, hits: dict[str, set[int]]) -> None:
     print(f"total: {never} of {total} statements never ran")
 
 
-def main(argv: list[str]) -> int:
-    source_dir = Path("src/weaksub")
-    if argv[:1] == ["--source"]:
-        if len(argv) < 2:
-            print("usage: line_coverage.py [--source DIR] [-- PYTEST_ARGS...]", file=sys.stderr)
-            return 2
-        source_dir, argv = Path(argv[1]), argv[2:]
-    if argv[:1] == ["--"]:
-        argv = argv[1:]
-    pytest_args = argv or ["-q", "--continue-on-collection-errors"]
-    sys.path.insert(0, str(source_dir.resolve().parent))
-    tracer, hits = trace_lines(str(source_dir.resolve()) + os.sep)
+def main() -> int:
+    sys.path.insert(0, str(SOURCE_DIR.resolve().parent))
+    tracer, hits = trace_lines(str(SOURCE_DIR.resolve()) + os.sep)
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        code = pytest.main(pytest_args)
+        code = pytest.main(PYTEST_ARGS)
     finally:
-        replaced = sys.gettrace() is not tracer
         sys.settrace(None)
         threading.settrace(None)
-    if replaced:
-        print("warning: the trace function was replaced during the run", file=sys.stderr)
-    report(source_dir, hits)
+    report(SOURCE_DIR, hits)
     return 0 if code in (0, 1) else int(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
