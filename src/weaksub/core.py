@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count, product, repeat
 from numbers import Rational
-from operator import lt, or_
+from operator import or_
 from random import Random
 from typing import Any, Callable, Hashable, Iterable
 
@@ -628,16 +628,15 @@ def _lacking(mask: int, width: int, total: int):
             lacks ^= lacks << (width << e - 1)
 
 
-def _first_monotone_violation(values: list[Value], n: int, less) -> tuple[int, int] | None:
-    """First (S, bit) in mask-major order with less(f(S + bit), f(S)).
+def _first_monotone_violation(values: list[Value], n: int) -> tuple[int, int] | None:
+    """First (S, bit) in mask-major order with violates(f(S + bit), f(S)).
 
-    The scalar reference scan, and the path of tables that hold a float
-    (``less`` is ``violates``) or whose ints are too wide for the lanes of
-    ``_first_monotone_violation_lanes`` (``less`` is ``lt``), which takes
-    every other exact table.  Each bit's pairs (S, S + bit) are
-    compared as table slices: strided runs ``values[r::span]`` while bits
-    are low, contiguous blocks once they are high.  The least (S, bit)
-    found across the bits is the first in order.
+    The scalar reference scan, and the path of tables that hold a float;
+    exact tables take ``_first_monotone_violation_lanes``.  Each bit's
+    pairs (S, S + bit) are compared as table slices: strided runs
+    ``values[r::span]`` while bits are low, contiguous blocks once they
+    are high.  The least (S, bit) found across the bits is the first in
+    order.
     """
     total = len(values)
     best = None
@@ -648,27 +647,19 @@ def _first_monotone_violation(values: list[Value], n: int, less) -> tuple[int, i
         if bit * span <= total:  # at most as many runs as blocks
             for r in range(bit):
                 hi = values[r + bit :: span]
-                k = next(compress(count(), map(less, hi, values[r::span])), None)
+                k = next(compress(count(), map(violates, hi, values[r::span])), None)
                 if k is not None and (first is None or r + k * span < first):
                     first = r + k * span
         else:
             for base in range(0, total, span):
                 hi = values[base + bit : base + span]
-                k = next(compress(count(), map(less, hi, values[base : base + bit])), None)
+                k = next(compress(count(), map(violates, hi, values[base : base + bit])), None)
                 if k is not None:
                     first = base + k
                     break
         if first is not None and (best is None or first < best[0]):
             best = first, bit
     return best
-
-
-# Widest lane of the monotone lane pass.  Its cost grows with the lane
-# width, the slice scan's hardly: on int dispersion at n = 14 (2 shared
-# vCPUs, Python 3.11.7), 8-byte lanes took 4.5 ms against the slices' 8.7,
-# 13-byte ones 8.7 against 8.9 and 27-byte ones 18 against 8.4; at n = 10
-# the two meet at 9 bytes.
-_MONOTONE_LANE_BYTES = 8
 
 
 def _first_monotone_violation_lanes(table: list[int]) -> tuple[int, int] | None:
@@ -680,14 +671,12 @@ def _first_monotone_violation_lanes(table: list[int]) -> tuple[int, int] | None:
     subtraction of the packed table from it tests every S at once; only
     the guards of the lanes whose S lacks ``bit`` are read, and the lowest
     cleared one is the bit's first S.  Over the bits, the least S wins and
-    a lower bit wins a tie on S, which is the mask-major order.  A table
-    whose lanes would be wider than ``_MONOTONE_LANE_BYTES`` goes to the
-    slice scan, ``_first_monotone_violation(table, n, lt)``, instead.
+    a lower bit wins a tie on S, which is the mask-major order.  Every
+    exact table takes this pass, in lanes of any width, as in the pair
+    kernel; tables that hold a float take ``_first_monotone_violation``.
     """
     total = len(table)
     low, size = _lane_layout(table, 1)
-    if size > _MONOTONE_LANE_BYTES:
-        return _first_monotone_violation(table, total.bit_length() - 1, lt)
     packed, guards = _packed(table, low, size)
     width = 8 * size
     lifted = guards - packed
@@ -716,10 +705,9 @@ def check_monotone(
     4^n scan into n * 2^(n-1) checks.  The exhaustive scan reads the full
     value table.  Exact tables (ints, and Fractions scaled to ints) are
     packed into guard-bit lanes, one guarded subtraction per bit
-    (``_first_monotone_violation_lanes``), unless a lane would pass 8
-    bytes; those compare with ``<``, and tables that hold a float with
-    ``violates``, in the scalar slice scan (``_first_monotone_violation``).
-    All report the first (S, S + {e}) in mask-major order, e ascending.
+    (``_first_monotone_violation_lanes``); tables that hold a float take
+    the scalar slice scan with ``violates`` (``_first_monotone_violation``).
+    Both report the first (S, S + {e}) in mask-major order, e ascending.
     ``jobs`` is accepted for compatibility and ignored.
     """
     _require_mode(mode, samples, seed)
@@ -734,7 +722,7 @@ def check_monotone(
         values = f.all_values()
         table = _exact_table(values)
         if table is None:
-            hit = _first_monotone_violation(values, n, violates)
+            hit = _first_monotone_violation(values, n)
         else:
             hit = _first_monotone_violation_lanes(table)
         if hit is None:
@@ -877,38 +865,6 @@ def _first_pair_violation_lanes(table: list[int], weighted: bool) -> tuple[int, 
     return None
 
 
-def _locally_submodular(table: list[int]) -> bool:
-    """Whether an int table meets f(S + a) + f(S + b) >= f(S + a + b) + f(S)
-    at every S and every pair of bits a < b that S lacks.
-
-    That local form is equivalent to submodularity (Schrijver,
-    *Combinatorial Optimization*, Thm 44.1; Fujishige, *Submodular
-    Functions and Optimization*, Sec. 2.1), and each local inequality is
-    the submodular one at the pair (S + a, S + b).  The table is packed
-    once by ``_packed``, with lanes laid out for sums of two (span 2).
-    Shifted down by a, b and a + b lanes it holds f(S + a), f(S + b) and
-    f(S + a + b) in lane S, so each pair of bits is one guarded
-    subtraction, read at the guards of the lanes whose S lacks both bits.
-    Lanes of any width are taken: the pair scan that a pass saves packs
-    lanes as wide, once per block.
-    """
-    total = len(table)
-    n = total.bit_length() - 1
-    low, size = _lane_layout(table, 2)
-    packed, guards = _packed(table, low, size)
-    width = 8 * size
-    lifted = guards - packed
-    lacks = dict(_lacking(guards, width, total))
-    up = [packed >> (width << e) for e in range(n)]
-    for b in range(n):
-        for a in range(b):
-            both = lacks[a] & lacks[b]
-            diff = up[a] + up[b] + lifted - (up[a] >> (width << b))
-            if diff & both != both:
-                return False
-    return True
-
-
 def _check_pairwise(
     f: SetFunction,
     kind: PropertyKind,
@@ -925,11 +881,7 @@ def _check_pairwise(
     (``_first_pair_violation_lanes``), which walks each block's rows as a
     bit tree and takes every row's lanes from its parent's in one copy;
     float tables go through the scalar scan with ``violates``.  Both report
-    the first violating pair of the row-major scan over T >= S.  An exact
-    submodular check first runs the local pass (``_locally_submodular``):
-    a table that passes it is submodular, so the report is the passing one
-    without the pair scan, and only a table that fails it is scanned for
-    its first pair.
+    the first violating pair of the row-major scan over T >= S.
     """
     _require_mode(mode, samples, seed)
     n = f.ground.n
@@ -944,8 +896,6 @@ def _check_pairwise(
         table = _exact_table(values)
         if table is None:
             hit = _first_pair_violation_scalar(values, sides)
-        elif not weighted and _locally_submodular(table):
-            hit = None
         else:
             hit = _first_pair_violation_lanes(table, weighted)
         if hit is None:
@@ -979,17 +929,13 @@ def check_submodular(
 ) -> CheckReport:
     """Check f(S) + f(T) >= f(S | T) + f(S & T) on all tested pairs.
 
-    An exhaustive check of an exact table decides a pass by the local form
-    f(S + a) + f(S + b) >= f(S + a + b) + f(S), one guarded lane
-    subtraction per pair of bits (``_locally_submodular``); the report is
-    the one of the full scan, all (4^n + 2^n)/2 pairs checked.  A table
-    that fails the local form, or holds a float, is scanned pair by pair,
-    and its report names the scan's first violating pair.  So a passing
-    float table pays the whole scan in Python: the local form under
-    ``violates``' relative tolerance does not add up along a chain of
-    local inequalities.  A passing float-weight coverage function took
-    0.08, 0.30 and 0.88 s at n = 9, 10 and 11.  ``jobs`` is accepted for
-    compatibility and ignored.
+    In an exhaustive check, exact tables (ints, and Fractions scaled to
+    ints) take the pair lane kernel and tables that hold a float the
+    scalar pair scan (see ``_check_pairwise``); both report the scan's
+    first violating pair.  So a passing float table pays the whole scan in
+    Python: a passing float-weight coverage function took 0.08, 0.30 and
+    0.88 s at n = 9, 10 and 11.  ``jobs`` is accepted for compatibility
+    and ignored.
     """
     return _check_pairwise(
         f, PropertyKind.SUBMODULAR, _submodular_sides, False, mode, samples, seed

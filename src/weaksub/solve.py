@@ -331,6 +331,4 @@ def brute_force_matroid(f: SetFunction, matroid: Matroid) -> OptResult:
             walk(0, root, 0, 0)
         else:
             leaf(root.value, 0)
-    if best_mask is None:
-        raise ValueError("matroid has no basis")
     return OptResult(Subset(f.ground, best_mask), best, enumerated)

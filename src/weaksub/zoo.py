@@ -308,10 +308,6 @@ class SegmentationMatrix:
     def rows(self) -> int:
         return len(self.m)
 
-    @property
-    def cols(self) -> int:
-        return len(self.m[0])
-
 
 def random_segmentation(
     rows: int, cols: int, seed_or_rng, low: int = -4, high: int = 9

@@ -9,7 +9,6 @@ number of pairs checked up to it.
 import json
 from fractions import Fraction
 from math import comb
-from operator import lt
 from random import Random
 
 import pytest
@@ -127,7 +126,7 @@ def naive_submodular_outcome(f):
 def scalar_monotone_outcome(f):
     n = f.ground.n
     values = f.all_values()
-    hit = core._first_monotone_violation(values, n, core.violates)
+    hit = core._first_monotone_violation(values, n)
     if hit is None:
         return (True, n * len(values) // 2, None)
     S, bit = hit
@@ -359,8 +358,8 @@ def test_generated_quarter_metrics_pass(quarters):
 
 
 # Lane widths in bytes of the pair kernel's packing: ``_packed`` fills 1, 2,
-# 4 and 8-byte lanes by ``array`` and 3, 9 and 13-byte ones by ``to_bytes``.
-LANE_SIZES = (1, 2, 3, 4, 8, 9, 13)
+# 4 and 8-byte lanes by ``array`` and 3, 9, 13 and 27-byte ones by ``to_bytes``.
+LANE_SIZES = (1, 2, 3, 4, 8, 9, 13, 27)
 
 
 def widened(values, weighted, size):
@@ -832,11 +831,11 @@ def monotone_outcome(quarters, kind):
     n = f.ground.n
     outcome = report_outcome(check_monotone(f))
     assert outcome == scalar_monotone_outcome(f) == naive_monotone_outcome(f)
-    hit = core._first_monotone_violation(values, n, core.violates)
+    hit = core._first_monotone_violation(values, n)
     assert hit == loop_monotone_violation(values, n, core.violates)
     if kind != "float":
         scaled = core._exact_table(values)
-        assert core._first_monotone_violation(scaled, n, lt) == hit
+        assert core._first_monotone_violation(scaled, n) == hit
     return outcome
 
 
@@ -965,7 +964,7 @@ def test_packed_lanes_hold_the_shifted_table():
 
 
 def test_lacking_marks_the_lanes_without_each_bit():
-    # The start mask is the guards (the local passes) or whole lanes (the
+    # The start mask is the guards (the monotone lanes) or whole lanes (the
     # pair kernel's blocks).
     for n in range(5):
         total = 1 << n
@@ -979,24 +978,16 @@ def test_lacking_marks_the_lanes_without_each_bit():
                     assert lacks == sum(lane << width * S for S in want)
 
 
-def test_monotone_lanes_leave_wide_tables_to_the_slice_scan(monkeypatch):
-    calls = []
-    monkeypatch.setattr(core, "_first_monotone_violation", lambda *args: calls.append(args))
-    assert core._first_monotone_violation_lanes([0, 2**63 - 1]) is None  # 8-byte lanes
-    assert calls == []
-    core._first_monotone_violation_lanes([1, 2**63 + 1])  # 9 bytes
-    assert calls == [([1, 2**63 + 1], 1, lt)]
-
-
 def modular_table(rng, n, top=4):
     weights = [rng.randint(1, top) for _ in range(n)]
     return [sum(w for i, w in enumerate(weights) if m >> i & 1) for m in range(1 << n)]
 
 
-# The number kinds of the lane tests: ints shifted below zero, Fractions,
-# 3-byte lanes, which ``_packed`` fills by ``to_bytes``, and ints past 8
-# bytes either side of zero, which the monotone pass leaves to the slice
-# scan and the submodular pass packs by ``to_bytes``.
+# The number kinds of the monotone lane tests, each run against the slice
+# scan: ints shifted below zero, Fractions, 3-byte lanes, and ints either
+# side of zero in lanes past 8 bytes (13 or 14) and past 26 (27 or 28).
+# Every exact table takes the lanes, whatever their width; lanes of 3
+# bytes and past 8 are packed by ``to_bytes``.
 LANE_KINDS = {
     "int": lambda q: q,
     "negative": lambda q: q - 50,
@@ -1004,6 +995,8 @@ LANE_KINDS = {
     "three_bytes": lambda q: q << 14,
     "huge": lambda q: q * 10**30,
     "huge_negative": lambda q: q * 10**30 - 10**30,
+    "wide": lambda q: q * 10**64,
+    "wide_negative": lambda q: q * 10**64 - 10**64,
 }
 
 
@@ -1014,7 +1007,7 @@ def monotone_lanes_outcome(values):
     n = f.ground.n
     table = core._exact_table(values)
     hit = core._first_monotone_violation_lanes(table)
-    assert hit == core._first_monotone_violation(table, n, lt)
+    assert hit == core._first_monotone_violation(table, n)
     assert report_outcome(check_monotone(f)) == naive_monotone_outcome(f)
     return hit
 
@@ -1069,13 +1062,6 @@ def test_monotone_lanes_with_one_huge_value():
                 monotone_lanes_outcome(q)
 
 
-def kernel_only_report(f, monkeypatch):
-    """The exhaustive submodular report of the pair scan without the local pass."""
-    with monkeypatch.context() as m:
-        m.setattr(core, "_locally_submodular", lambda table: False)
-        return check_submodular(f)
-
-
 def submodular_tables(rng, n):
     """Int and coverage tables at n, submodular or not, some shifted below zero."""
     covers = [[j for j in range(6) if rng.random() < 0.4] for _ in range(n)]
@@ -1096,32 +1082,30 @@ def submodular_tables(rng, n):
     yield [rng.randint(-60, 60) for _ in range(1 << n)]
 
 
-def test_submodular_local_pass_matches_the_pair_scan(monkeypatch):
+def assert_submodular_lanes_agree(values):
+    """The checker's submodular report is the scalar scan's, and so is the
+    lane kernel's first pair (``lane_hits``); return whether it passes."""
+    f = table_function(values)
+    scalar = scalar_pair_outcome(f, core._submodular_sides)
+    assert report_outcome(check_submodular(f)) == scalar
+    return lane_hits(values)[1] is None
+
+
+def test_submodular_tables_in_lanes_match_the_scalar_scan():
     rng = Random(44)
     verdicts = set()
     for n in range(9):
         for _ in range(4 if n < 7 else 1):
             for values in submodular_tables(rng, n):
-                table = core._exact_table(values)
-                local = core._locally_submodular(table)
-                assert local == (core._first_pair_violation_lanes(table, False) is None)
-                f = table_function(values)
-                report, kernel = check_submodular(f), kernel_only_report(f, monkeypatch)
-                assert report == kernel and report_outcome(report) == report_outcome(kernel)
-                verdicts.add(local)
+                verdicts.add(assert_submodular_lanes_agree(values))
     assert verdicts == {True, False}
 
 
-def test_submodular_local_pass_on_coverage_builders(monkeypatch):
+def test_coverage_builders_in_lanes_match_the_scalar_scan():
     for seed in range(12):
         f = random_coverage(seed % 7 + 2, seed)
         assert f.ground.n <= 8
-        report = check_submodular(f)
-        assert report.passed and core._locally_submodular(core._exact_table(f.all_values()))
-        assert report == kernel_only_report(f, monkeypatch)
-        raised = f.all_values()
-        raised[-1] = 2 * max(raised) + 1  # a local violation at the full set's squares
-        g = table_function(raised)
-        report, kernel = check_submodular(g), kernel_only_report(g, monkeypatch)
-        assert not report.passed
-        assert report == kernel and report_outcome(report) == report_outcome(kernel)
+        values = f.all_values()
+        assert check_submodular(f).passed and assert_submodular_lanes_agree(values)
+        values[-1] = 2 * max(values) + 1  # a violation at the full set's squares
+        assert not assert_submodular_lanes_agree(values)
