@@ -5,8 +5,8 @@ Every formula has a float fast path and an exact ``Fraction`` path
 so it stays finite out to arbitrary parameter sizes, while the exact path is
 one pass of plain int arithmetic (a few Fraction operations for ``ls_bound``)
 per parameter and serves as a cross-check.  Exact ``greedy_ratio`` takes
-about 0.03 s at p = 100 and 0.4 s at p = 200, exact ``ls_bound`` about
-2.5 ms at s = 1000 (2-vCPU Xeon, Python 3.11).
+about 6 ms at p = 100 and 0.13 s at p = 200, exact ``ls_bound`` about
+2 ms at s = 1000 (2-vCPU Xeon, Python 3.11).
 """
 
 from __future__ import annotations
@@ -95,50 +95,47 @@ def b_star_from_sum(i: int, p: int, exact: bool = False):
 def greedy_ratio(p: int, exact: bool = False, from_sums: bool = False):
     """Worst-case OPT/greedy bound for a cardinality constraint of p.
 
-    Evaluates the telescoped chain bound
+    Evaluates the chain bound
 
         ( sum_{i=1..p-1} (i / a*_i) prod_{j=i+1..p-1} (b*_j / a*_j) )^(-1)
+            = 1 / (1 - prod_{i=1..p-1} b*_i / a*_i),
 
-    accumulating the product as ratios in (0, 1) for stability.  The exact
-    rational mode reproduces the float value to full precision in one integer
-    pass, affordable to about p = 200; ``from_sums`` swaps the closed forms
-    for their defining sums as an independent route to the same value.
+    where the sum telescopes because b*_i / a*_i = 1 - i / a*_i.  The exact
+    rational mode takes the product form in one integer pass, affordable to
+    about p = 200; ``from_sums`` takes it with the defining sums in place of
+    the closed forms, as an independent route to the same value.  The float
+    mode keeps the running sum, with the product as ratios in (0, 1): in
+    floats 1 - prod loses about three bits.
     """
     if p < 2:
         raise ValueError("need p >= 2")
     if from_sums:
-        total = Fraction(0) if exact else 0.0
         prod = Fraction(1) if exact else 1.0
-        for i in range(p - 1, 0, -1):
-            a = a_star_from_sum(i, p, exact)
-            b = b_star_from_sum(i, p, exact)
-            total += (Fraction(i) if exact else i) / a * prod
-            prod *= b / a
-        return 1 / total
+        for i in range(1, p):
+            prod *= b_star_from_sum(i, p, exact) / a_star_from_sum(i, p, exact)
+        return 1 / (1 - prod)
     if exact:
         return _greedy_exact(p)
     return _greedy_float(p, ((2.0 * i, math.log1p(1.0 / i)) for i in range(p - 1, 0, -1)))
 
 
 def _greedy_exact(p: int) -> Fraction:
-    """The chain bound over one common integer denominator.
+    """The chain bound 1 / (1 - prod b*_i / a*_i) over integers.
 
     With x = (i+1)/i, a*_i = N_i / i^p where N_i = 2 i^2 (i+1)^p - (2 i^2 + i p) i^p,
-    so i / a*_i = i^(p+1) / N_i and b*_i / a*_i = (N_i - i^(p+1)) / N_i.  The
-    running sum and product share the denominator prod N_j, so every step is
-    plain int arithmetic and only the final Fraction reduces.
+    so b*_i / a*_i = (N_i - i^(p+1)) / N_i.  The product is num / den with
+    den = prod N_i and num = prod (N_i - i^(p+1)), so the bound is
+    den / (den - num): two int products, and only the final Fraction reduces.
     """
-    total, prod, den = 0, 1, 1
+    num, den = 1, 1
     upper = p**p  # (i+1)^p at i = p-1
     for i in range(p - 1, 0, -1):
         lower = i**p
         n_i = 2 * i * i * upper - (2 * i * i + i * p) * lower
-        term = i * lower
-        total = total * n_i + term * prod
-        prod *= n_i - term
+        num *= n_i - i * lower
         den *= n_i
         upper = lower
-    return Fraction(den, total)
+    return Fraction(den, den - num)
 
 
 def _greedy_float(p: int, steps: Iterable[tuple[float, float]]) -> float:
@@ -176,27 +173,27 @@ def greedy_limit() -> float:
     with g(u) = 2 u (e^(1/u) - 1) - 1, so K = 0.18381462698992831...
     and L = 5.9555727340210807... (mpmath at 30 digits, from both integrals).
 
-    Derivation.  Put i = p u.  Then a*_i / i = 2 i ((1 + 1/i)^p - 1) - p,
+    Derivation.  ``greedy_ratio(p)`` is 1 / (1 - P_p) with
+    P_p = prod_{i=1..p-1} b*_i / a*_i, so L = 1 / (1 - e^(-K)) once
+    log P_p tends to -K.  Put i = p u.  Then a*_i / i = 2 i ((1 + 1/i)^p - 1) - p,
     and p log(1 + 1/i) tends to 1/u, so a*_i / i = p g(u) + o(p) at each
-    fixed u in (0, 1]; the step ratios are i / a*_i ~ 1 / (p g(u)) and
-    b*_i / a*_i = 1 - i / a*_i.  So the running product over j > i tends to
-    exp(-int_u^1 dv / g(v)), and the chain sum, a Riemann sum of
-    (1 / g(u)) exp(-int_u^1 dv / g(v)) with step 1/p, tends to its integral
-    over (0, 1].  The integrand is the u-derivative of
-    exp(-int_u^1 dv / g(v)), so the integral is 1 - e^(-K).  The
-    substitution t = 1/u gives the second form of K.
+    fixed u in (0, 1], and the factors are b*_i / a*_i = 1 - i / a*_i with
+    i / a*_i ~ 1 / (p g(u)).  So log P_p, the sum of the
+    log(1 - i / a*_i) ~ -1 / (p g(u)), is a Riemann sum of -1 / g(u) with
+    step 1/p and tends to -int_0^1 du / g(u) = -K.  The substitution
+    t = 1/u gives the second form of K.
 
-    Argued: the limit p g(u) of a*_i / i at fixed u; that g decreases on
-    (0, 1] from infinity to g(1) = 2e - 3, so the integrand 1/g is bounded
-    by 1 / (2e - 3) and continuous on [0, 1] with value 0 at 0; and the
-    closed form of the integral.  Only checked numerically: that the sum
-    and the product converge to their integrals (the errors are not
-    uniform in u, and the end i << p, where (1 + 1/i)^p is far from
-    e^(p/i), is only seen to contribute nothing), so that L is the limit of
-    the chain bound.  L - greedy_ratio(p) reads 0.5697 at p = 10, 6.052e-3
-    at 1,000 and 6.056e-4 at 10^4, so p (L - greedy_ratio(p)) tends to about
-    6.056, and every float row to p = 2,000 and every exact row to p = 100
-    lies below L.  L is the limit of this bound, not a proven bound on the
+    Argued: the product form, which is exact at every p; the limit p g(u)
+    of a*_i / i at fixed u; and that g decreases on (0, 1] from infinity to
+    g(1) = 2e - 3, so 1/g is bounded by 1 / (2e - 3) and continuous on
+    [0, 1] with value 0 at 0.  Only checked numerically: that log P_p
+    converges to the integral (the errors are not uniform in u, and the end
+    i << p, where (1 + 1/i)^p is far from e^(p/i), is only seen to
+    contribute nothing), so that L is the limit of the chain bound.
+    L - greedy_ratio(p) reads 0.5697 at p = 10, 6.052e-3 at 1,000 and
+    6.056e-4 at 10^4, so p (L - greedy_ratio(p)) tends to about 6.056, and
+    every float row to p = 2,000 and every exact row to p = 100 lies
+    below L.  L is the limit of this bound, not a proven bound on the
     class.
 
     K is computed by Romberg integration of 1/g over [0, 1] (1,024 panels,

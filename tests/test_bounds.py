@@ -113,6 +113,17 @@ class TestGreedyRatio:
             exact = float(greedy_ratio(p, exact=True))
             assert rel_close(greedy_ratio(p), exact, 1e-9), p
 
+    def test_product_form_matches_the_chain_sum(self):
+        for p in range(2, 101):
+            assert greedy_ratio(p, exact=True) == reference_chain_sum(p), p
+
+    def test_float_rows_within_eight_ulps_of_exact(self):
+        # The running-sum loop reads at most 6 ulps (p = 92); a float loop
+        # over the product form alone, 1 / (1 - prod), reads 34 and fails this.
+        for p, bound, _ in greedy_ratio_table(range(2, 101)).rows:
+            exact = float(greedy_ratio(p, exact=True))
+            assert abs(bound - exact) <= 8 * math.ulp(exact), p
+
     def test_sum_route_matches_closed_forms(self):
         for p in range(2, 41):
             assert greedy_ratio(p, exact=True) == greedy_ratio(p, exact=True, from_sums=True)
@@ -176,6 +187,23 @@ class TestGreedyLimit:
     def test_the_gap_closes_like_one_over_p(self):
         p = 10**4
         assert abs(p * (greedy_limit() - greedy_ratio(p)) - 6.056) < 1e-3
+
+
+def reference_chain_sum(p):
+    """The exact chain bound as its running sum over the common denominator
+    prod N_i: sum_i (i / a*_i) prod_{j>i} (b*_j / a*_j), inverted, with
+    a*_i = N_i / i^p.  The reference for the product form of ``greedy_ratio``."""
+    total, prod, den = 0, 1, 1
+    upper = p**p
+    for i in range(p - 1, 0, -1):
+        lower = i**p
+        n_i = 2 * i * i * upper - (2 * i * i + i * p) * lower
+        term = i * lower
+        total = total * n_i + term * prod
+        prod *= n_i - term
+        den *= n_i
+        upper = lower
+    return Fraction(den, total)
 
 
 def reference_greedy_float(p):
