@@ -92,7 +92,7 @@ def b_star_from_sum(i: int, p: int, exact: bool = False):
     return sum((i + p - j + 1) * x ** (j - 1) for j in range(1, p))
 
 
-def greedy_ratio(p: int, exact: bool = False, from_sums: bool = False):
+def greedy_ratio(p: int, exact: bool = False):
     """Worst-case OPT/greedy bound for a cardinality constraint of p.
 
     Evaluates the chain bound
@@ -102,18 +102,13 @@ def greedy_ratio(p: int, exact: bool = False, from_sums: bool = False):
 
     where the sum telescopes because b*_i / a*_i = 1 - i / a*_i.  The exact
     rational mode takes the product form in one integer pass, affordable to
-    about p = 200; ``from_sums`` takes it with the defining sums in place of
-    the closed forms, as an independent route to the same value.  The float
-    mode keeps the running sum, with the product as ratios in (0, 1): in
-    floats 1 - prod loses about three bits.
+    about p = 200.  The float mode keeps the running sum, with the product
+    as ratios in (0, 1): in floats 1 - prod loses about three bits.  The
+    tests check both against the same product taken with the defining sums
+    (``a_star_from_sum``, ``b_star_from_sum``) in place of the closed forms.
     """
     if p < 2:
         raise ValueError("need p >= 2")
-    if from_sums:
-        prod = Fraction(1) if exact else 1.0
-        for i in range(1, p):
-            prod *= b_star_from_sum(i, p, exact) / a_star_from_sum(i, p, exact)
-        return 1 / (1 - prod)
     if exact:
         return _greedy_exact(p)
     return _greedy_float(p, ((2.0 * i, math.log1p(1.0 / i)) for i in range(p - 1, 0, -1)))

@@ -72,7 +72,10 @@ class GroundSet:
     @classmethod
     def of_size(cls, n: int) -> "GroundSet":
         """The labels 0..n-1, unique by construction, so no set of them is
-        built to check it: at n = 10**6 that set doubled the peak memory."""
+        built to check it: at n = 10**6 that set doubled the peak memory.
+        A negative n is refused."""
+        if n < 0:
+            raise ValueError(f"ground set size must be >= 0, got {n}")
         ground = object.__new__(cls)
         object.__setattr__(ground, "elements", tuple(range(n)))
         return ground
@@ -190,14 +193,14 @@ class Subset:
 class SetFunction:
     """A deterministic value oracle over subsets of a ground set.
 
-    The evaluator receives a bitmask and must be pure; results are memoized
-    in an unsynchronized dict.  ``claims`` records which properties the
-    builder asserts.  Every function has a value table: ``table(p)``
-    returns the values of every mask of popcount <= p, in ascending mask
-    order, each equal to ``value(mask)`` in value and type.  The exhaustive
-    checks read ``all_values()``, which is ``table(n)``, and brute force
-    reads ``table(p)``.  Each call builds a new list, so no table is
-    stored.
+    The evaluator receives a bitmask and must be pure; ``value`` memoizes
+    its results in an unsynchronized dict.  ``claims`` records which
+    properties the builder asserts.  Every function has a value table:
+    ``table(p)`` returns the values of every mask of popcount <= p, in
+    ascending mask order, each equal to ``value(mask)`` in value and type.
+    The exhaustive checks read ``all_values()``, which is ``table(n)``, and
+    brute force reads ``table(p)``.  Each call builds a new list, so no
+    table is stored, and no table reads or writes the memo.
 
     ``table=``, when given, is the builder's own callable with that
     contract, stored as ``_table``.  Every table, the builder's and the
@@ -268,10 +271,11 @@ class SetFunction:
     def table(self, p: int) -> list[Value]:
         """Values of every mask of popcount <= p, in ascending mask order.
 
-        The builder's ``table`` when it passed one: no evaluator call and
-        no memo write.  Otherwise the masks of popcount <= p, built by
-        doubling, each evaluated once through ``value``.  Either way the
-        list holds C(n, 0) + ... + C(n, p) values (2,449,868 at n = 22 and
+        The builder's ``table`` when it passed one: no evaluator call.
+        Otherwise the masks of popcount <= p, built by doubling, each
+        passed once to the evaluator.  Neither reads or writes the memo, so
+        a second table evaluates every mask again.  Either way the list
+        holds C(n, 0) + ... + C(n, p) values (2,449,868 at n = 22 and
         p = 11, and n + 1 at p = 1), and nothing of size 2**n is built
         when p < n.  A negative p is refused.
         """
@@ -281,7 +285,7 @@ class SetFunction:
             return self._table(p)
         n = self.ground.n
         masks = _doubled(or_, 0, [1 << e for e in range(n)], _extenders(n, p))
-        return list(map(self.value, masks))
+        return list(map(self._evaluator, masks))
 
     def all_values(self) -> list[Value]:
         """Values for every subset, indexed by mask: ``table(n)``."""

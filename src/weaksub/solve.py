@@ -10,9 +10,9 @@ instances; both oracles keep the first maximizer in their enumeration order.
 
 The cardinality oracle takes one ``max`` over the function's value table
 of the sets of size <= p (``SetFunction.table``), which every function
-has; when the builder offers a table, brute force neither reads nor
-writes the memo.  The sets of size exactly p are the bases of
-``Matroid.uniform(ground, p)``, which the matroid oracle maximizes over.
+has; no table reads or writes the memo.  The sets of size exactly p are
+the bases of ``Matroid.uniform(ground, p)``, which the matroid oracle
+maximizes over.
 
 Greedy, local search and the matroid oracle read their values from the
 function's marginal state (``SetFunction.state``): greedy reads f(S + e)
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .core import (
@@ -225,7 +226,7 @@ def brute_force_cardinality(f: SetFunction, p: int) -> OptResult:
     0.3 s and 60 MB, and int segmentation with 8 columns, whose table runs
     in lanes, 0.5-0.6 s and 103-109 MB (1.4-1.5 s and 98 MB by the column
     doubling).  The complement of a linear function, whose generic table
-    evaluates every set into the memo, took 9-11 s and 390 MB.
+    passes every set to the evaluator, took 5.8-7.0 s and 303 MB.
     """
     n = f.ground.n
     if type(p) is not int:
@@ -260,11 +261,8 @@ def _unrank(positions, n: int, p: int):
     # with largest element e come after them, each one of those of
     # popcount <= q - 1 below bit e, plus e.
     below = [[1] * (n + 1)]
-    for q in range(1, p + 1):
-        row = [1]
-        for e in range(n):
-            row.append(row[e] + below[q - 1][e])
-        below.append(row)
+    for q in range(p):
+        below.append(list(accumulate(below[q][:n], initial=1)))
     for r in positions:
         mask, q = 0, p
         while r:

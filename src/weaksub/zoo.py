@@ -19,12 +19,13 @@ of pair terms above[e][i] over i in S (metric dispersion and max-cut) and
 doubles those terms (``_pairwise_table``).  Its evaluator sums in another
 order, so ``_pairwise`` offers a table only when the order cannot change a
 value: exact distances for dispersion, int weights for max-cut.  Coverage
-doubles its covered-item masks and sums each distinct one with the
-evaluator's own ``weight``, so it has a table for every weight type.  A
-combination sums its terms' tables, so it always has one.  The functions
-without a table of their own (complements, zero-at-top, welfare and the
-inexact builders above) get the generic one, which evaluates each mask of
-the table once through the memoized oracle.
+folds its covered-item mask with ``or_`` (``_folded``), and its table
+doubles those masks and sums each distinct one with the evaluator's own
+``weight``, so it has a table for every weight type.  A combination sums
+its terms' tables, so it always has one.  The functions without a table of
+their own (complements, zero-at-top, welfare and the inexact builders
+above) get the generic one, which passes each mask of the table once to
+the evaluator.
 
 Two builders also offer a marginal state (``SetFunction.state``) for the
 solvers, each only when every input number is an int: metric dispersion
@@ -332,6 +333,8 @@ class Graph:
     edges: tuple[tuple[int, int, Value], ...]
 
     def __post_init__(self):
+        if self.n_vertices < 0:
+            raise ValueError(f"vertex count must be >= 0, got {self.n_vertices}")
         edges = tuple((u, v, w) for (u, v, w) in self.edges)
         object.__setattr__(self, "edges", edges)
         for u, v, w in edges:
@@ -393,24 +396,19 @@ def coverage(covers: Sequence[Iterable[Hashable]], weights: dict | None = None) 
     def weight(covered: int) -> Value:
         return sum([w for b, w in item_weights if covered & b])
 
-    def ev(mask: int) -> Value:
-        covered = 0
-        for i, c in enumerate(cover_masks):
-            if mask >> i & 1:
-                covered |= c
-        return weight(covered)
+    covered_by = _folded(0, lambda covered, e: covered | cover_masks[e])
 
     def table(p: int) -> list:
         # The covered-item masks by doubling with ``or_``, then one
         # evaluator sum per distinct covered mask: the same masks and sums
-        # as ``ev``, so the table equals it for every weight type.
+        # as the evaluator, so the table equals it for every weight type.
         covered = _doubled(or_, 0, cover_masks, _extenders(ground.n, p))
         sums = {c: weight(c) for c in set(covered)}
         return list(map(sums.__getitem__, covered))
 
     return SetFunction(
         ground,
-        ev,
+        lambda mask: weight(covered_by(mask)),
         name="coverage",
         claims={NORMALIZED, NONNEGATIVE, MONOTONE, SUBMODULAR, WEAKLY_SUBMODULAR},
         table=table,
@@ -602,7 +600,8 @@ class _PairwiseState:
     ``gain[x]`` is lin[x] plus the pair terms of x with S: f(S + x) - f(S)
     for x not in S, and f(S) - f(S - x) for x in S, since a row holds 0 at
     its own index.  So f(S + u - v) = f(S) - gain[v] + gain[u] - w_uv, and
-    adding e adds e's full row to every gain.
+    adding e adds e's full row to every gain.  No state is ever changed:
+    ``add`` returns a new one, so one start state serves every mask.
     """
 
     __slots__ = ("rows", "value", "gain")
@@ -650,22 +649,15 @@ def _pairwise(
     f(A) = f(B) = 0, leaves slack = w_xz + w_zy - w_xy.  That proves
     ``metric_dispersion``'s ``WEAKLY_SUBMODULAR`` claim.
     """
-    n = len(lin)
-
-    def state(mask: int) -> _PairwiseState:
-        at = _PairwiseState(rows, 0, list(lin))
-        for e in range(n):
-            if mask >> e & 1:
-                at = at.add(e)
-        return at
-
     return SetFunction(
-        GroundSet.of_size(n),
+        GroundSet.of_size(len(lin)),
         ev,
         name=name,
         claims=claims,
         table=(lambda p: _pairwise_table(lin, above, p)) if exact else None,
-        state=None if rows is None else state,
+        state=(
+            None if rows is None else _folded(_PairwiseState(rows, 0, list(lin)), _PairwiseState.add)
+        ),
     )
 
 

@@ -126,8 +126,8 @@ class TestGreedyRatio:
 
     def test_sum_route_matches_closed_forms(self):
         for p in range(2, 41):
-            assert greedy_ratio(p, exact=True) == greedy_ratio(p, exact=True, from_sums=True)
-            assert rel_close(greedy_ratio(p), greedy_ratio(p, from_sums=True), 1e-9)
+            assert greedy_ratio(p, exact=True) == reference_from_sums(p, exact=True)
+            assert rel_close(greedy_ratio(p), reference_from_sums(p, exact=False), 1e-9)
 
     def test_regression_values_from_the_chain_formula(self):
         # Frozen from the exact rational evaluation of the telescoped chain
@@ -204,6 +204,15 @@ def reference_chain_sum(p):
         den *= n_i
         upper = lower
     return Fraction(den, total)
+
+
+def reference_from_sums(p, exact):
+    """The chain bound 1 / (1 - prod b*_i / a*_i) with the defining sums in
+    place of the closed forms: an independent route to ``greedy_ratio``."""
+    prod = Fraction(1) if exact else 1.0
+    for i in range(1, p):
+        prod *= b_star_from_sum(i, p, exact) / a_star_from_sum(i, p, exact)
+    return 1 / (1 - prod)
 
 
 def reference_greedy_float(p):

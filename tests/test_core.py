@@ -65,6 +65,11 @@ class TestGroundSetAndSubset:
         with pytest.raises(ValueError):
             GroundSet(("a", "a"))
 
+    def test_of_size_refuses_a_negative_size(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            GroundSet.of_size(-3)
+        assert GroundSet.of_size(0).n == 0
+
     def test_of_size_builds_no_set_of_its_labels(self):
         # range(n) labels are unique by construction; a uniqueness set of a
         # million ints would double the peak over what the ground set keeps.

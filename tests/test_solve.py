@@ -22,7 +22,7 @@ from weaksub import (
     greedy_cardinality,
     local_search_matroid,
 )
-from weaksub import core
+from weaksub import core, solve
 from weaksub.bounds import greedy_ratio, ls_bound
 from weaksub.core import violates
 from weaksub.instances import _on_declared_ground
@@ -370,6 +370,12 @@ class TestBruteForceCardinality:
         f = linear((1, 2, 3, 4))
         assert brute_force_cardinality(f, 2).enumerated == 1 + 4 + 6
 
+    def test_unrank_gives_the_ascending_masks_of_bounded_popcount(self):
+        for n in range(11):
+            for p in range(n + 1):
+                masks = [m for m in range(1 << n) if m.bit_count() <= p]
+                assert list(solve._unrank(range(len(masks)), n, p)) == masks, (n, p)
+
     def test_first_maximizer_in_size_then_lexicographic_order(self):
         f = _two_tied_pairs()
         assert brute_force_cardinality(f, 2).optimum.indices() == (0, 3)
@@ -614,9 +620,9 @@ _DIRECT_BUILDERS = {
     ),
 }
 
-# Builders whose table is the generic one through ``value``: float
-# dispersion, max-cut with a Fraction or float weight,
-# complement, zero-at-top and hand-built functions.
+# Builders whose table is the generic one, which passes each mask to the
+# evaluator and leaves the memo empty: float dispersion, max-cut with a
+# Fraction or float weight, complement, zero-at-top and hand-built functions.
 _GENERIC_BUILDERS = {
     "dispersion-float": lambda: metric_dispersion(
         DistanceMatrix(tuple(tuple(x / 2 for x in row) for row in random_metric(6, 14).d))
@@ -651,10 +657,10 @@ class TestBruteForceCardinalityDifferential:
         brute_force_cardinality(f, f.ground.n)
         assert f._cache == {}
 
-    def test_generic_path_reads_through_the_memo(self):
+    def test_generic_path_leaves_the_memo_empty(self):
         f = complement(linear((1, 2, 3, 1, 2)))
         assert brute_force_cardinality(f, 2).enumerated == 16
-        assert len(f._cache) == 16
+        assert f._cache == {}
 
     def test_ties_across_sizes_keep_the_smaller_set(self):
         # {0, 2} and {0, 1, 2} are both 6; (0, 1, 2) comes first in index order.
@@ -697,11 +703,11 @@ class TestAllValuesWalk:
     @pytest.mark.parametrize("name", sorted(_GENERIC_BUILDERS))
     def test_generic_walk_evaluates_each_mask_once(self, name):
         f, calls = _counting(_GENERIC_BUILDERS[name]())
-        table = f.all_values()
+        f.all_values()
         assert sorted(calls) == list(range(1 << f.ground.n))
-        assert f._cache == dict(enumerate(table))
-        f.all_values()  # a second table reads the memo
-        assert len(calls) == 1 << f.ground.n
+        assert f._cache == {}
+        f.all_values()  # a second table evaluates each mask again
+        assert sorted(calls) == sorted(2 * list(range(1 << f.ground.n)))
 
     @pytest.mark.parametrize("name", sorted(_ALL_BUILDERS))
     def test_labelled_ground_gives_the_same_table(self, name):

@@ -566,6 +566,20 @@ class TestCardinalityFunctions:
         with pytest.raises(ValueError, match="integer"):
             cardinality_power(k, 4)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: threshold(1, 1, -2),
+            lambda: cardinality_power(2, -1),
+            lambda: raw_cardinality_profile(2, -1),
+            lambda: cardinality_polynomial((0, 1), -1),
+        ],
+        ids=["threshold", "power", "profile", "polynomial"],
+    )
+    def test_negative_size_refused(self, build):
+        with pytest.raises(ValueError, match=">= 0"):
+            build()
+
     def test_huge_ground_set(self):
         f = cardinality_power(2, 10**5)
         assert f.value((1 << 10**5) - 1) == 10**10
@@ -730,6 +744,9 @@ class TestMaxCut:
             Graph(3, ((0, 1, -2),))
         with pytest.raises(ValueError):
             star_counterexample(0)
+        with pytest.raises(ValueError, match=">= 0"):
+            Graph(-3, ())
+        assert max_cut(Graph(0, ())).all_values() == [0]
 
     def test_claims_are_minimal(self):
         f = max_cut(star_counterexample(2))
